@@ -25,16 +25,13 @@ from .digitsum import (
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_fast,
-    partial_sum_prefix,
     weighted_digit_sum,
 )
 from .limiting_curve import (
-    analytic_normalizer,
-    build_fluctuation_curve,
-    canonical_normalizer,
     target_curve,
     theorem1_experiment,
     verify_identity_8,
+    zero_orbit_curve,
 )
 from .odometer import (
     NoStabilizingLevelError,
@@ -47,6 +44,7 @@ from .takagi import (
     DeRhamSystem,
     derham_consistency,
     derham_eval,
+    is_power_of_two,
     takagi_dyadic_exact,
     takagi_series,
 )
@@ -115,10 +113,6 @@ def _parse_run_lengths(text: str) -> list[int]:
     return values
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _write_text(path, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -152,7 +146,7 @@ def _cmd_eval(args) -> int:
             else _parse_qparam(args.q).a
         )
         x = _parse_fraction(args.x, "x")
-        if _is_power_of_two(x.denominator):
+        if is_power_of_two(x.denominator):
             value = takagi_dyadic_exact(x, a)
         else:
             value = takagi_series(x, a, tol=args.tol)
@@ -177,7 +171,7 @@ def _cmd_eval(args) -> int:
 
 def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
     p.require_curve_regime()
-    if not _is_power_of_two(lmax) or lmax < 2:
+    if not is_power_of_two(lmax) or lmax < 2:
         raise _CliError(f"--lmax must be a power of two >= 2, got {lmax}")
     rep = VerificationReport(
         "zero-orbit bridge identities",
@@ -363,7 +357,7 @@ def _svg_document(grid, series) -> str:
 def _cmd_curve(args) -> int:
     p = _parse_qparam(args.q)
     l = args.l
-    if not _is_power_of_two(l) or l < 2:
+    if not is_power_of_two(l) or l < 2:
         raise _CliError(f"--l must be a power of two >= 2, got {l}")
     if not p.is_curve_regime and not args.explore:
         print(
@@ -374,12 +368,7 @@ def _cmd_curve(args) -> int:
         )
         return 2
 
-    sums = partial_sum_prefix(l, p)
-    if args.norm == "canonical":
-        normalizer = canonical_normalizer(sums, l)
-    else:
-        normalizer = analytic_normalizer(l, p)
-    curve = build_fluctuation_curve(sums, l, normalizer)
+    curve = zero_orbit_curve(l, p, args.norm)
 
     with_target = p.is_curve_regime
     if with_target:
@@ -590,6 +579,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact answers routinely run past Python's 4300-digit limit on int
+    # <-> str conversion; lift it for this call only, so that in-process
+    # callers keep their own setting
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -192,16 +192,19 @@ def partial_sum_bruteforce(
     return partial_sum_bruteforce_at([n], p, budget=budget)[n]
 
 
-def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
-    """The whole table S_q(0), S_q(1), ..., S_q(n), definitionally."""
+def partial_sum_prefix_scaled(n: int, p: QParam) -> tuple[list[int], int]:
+    """Integer core of partial_sum_prefix: S_q(j) = nums[j] / den, j = 0..n.
+
+    den = v^width for q = u/v and width = max(n.bit_length(), 1), shared
+    by the whole table; the sums are accumulated definitionally.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     u = p.q.numerator
     v = p.q.denominator
     width = max(n.bit_length(), 1)
     weights = [u ** (i + 1) * v ** (width - i - 1) for i in range(width)]
-    denom = v**width
-    out = [Fraction(0)]
+    nums = [0]
     running = 0
     for j in range(n):
         rem = j
@@ -211,8 +214,14 @@ def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
                 running += weights[i]
             rem >>= 1
             i += 1
-        out.append(Fraction(running, denom))
-    return out
+        nums.append(running)
+    return nums, v**width
+
+
+def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
+    """The whole table S_q(0), S_q(1), ..., S_q(n), definitionally."""
+    nums, den = partial_sum_prefix_scaled(n, p)
+    return [Fraction(x, den) for x in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +296,10 @@ def partial_sum_pow2(k: int, p: QParam) -> Fraction:
     return q * (1 - q**k) / (1 - q) * (1 << (k - 1))
 
 
-def partial_sum_progression(
+def partial_sum_progression_scaled(
     base: int, step_exponent: int, count: int, p: QParam
-) -> list[Fraction]:
-    """S_q(base + t * 2^h) for t = 0..count, h = step_exponent, exactly.
+) -> tuple[list[int], int]:
+    """S_q(base + t * 2^h) = nums[t] / den for t = 0..count, h = step_exponent.
 
     Shares work across the progression: splitting the argument at bit h,
 
@@ -301,6 +310,10 @@ def partial_sum_progression(
     Cost is O(bits + count * bits) integer work rather than
     O(count * bits) full evaluations; the two grow identically for small
     arguments but diverge sharply when base has thousands of bits.
+
+    This is the integer core: every point shares den = v^(h + da) for
+    q = u/v, where da is the bit length of the largest high part, and no
+    gcd runs.  partial_sum_progression wraps it into Fractions.
     """
     if base < 0 or step_exponent < 0 or count < 0:
         raise ValueError("base, step_exponent and count must be nonnegative")
@@ -352,12 +365,12 @@ def partial_sum_progression(
         rem >>= 1
         i += 1
 
-    out: list[Fraction] = []
+    nums: list[int] = []
     a = a0
     s_a = s_high
     for t in range(count + 1):
         total = a * pow2_term + high_term * s_a + sb_rescaled + low_term * digit
-        out.append(Fraction(total, denom))
+        nums.append(total)
         if t == count:
             break
         s_a += digit
@@ -367,7 +380,20 @@ def partial_sum_progression(
             i += 1
         digit += weights[i]
         a += 1
-    return out
+    return nums, denom
+
+
+def partial_sum_progression(
+    base: int, step_exponent: int, count: int, p: QParam
+) -> list[Fraction]:
+    """S_q(base + t * 2^h) for t = 0..count, h = step_exponent, exactly.
+
+    A thin wrapper: partial_sum_progression_scaled computes the whole
+    progression as integers over one denominator, and each point becomes
+    one Fraction here.
+    """
+    nums, den = partial_sum_progression_scaled(base, step_exponent, count, p)
+    return [Fraction(x, den) for x in nums]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ progression evaluator (the orbit is never stepped literally; partial
 sums along it are differences S_q(X + i) - S_q(X) of the integer
 summatory function, which handles every carry exactly).
 
+All of it runs on one exact representation: partial sums and curve
+values are integer numerators over one denominator shared by the whole
+grid (the scaled prefix or progression sums, and takagi_dyadic_grid for
+the target), compared by cross-multiplication.  Fractions are built only
+for values handed back to the caller.
+
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
 that fail); at or above |q| = 1 the state sums themselves diverge.
@@ -23,7 +29,7 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digitsum import QParam, partial_sum_prefix, partial_sum_progression
+from .digitsum import QParam, partial_sum_prefix_scaled, partial_sum_progression_scaled
 from .odometer import (
     OdometerState,
     RegisterOverflowError,
@@ -31,7 +37,7 @@ from .odometer import (
     num_value,
 )
 from .report import VerificationReport
-from .takagi import takagi_dyadic_exact
+from .takagi import is_power_of_two, takagi_dyadic_grid
 
 
 class GridMismatchError(ValueError):
@@ -61,6 +67,51 @@ class CurveSamples:
             raise ValueError("grid must be strictly increasing")
         if self.mode not in ("exact", "approx"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def _require_level(l: int):
+    if l < 2 or not is_power_of_two(l):
+        raise ValueError(f"l must be a power of two >= 2, got {l}")
+
+
+def _unit_grid(points: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(j, points) for j in range(points + 1))
+
+
+def _deviations(nums: list[int]) -> list[int]:
+    """Deviation numerators of scaled partial sums S(j) = nums[j] / den.
+
+    With l = len(nums) - 1, (S(j) - S(0)) - (j/l) (S(l) - S(0)) equals
+    devs[j] / (l den), devs[j] = (nums[j] - nums[0]) l - j (nums[l] - nums[0]).
+    """
+    l = len(nums) - 1
+    base = nums[0]
+    total = nums[l] - base
+    return [(s - base) * l - j * total for j, s in enumerate(nums)]
+
+
+def _polygon(devs: list[int], scale: int, normalizer: Fraction) -> CurveSamples:
+    """The curve with values devs[j] / (scale * normalizer) on j/(len-1)."""
+    num = normalizer.denominator
+    den = scale * normalizer.numerator
+    values = tuple(Fraction(d * num, den) for d in devs)
+    return CurveSamples(_unit_grid(len(devs) - 1), values, "exact")
+
+
+def _gaps(devs: list[int], scale: int, normalizer: Fraction, p: QParam, g: int):
+    """Polygon minus -q T_a on the grid j/2^g, over one shared denominator.
+
+    The polygon value at j/2^g is devs[j] / (scale * normalizer).
+    Returns (gaps, den) with polygon - target = gaps[j] / den exactly at
+    every j; den carries the sign of the normalizer.
+    """
+    tak, tak_den = takagi_dyadic_grid(g, p.a)
+    qn, qd = p.q.numerator, p.q.denominator
+    rn, rd = normalizer.numerator, normalizer.denominator
+    dev_factor = rd * qd * tak_den
+    tak_factor = qn * scale * rn
+    gaps = [d * dev_factor + t * tak_factor for d, t in zip(devs, tak)]
+    return gaps, scale * rn * qd * tak_den
 
 
 def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
@@ -113,20 +164,40 @@ def analytic_normalizer(l: int, p: QParam) -> Fraction:
     sign flips the curve, which is exactly what the bridge identity
     needs.
     """
-    if l < 2 or (l & (l - 1)) != 0:
-        raise ValueError(f"l must be a power of two >= 2, got {l}")
+    _require_level(l)
     j = l.bit_length() - 1
     return (2 * p.q) ** (j - 1)
+
+
+def zero_orbit_curve(l: int, p: QParam, norm: str = "analytic") -> CurveSamples:
+    """The zero orbit's deviation polygon at length l = 2^j, exactly.
+
+    Equal to build_fluctuation_curve(partial_sum_prefix(l, p), l, R) with
+    R = analytic_normalizer(l, p) (norm="analytic") or the largest
+    absolute deviation (norm="canonical", sup-norm one), but computed on
+    the scaled prefix sums with one Fraction per value.
+    """
+    _require_level(l)
+    nums, den = partial_sum_prefix_scaled(l, p)
+    devs = _deviations(nums)
+    if norm == "analytic":
+        return _polygon(devs, l * den, analytic_normalizer(l, p))
+    if norm != "canonical":
+        raise ValueError(f"unknown norm {norm!r}")
+    peak = max(abs(d) for d in devs)
+    if peak == 0:
+        raise DegenerateNormalizerError("deviation polygon is identically zero")
+    return _polygon(devs, 1, Fraction(peak))
 
 
 def target_curve(l: int, p: QParam) -> CurveSamples:
     """Samples of -q T_a(t) on the breakpoint grid j/l, exactly."""
     p.require_curve_regime()
-    if l < 2 or (l & (l - 1)) != 0:
-        raise ValueError(f"l must be a power of two >= 2, got {l}")
-    grid = tuple(Fraction(j, l) for j in range(l + 1))
-    values = tuple(-p.q * takagi_dyadic_exact(t, p.a) for t in grid)
-    return CurveSamples(grid, values, "exact")
+    _require_level(l)
+    tak, tak_den = takagi_dyadic_grid(l.bit_length() - 1, p.a)
+    qn, qd = p.q.numerator, p.q.denominator
+    values = tuple(Fraction(-qn * t, qd * tak_den) for t in tak)
+    return CurveSamples(_unit_grid(l), values, "exact")
 
 
 def sup_distance(c1: CurveSamples, c2: CurveSamples):
@@ -145,23 +216,26 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
     """Exact bridge identity for the zero orbit at length l = 2^j.
 
     Builds S_q(0..l) definitionally, rescales by the analytic normalizer
-    and compares every breakpoint with -q T_a(j/l).
+    and compares every breakpoint with -q T_a(j/l), by cross-multiplying
+    integers over the shared denominators.
     """
     p.require_curve_regime()
-    if l < 2 or (l & (l - 1)) != 0:
-        raise ValueError(f"l must be a power of two >= 2, got {l}")
+    _require_level(l)
     rep = VerificationReport(
         "zero-orbit bridge identity", params={"q": str(p.q), "l": str(l)}
     )
-    sums = partial_sum_prefix(l, p)
-    curve = build_fluctuation_curve(sums, l, analytic_normalizer(l, p))
-    target = target_curve(l, p)
+    nums, den = partial_sum_prefix_scaled(l, p)
+    devs = _deviations(nums)
+    normalizer = analytic_normalizer(l, p)
+    gaps, gap_den = _gaps(devs, l * den, normalizer, p, l.bit_length() - 1)
     checked = 0
     first = None
-    for t, got, want in zip(curve.grid, curve.values, target.values):
+    for j, gap in enumerate(gaps):
         checked += 1
-        if got != want:
-            first = f"t={t}: {got} != {want}"
+        if gap:
+            got = Fraction(devs[j]) / (l * den * normalizer)
+            want = got - Fraction(gap, gap_den)
+            first = f"t={Fraction(j, l)}: {got} != {want}"
             break
     rep.add(
         "bridge-equals-target",
@@ -266,22 +340,10 @@ def theorem1_experiment(
             )
         g = min(grid_exponent, n)
         points = 1 << g
-        step = n - g
-        sums = partial_sum_progression(big_x, step, points, p)
-        base = sums[0]
-        total = sums[-1] - base
+        nums, den = partial_sum_progression_scaled(big_x, n - g, points, p)
+        devs = _deviations(nums)
         normalizer = (2 * p.q) ** (n - 1)
-        grid = tuple(Fraction(j, points) for j in range(points + 1))
-        values = tuple(
-            ((sums[j] - base) - Fraction(j, points) * total) / normalizer
-            for j in range(points + 1)
-        )
-        curve = CurveSamples(grid, values, "exact")
-        target_values = tuple(
-            -p.q * takagi_dyadic_exact(t, p.a) for t in grid
-        )
-        target = CurveSamples(grid, target_values, "exact")
-        dist = sup_distance(curve, target)
+        gaps, gap_den = _gaps(devs, points * den, normalizer, p, g)
         levels.append(
             BridgeLevel(
                 run_length=r,
@@ -290,8 +352,8 @@ def theorem1_experiment(
                 ratio=level.ratio,
                 normalizer=normalizer,
                 grid_exponent=g,
-                curve=curve,
-                sup_distance=dist,
+                curve=_polygon(devs, points * den, normalizer),
+                sup_distance=Fraction(max(map(abs, gaps)), abs(gap_den)),
             )
         )
         wrapped = big_x & ((1 << n) - 1)

@@ -20,8 +20,15 @@ condition is
     a0 g1(1)/(1 - a1) + g0(1) = a1 g0(0)/(1 - a0) + g1(0).
 
 Dyadic arguments unwind through the branches in finitely many exact
-rational steps.  Non-dyadic rational arguments get a certified float:
-a partial unwinding plus a rigorous bound on the discarded remainder.
+rational steps.  On a whole dyadic grid j/2^g the curve is built level
+by level instead, from the midpoint rule (Takagi 1903, de Rham 1957)
+
+    T_a((2k+1)/2^(m+1)) = (T_a(k/2^m) + T_a((k+1)/2^m))/2 + a^m/2,
+
+which refines every interval of level m at once: O(2^g) integer
+additions over one shared denominator for the whole grid.  Non-dyadic
+rational arguments get a certified float: a partial unwinding plus a
+rigorous bound on the discarded remainder.
 
 Note on the smooth member of the family: with tau = dist(x, Z) as above,
 the a = 1/4 curve is the parabola 2 x (1 - x).  A widely quoted form of
@@ -41,7 +48,8 @@ class InconsistentSystemError(ValueError):
     """The two branches of a functional system disagree at the seam."""
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
+    """True when n is 1, 2, 4, 8, ..."""
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -65,7 +73,7 @@ class DyadicRational:
     @classmethod
     def from_fraction(cls, x) -> "DyadicRational":
         x = Fraction(x)
-        if not _is_power_of_two(x.denominator):
+        if not is_power_of_two(x.denominator):
             raise ValueError(f"{x} is not dyadic (denominator not a power of two)")
         return cls(x.numerator, x.denominator.bit_length() - 1)
 
@@ -86,7 +94,7 @@ def as_dyadic(t) -> Fraction:
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"argument {t} outside [0, 1]")
-    if not _is_power_of_two(t.denominator):
+    if not is_power_of_two(t.denominator):
         raise ValueError(f"argument {t} is not dyadic")
     return t
 
@@ -106,6 +114,13 @@ class CertifiedValue(NamedTuple):
     terms: int
 
 
+def _require_contraction(a: Fraction):
+    if abs(a) >= 1:
+        raise ValueError(
+            f"|a| < 1 required for the series to converge, got a = {a}"
+        )
+
+
 def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
     """Partial sum of sum_n a^n tau(2^n x) with a certified tail bound.
 
@@ -117,10 +132,7 @@ def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
     """
     x = Fraction(x)
     a = Fraction(a)
-    if abs(a) >= 1:
-        raise ValueError(
-            f"|a| < 1 required for the series to converge, got a = {a}"
-        )
+    _require_contraction(a)
     if tol <= 0:
         raise ValueError("tol must be positive")
     tol_exact = Fraction(tol)
@@ -155,10 +167,7 @@ def takagi_dyadic_exact(t, a) -> Fraction:
     """
     t = as_dyadic(t)
     a = Fraction(a)
-    if abs(a) >= 1:
-        raise ValueError(
-            f"|a| < 1 required for the series to converge, got a = {a}"
-        )
+    _require_contraction(a)
     total = Fraction(0)
     scale = Fraction(1)
     while t != 0 and t != 1:
@@ -170,6 +179,37 @@ def takagi_dyadic_exact(t, a) -> Fraction:
             t = 2 * t - 1
         scale *= a
     return total
+
+
+def takagi_dyadic_grid(g: int, a) -> tuple[list[int], int]:
+    """T_a(j/2^g) for j = 0..2^g as integer numerators over one denominator.
+
+    Returns (nums, den) with T_a(j/2^g) = nums[j] / den exactly, where
+    den = 2^g v^(g-1) for a = u/v in lowest terms (den = 1 when g = 0).
+    The grid is refined level by level with the midpoint rule; at level
+    m < g every value is a multiple of 2^(g-m) v^(g-m), so each halving
+    is exact and no value ever needs reducing.  takagi_dyadic_exact is
+    the pointwise oracle for every entry.
+    """
+    if g < 0:
+        raise ValueError(f"grid exponent must be nonnegative, got {g}")
+    a = Fraction(a)
+    _require_contraction(a)
+    size = 1 << g
+    nums = [0] * (size + 1)
+    if g == 0:
+        return nums, 1
+    u, v = a.numerator, a.denominator
+    stride = size
+    for m in range(g):
+        half = stride >> 1
+        bump = (u**m * v ** (g - 1 - m)) << (g - 1)  # a^m / 2, scaled by den
+        nums[half::stride] = [
+            ((left + right) >> 1) + bump
+            for left, right in zip(nums[0:size:stride], nums[stride::stride])
+        ]
+        stride = half
+    return nums, (v ** (g - 1)) << g
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end CLI contract: outputs, formats, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from qdigits.cli import main
+from qdigits.digitsum import QParam, partial_sum_fast
 
 FROZEN_CURVE_CSV = (
     "t,phi,target\n"
@@ -79,6 +81,28 @@ class TestEval:
         assert main(["eval", "S", "--q", "3/4"]) == 2  # missing --n
         assert main(["eval", "takagi", "--a", "1/4", "--q", "3/4", "--x", "0"]) == 2
         capsys.readouterr()
+
+    def test_summatory_past_the_int_string_limit(self, capsys):
+        # a 5000-digit n: parsing it and printing S_q(n) both exceed the
+        # interpreter's default 4300-digit int <-> str limit (where the
+        # interpreter has one)
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        previous = get_limit()
+        set_limit(0)
+        try:
+            n = 10**4999 + 12345
+            n_text = str(n)
+            want = str(partial_sum_fast(n, QParam(F(3, 4)))) + "\n"
+            set_limit(4300)  # the interpreter default, which main must lift
+            expected = get_limit()
+            code, out, err = run(capsys, ["eval", "S", "--q", "3/4", "--n", n_text])
+            restored = get_limit()
+        finally:
+            set_limit(previous)
+        assert (code, err) == (0, "")
+        assert out == want
+        assert restored == expected  # main puts the caller's limit back
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qdigits.digitsum import QParam, partial_sum_prefix
+import qdigits.limiting_curve as limiting_curve
+from qdigits.digitsum import QParam, partial_sum_fast, partial_sum_prefix
 from qdigits.limiting_curve import (
     BridgeLevel,
     CurveSamples,
@@ -18,13 +19,16 @@ from qdigits.limiting_curve import (
     target_curve,
     theorem1_experiment,
     verify_identity_8,
+    zero_orbit_curve,
 )
 from qdigits.odometer import (
     NoStabilizingLevelError,
     OdometerState,
     RegisterOverflowError,
+    num_value,
     orbit_partial_sums,
 )
+from qdigits.takagi import takagi_dyadic_exact, takagi_dyadic_grid
 
 Q34 = QParam(F(3, 4))
 
@@ -126,6 +130,28 @@ class TestNormalizers:
                 ) * peak, (q, l)
 
 
+class TestZeroOrbitCurve:
+    def test_matches_fraction_route(self):
+        # includes q = 1/3 outside the curve regime (the CLI's --explore)
+        for q in [F(3, 4), F(-3, 4), F(2, 3), F(-2, 3), F(9, 10), F(1, 3)]:
+            p = QParam(q)
+            for j in range(1, 7):
+                l = 1 << j
+                sums = partial_sum_prefix(l, p)
+                for norm, normalizer in [
+                    ("analytic", analytic_normalizer(l, p)),
+                    ("canonical", canonical_normalizer(sums, l)),
+                ]:
+                    want = build_fluctuation_curve(sums, l, normalizer)
+                    assert zero_orbit_curve(l, p, norm) == want, (q, l, norm)
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="power of two"):
+            zero_orbit_curve(12, Q34)
+        with pytest.raises(ValueError, match="norm"):
+            zero_orbit_curve(8, Q34, "sup")
+
+
 class TestTargetCurve:
     def test_frozen_values(self):
         curve = target_curve(4, Q34)
@@ -180,6 +206,28 @@ class TestVerifyIdentity8:
         assert rep.checks[0].name == "bridge-equals-target"
         assert rep.checks[0].checked == 17
 
+    def test_reports_a_perturbed_target(self, monkeypatch):
+        # the check is live: one wrong grid value fails it, and the
+        # counterexample shows the exact polygon and target values
+        real_grid = takagi_dyadic_grid
+
+        def perturbed(g, a):
+            nums, den = real_grid(g, a)
+            nums[3] += 1
+            return nums, den
+
+        monkeypatch.setattr(limiting_curve, "takagi_dyadic_grid", perturbed)
+        p = QParam(F(-3, 4))
+        rep = verify_identity_8(8, p)
+        assert not rep.passed
+        check = rep.checks[0]
+        assert check.checked == 4
+        t = F(3, 8)
+        _, den = real_grid(3, p.a)
+        got = -p.q * takagi_dyadic_exact(t, p.a)
+        want = -p.q * (takagi_dyadic_exact(t, p.a) + F(1, den))
+        assert check.first_counterexample == f"t=3/8: {got} != {want}"
+
     def test_guards(self):
         with pytest.raises(ValueError):
             verify_identity_8(12, Q34)
@@ -214,6 +262,37 @@ class TestTheoremExperiment:
         )
         assert lvl.curve.values == expected
         assert "carries cross level position 4" in bridge.notes[0]
+
+    @pytest.mark.parametrize("q", [F(-3, 4), F(-2, 3)])
+    @pytest.mark.parametrize("grid_exponent", [4, 8])
+    def test_negative_weight_matches_fraction_route(self, q, grid_exponent):
+        # seed 5 gives levels n = 5, 6, 42: normalizers (2q)^(n-1) of
+        # both signs, and at grid exponent 8 a grid clipped to n at the
+        # two low levels
+        p = QParam(q)
+        state = OdometerState.random_state(5, 64)
+        bridge = theorem1_experiment(
+            None, p, [2, 3, 4], state=state, grid_exponent=grid_exponent
+        )
+        assert {lvl.normalizer > 0 for lvl in bridge.levels} == {True, False}
+        x = num_value(state)
+
+        def big_s(m):
+            return partial_sum_fast(m, p) if m else F(0)
+
+        for lvl in bridge.levels:
+            n, g = lvl.position, lvl.grid_exponent
+            points = 1 << g
+            sums = [big_s(x + (j << (n - g))) - big_s(x) for j in range(points + 1)]
+            curve = tuple(
+                (sums[j] - F(j, points) * sums[-1]) / (2 * q) ** (n - 1)
+                for j in range(points + 1)
+            )
+            target = [
+                -q * takagi_dyadic_exact(F(j, points), p.a) for j in range(points + 1)
+            ]
+            assert lvl.curve.values == curve
+            assert lvl.sup_distance == max(abs(c - t) for c, t in zip(curve, target))
 
     def test_grid_exponent_clipping(self):
         state = OdometerState.zeros(2048)

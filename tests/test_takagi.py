@@ -13,8 +13,10 @@ from qdigits.takagi import (
     as_dyadic,
     derham_consistency,
     derham_eval,
+    is_power_of_two,
     nearest_int_dist,
     takagi_dyadic_exact,
+    takagi_dyadic_grid,
     takagi_series,
 )
 
@@ -113,6 +115,37 @@ class TestDyadicExact:
             takagi_dyadic_exact(F(1, 3), F(1, 2))
         with pytest.raises(ValueError):
             takagi_dyadic_exact(F(1, 2), F(3, 2))
+
+
+class TestDyadicGrid:
+    def test_matches_pointwise_oracle(self):
+        for a in [F(2, 3), F(-2, 3), F(1, 2), F(-5, 6), F(1, 4), F(5, 9)]:
+            for g in range(11):
+                nums, den = takagi_dyadic_grid(g, a)
+                assert len(nums) == (1 << g) + 1
+                for j, num in enumerate(nums):
+                    assert F(num, den) == takagi_dyadic_exact(F(j, 1 << g), a), (a, g, j)
+
+    def test_shared_denominator(self):
+        # den = 2^g v^(g-1) for a = u/v, whatever the sign of a
+        assert takagi_dyadic_grid(0, F(2, 3)) == ([0, 0], 1)
+        assert takagi_dyadic_grid(1, F(-2, 3)) == ([0, 1, 0], 2)
+        nums, den = takagi_dyadic_grid(2, F(-2, 3))
+        assert den == 12
+        assert nums == [0, -1, 6, -1, 0]  # T(1/4) = 1/4 + a/2 = -1/12
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            takagi_dyadic_grid(3, F(3, 2))
+        with pytest.raises(ValueError):
+            takagi_dyadic_grid(-1, F(1, 2))
+
+
+class TestIsPowerOfTwo:
+    def test_values(self):
+        assert [n for n in range(-2, 70) if is_power_of_two(n)] == [1, 2, 4, 8, 16, 32, 64]
+        assert is_power_of_two(1 << 5000)
+        assert not is_power_of_two((1 << 5000) + 2)
 
 
 class TestSeries:
