@@ -5,9 +5,12 @@ asserted; the brute-force summatory evaluator is the oracle every fast
 path is measured against.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdigits.digitsum import (
     DEFAULT_ORACLE_BUDGET,
@@ -15,6 +18,8 @@ from qdigits.digitsum import (
     OracleBudgetError,
     QParam,
     Regime,
+    _summatory_leaf,
+    _summatory_scaled,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_bruteforce_at,
@@ -23,6 +28,7 @@ from qdigits.digitsum import (
     partial_sum_pow2,
     partial_sum_prefix,
     partial_sum_progression,
+    partial_sum_progression_scaled,
     weighted_digit_sum,
 )
 
@@ -274,3 +280,123 @@ class TestRecurrenceScan:
     def test_domain(self):
         with pytest.raises(ValueError):
             check_bit_recurrences(1, Q34)
+
+
+# ---------------------------------------------------------------------------
+# differential properties of the split kernel
+# ---------------------------------------------------------------------------
+
+SPLIT_WEIGHTS = [
+    F(3, 4), F(-3, 4), F(2, 3), F(-2, 3), F(1), F(5, 2), F(1000003, 999983), F(-5, 7),
+]
+weights = st.sampled_from(SPLIT_WEIGHTS)
+
+
+@st.composite
+def shaped_ints(draw, max_bits):
+    """n >= 1 of at most max_bits bits, biased towards the hard shapes.
+
+    Bit lengths favour the leaf boundaries; the shapes are random bits,
+    powers of two and their neighbours, and long alternating runs of
+    ones and zeros.
+    """
+    edges = [k for k in (1, 2, 63, 64, 65, 127, 128, 129, max_bits) if k <= max_bits]
+    bits = draw(st.one_of(st.sampled_from(edges), st.integers(1, max_bits)))
+    top = 1 << (bits - 1)
+    shape = draw(st.sampled_from(["random", "pow2", "pow2-1", "pow2+1", "runs"]))
+    if shape == "pow2":
+        return top
+    if shape == "pow2-1":
+        return 2 * top - 1
+    if shape == "pow2+1":
+        return top + 1 if bits > 1 else 1
+    if shape == "runs":
+        n, pos, ones = 0, bits, True
+        while pos:
+            run = min(draw(st.integers(1, max(bits // 2, 1))), pos)
+            pos -= run
+            if ones:
+                n |= ((1 << run) - 1) << pos
+            ones = not ones
+        return n
+    return draw(st.integers(top, 2 * top - 1))
+
+
+def _check_split_kernel(n, q):
+    u, v = q.numerator, q.denominator
+    d = n.bit_length()
+    assert _summatory_scaled(n, u, v) == (*_summatory_leaf(n, d, u, v), d)
+    _value, steps = partial_sum_fast_instrumented(n, QParam(q))
+    assert steps == d
+
+
+class TestSplitKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(n=shaped_ints(4096), q=weights)
+    @example(n=(1 << 64) - 1, q=F(3, 4))
+    @example(n=(1 << 64) + 1, q=F(-5, 7))
+    @example(n=(1 << 128) - 1, q=F(1000003, 999983))
+    def test_equals_serial_leaf_on_whole_n(self, n, q):
+        _check_split_kernel(n, q)
+
+    def test_leaf_boundaries(self):
+        for bits in (63, 64, 65, 128, 129, 4096):
+            for n in (1 << (bits - 1), (1 << bits) - 1, (1 << (bits - 1)) + 1):
+                _check_split_kernel(n, F(-2, 3))
+
+    @settings(max_examples=25, deadline=None)
+    @given(ns=st.lists(shaped_ints(16), min_size=1, max_size=6), q=weights)
+    @example(ns=[1 << 16, (1 << 16) - 1, 1], q=F(5, 2))
+    def test_fast_equals_oracle(self, ns, q):
+        p = QParam(q)
+        oracle = partial_sum_bruteforce_at(ns, p)
+        for n in ns:
+            assert partial_sum_fast(n, p) == oracle[n], (q, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a0=st.one_of(st.just(0), shaped_ints(300)),
+        h=st.integers(0, 80),
+        low=st.integers(0),
+        count=st.integers(0, 40),
+        q=weights,
+    )
+    @example(a0=0, h=70, low=12345, count=40, q=F(3, 4))
+    @example(a0=(1 << 70) - 1, h=0, low=0, count=0, q=F(-3, 4))
+    @example(a0=(1 << 70) - 1, h=5, low=9, count=3, q=F(1))
+    @example(a0=(1 << 130) - 1, h=66, low=(1 << 66) - 1, count=1, q=F(1000003, 999983))
+    def test_progression_matches_fast_pointwise(self, a0, h, low, count, q):
+        p = QParam(q)
+        base = (a0 << h) + low % (1 << h)
+        nums, den = partial_sum_progression_scaled(base, h, count, p)
+        assert len(nums) == count + 1
+        for t, num in enumerate(nums):
+            n = base + (t << h)
+            want = partial_sum_fast(n, p) if n else F(0)
+            assert F(num, den) == want, (q, base, h, t)
+
+    def test_65536_bits_against_split_identity(self):
+        # An independent split point (the kernel halves at bit 32768),
+        # S_q(2^h) from the rational closed form, and s_q(A) summed over
+        # its set bits from integer weights.
+        p = Q34
+        q, u, v = p.q, p.q.numerator, p.q.denominator
+        n = random.Random(65536).getrandbits(65536) | (1 << 65535)
+        h = 57001
+        a, b = n >> h, n & ((1 << h) - 1)
+        da = a.bit_length()
+        w = u * v ** (da - 1)  # q^(i+1) v^da at bit i
+        digit = 0
+        for bit in reversed(format(a, "b")):
+            if bit == "1":
+                digit += w
+            w = w * u // v
+        want = (
+            a * q * (1 - q**h) / (1 - q) * 2 ** (h - 1)
+            + q**h * 2**h * partial_sum_fast(a, p)
+            + partial_sum_fast(b, p)
+            + b * q**h * F(digit, v**da)
+        )
+        value, steps = partial_sum_fast_instrumented(n, p)
+        assert steps == 65536
+        assert value == want
