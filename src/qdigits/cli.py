@@ -218,50 +218,57 @@ def _suite_derham(p: QParam) -> VerificationReport:
         None if ok else f"residual {residual}",
     )
 
-    def scan(name, statement, sys_, reference):
-        denom = 64
-        checked = 0
-        first = None
-        for j in range(denom + 1):
-            t = Fraction(j, denom)
-            checked += 1
-            got = derham_eval(sys_, t)
-            want = reference(t)
-            if got != want:
-                first = f"t={t}: {got} != {want}"
-                break
-        rep.add(name, statement, f"t = j/{denom}, exact", checked, first is None, first)
+    def solver_points(sys_, reference):
+        for j in range(65):
+            t = Fraction(j, 64)
+            yield f"t={t}", derham_eval(sys_, t), reference(t)
 
-    scan(
+    rep.scan(
         "solver-matches-curve",
         "branch unwinding reproduces T_a",
-        curve_sys,
-        lambda t: takagi_dyadic_exact(t, p.a),
+        "t = j/64, exact",
+        solver_points(curve_sys, lambda t: takagi_dyadic_exact(t, p.a)),
     )
-    scan(
+    rep.scan(
         "solver-matches-profile",
         "branch unwinding reproduces q x - T_a(x)/2",
-        profile_sys,
-        lambda t: f_closed(t, p),
+        "t = j/64, exact",
+        solver_points(profile_sys, lambda t: f_closed(t, p)),
     )
     return rep
 
 
-def _suite_theorem1(p: QParam, args) -> VerificationReport:
+def _experiment(args, p: QParam):
+    """theorem1_experiment on --r, --seed, --register-length, --grid-exponent
+    and, for bridge, --state.
+
+    NoStabilizingLevelError and RegisterOverflowError pass to _run, which
+    reports them under the command's name with exit code 1.
+    """
     r_list = _parse_run_lengths(args.r)
-    bridge = theorem1_experiment(
+    state = None
+    if getattr(args, "state", None) == "zero":
+        state = OdometerState.zeros(args.register_length)
+    elif args.seed is None:
+        raise _CliError("bridge needs --seed or --state zero")
+    return theorem1_experiment(
         args.seed,
         p,
         r_list,
+        state=state,
         register_length=args.register_length,
         grid_exponent=args.grid_exponent,
     )
+
+
+def _suite_theorem1(p: QParam, args) -> VerificationReport:
+    bridge = _experiment(args, p)
     rep = VerificationReport(
         "stabilising-level decay",
         params={
             "q": str(p.q),
             "seed": str(args.seed),
-            "r": ",".join(str(r) for r in r_list),
+            "r": ",".join(str(lvl.run_length) for lvl in bridge.levels),
             "register_length": str(args.register_length),
         },
     )
@@ -289,23 +296,19 @@ def _suite_theorem1(p: QParam, args) -> VerificationReport:
 
 def _cmd_verify(args) -> int:
     p = _parse_qparam(args.q)
-    try:
-        if args.suite == "recurrences":
-            rep = check_bit_recurrences(
-                args.nmax, p, use_printed_forms=args.use_printed_forms,
-                budget=args.budget,
-            )
-        elif args.suite == "gprofile":
-            rep = check_g_identities(args.nmax, p)
-        elif args.suite == "prop1":
-            rep = _suite_prop1(p, args.lmax)
-        elif args.suite == "derham":
-            rep = _suite_derham(p)
-        else:
-            rep = _suite_theorem1(p, args)
-    except (NoStabilizingLevelError, RegisterOverflowError) as exc:
-        print(f"qdigits verify: {exc}", file=sys.stderr)
-        return 1
+    if args.suite == "recurrences":
+        rep = check_bit_recurrences(
+            args.nmax, p, use_printed_forms=args.use_printed_forms,
+            budget=args.budget,
+        )
+    elif args.suite == "gprofile":
+        rep = check_g_identities(args.nmax, p)
+    elif args.suite == "prop1":
+        rep = _suite_prop1(p, args.lmax)
+    elif args.suite == "derham":
+        rep = _suite_derham(p)
+    else:
+        rep = _suite_theorem1(p, args)
     if args.json:
         print(json.dumps(rep.to_dict(), indent=2))
     else:
@@ -321,7 +324,9 @@ def _cmd_verify(args) -> int:
 def _svg_document(grid, series) -> str:
     """A fixed-size SVG plot: axes plus one polyline per series."""
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
-    values = [float(v) for vals, _style in series for v in vals]
+    xs = [left + (right - left) * float(t) for t in grid]
+    series = [([float(v) for v in vals], style) for vals, style in series]
+    values = [v for vals, _style in series for v in vals]
     lo = min(values + [0.0])
     hi = max(values + [0.0])
     if hi == lo:
@@ -330,25 +335,20 @@ def _svg_document(grid, series) -> str:
     lo -= pad
     hi += pad
 
-    def px(t) -> float:
-        return left + (right - left) * float(t)
-
-    def py(v) -> float:
-        return bottom - (bottom - top) * ((float(v) - lo) / (hi - lo))
+    def py(v: float) -> float:
+        return bottom - (bottom - top) * ((v - lo) / (hi - lo))
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">']
     parts.append(
-        f'<line x1="{left:.3f}" y1="{py(0):.3f}" x2="{right:.3f}"'
-        f' y2="{py(0):.3f}" stroke="#888888" stroke-width="1" />'
+        f'<line x1="{left:.3f}" y1="{py(0.0):.3f}" x2="{right:.3f}"'
+        f' y2="{py(0.0):.3f}" stroke="#888888" stroke-width="1" />'
     )
     parts.append(
         f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
         f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
     )
     for vals, style in series:
-        points = " ".join(
-            f"{px(t):.3f},{py(v):.3f}" for t, v in zip(grid, vals)
-        )
+        points = " ".join(f"{x:.3f},{py(v):.3f}" for x, v in zip(xs, vals))
         parts.append(f'<polyline fill="none" {style} points="{points}" />')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -422,24 +422,7 @@ def _cmd_bridge(args) -> int:
             file=sys.stderr,
         )
         return 2
-    r_list = _parse_run_lengths(args.r)
-    state = None
-    if args.state == "zero":
-        state = OdometerState.zeros(args.register_length)
-    elif args.seed is None:
-        raise _CliError("bridge needs --seed or --state zero")
-    try:
-        bridge = theorem1_experiment(
-            args.seed,
-            p,
-            r_list,
-            state=state,
-            register_length=args.register_length,
-            grid_exponent=args.grid_exponent,
-        )
-    except (NoStabilizingLevelError, RegisterOverflowError) as exc:
-        print(f"qdigits bridge: {exc}", file=sys.stderr)
-        return 1
+    bridge = _experiment(args, p)
     doc = {
         "experiment": "limiting-curve decay",
         "q": str(bridge.q),
@@ -606,6 +589,9 @@ def _run(argv) -> int:
     }
     try:
         return handlers[args.command](args)
+    except (NoStabilizingLevelError, RegisterOverflowError) as exc:
+        print(f"qdigits {args.command}: {exc}", file=sys.stderr)
+        return 1
     except _CliError as exc:
         print(f"qdigits: {exc}", file=sys.stderr)
         return 2

@@ -99,31 +99,6 @@ class QParam:
         return f"q={self.q} (a={self.a}, {self.regime.value})"
 
 
-@dataclass(frozen=True)
-class DigitWord:
-    """A finite binary word, least-significant digit first."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("digits must be 0 or 1")
-
-    @classmethod
-    def from_int(cls, value: int) -> "DigitWord":
-        if value < 0:
-            raise ValueError("value must be nonnegative")
-        bits = []
-        while value:
-            bits.append(value & 1)
-            value >>= 1
-        return cls(tuple(bits))
-
-    @property
-    def value(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-
 # ---------------------------------------------------------------------------
 # direct (oracle) evaluation
 # ---------------------------------------------------------------------------
@@ -145,6 +120,26 @@ def weighted_digit_sum(j: int, p: QParam) -> Fraction:
         j >>= 1
         power *= q
     return total
+
+
+def _running_sums(n: int, u: int, v: int, width: int):
+    """Yield S_q(m) v^width for m = 0..n, summing s_q(j) term by term.
+
+    q = u/v, and every j < n must fit in width bits.  Only the running
+    total and the width digit weights are held, never the table.
+    """
+    # weights[i] = q^(i+1) * v^width, an exact integer
+    weights = [u ** (i + 1) * v ** (width - i - 1) for i in range(width)]
+    running = 0
+    yield running
+    for j in range(n):
+        i = 0
+        while j:
+            if j & 1:
+                running += weights[i]
+            j >>= 1
+            i += 1
+        yield running
 
 
 def partial_sum_bruteforce_at(
@@ -170,26 +165,13 @@ def partial_sum_bruteforce_at(
     u = p.q.numerator
     v = p.q.denominator
     width = max(top.bit_length(), 1)
-    # weights[i] = q^(i+1) * v^width, an exact integer
-    weights = [u ** (i + 1) * v ** (width - i - 1) for i in range(width)]
     denom = v**width
-    results: dict[int, Fraction] = {}
-    pending = iter(ns)
-    next_n = next(pending)
-    running = 0
-    for j in range(top):
-        while j == next_n:
-            results[next_n] = Fraction(running, denom)
-            next_n = next(pending, None)
-        rem = j
-        i = 0
-        while rem:
-            if rem & 1:
-                running += weights[i]
-            rem >>= 1
-            i += 1
-    results[top] = Fraction(running, denom)
-    return results
+    wanted = set(ns)
+    return {
+        m: Fraction(running, denom)
+        for m, running in enumerate(_running_sums(top, u, v, width))
+        if m in wanted
+    }
 
 
 def partial_sum_bruteforce(
@@ -205,26 +187,13 @@ def partial_sum_prefix_scaled(n: int, p: QParam) -> tuple[list[int], int]:
     """Integer core of partial_sum_prefix: S_q(j) = nums[j] / den, j = 0..n.
 
     den = v^width for q = u/v and width = max(n.bit_length(), 1), shared
-    by the whole table; the sums are accumulated definitionally.
+    by the whole table; the sums are the oracle's running totals.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = p.q.numerator
     v = p.q.denominator
     width = max(n.bit_length(), 1)
-    weights = [u ** (i + 1) * v ** (width - i - 1) for i in range(width)]
-    nums = [0]
-    running = 0
-    for j in range(n):
-        rem = j
-        i = 0
-        while rem:
-            if rem & 1:
-                running += weights[i]
-            rem >>= 1
-            i += 1
-        nums.append(running)
-    return nums, v**width
+    return list(_running_sums(n, p.q.numerator, v, width)), v**width
 
 
 def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
@@ -513,23 +482,13 @@ def check_bit_recurrences(
         title += " (variant exponents)"
     rep = VerificationReport(title, params={"q": str(q), "n_max": str(n_max)})
 
-    def scan(name, statement, scope, pairs):
-        checked = 0
-        first = None
-        for label, lhs, rhs in pairs:
-            checked += 1
-            if lhs != rhs:
-                first = f"{label}: {lhs} != {rhs}"
-                break
-        rep.add(name, statement, scope, checked, first is None, first)
-
-    scan(
+    rep.scan(
         "s-even",
         "s(2j) = q s(j)",
         f"0 <= j <= {n_max}",
         ((f"j={j}", s[2 * j], q * s[j]) for j in range(n_max + 1)),
     )
-    scan(
+    rep.scan(
         "s-odd",
         "s(2j+1) = q s(j) + q",
         f"0 <= j <= {n_max}",
@@ -545,7 +504,7 @@ def check_bit_recurrences(
                 yield f"k={k},j={j}", s[j + half], s[j] + qk
             k += 1
 
-    scan(
+    rep.scan(
         "s-shift-low",
         "s(j+p) = s(j) + q^k for 0 <= j < p, p = 2^(k-1)",
         f"1 <= k, 2^k <= {n_max}",
@@ -561,14 +520,14 @@ def check_bit_recurrences(
                 yield f"k={k},j={j}", s[j + half], s[j] - qk * (1 - q)
             k += 1
 
-    scan(
+    rep.scan(
         "s-shift-high",
         "s(j+p) = s(j) - q^k (1-q) for p <= j < 2p, p = 2^(k-1)",
         f"1 <= k, 2^k <= {n_max}",
         shift_high(),
     )
 
-    scan(
+    rep.scan(
         "S-double",
         "S(2n) = 2q S(n) + n q",
         f"1 <= n <= {n_max}",
@@ -590,7 +549,7 @@ def check_bit_recurrences(
                 oracle[n] + oracle[2 * pn] + n * q ** (k + exp13),
             )
 
-    scan("S-split-2p", stmt13, f"2 <= n <= {n_max}", split_2p())
+    rep.scan("S-split-2p", stmt13, f"2 <= n <= {n_max}", split_2p())
 
     exp14 = 0 if use_printed_forms else 1
     stmt14 = (
@@ -609,7 +568,7 @@ def check_bit_recurrences(
             )
             yield f"n={n}", oracle[n + pn], rhs
 
-    scan("S-split-p", stmt14, f"2 <= n <= {n_max}", split_p())
+    rep.scan("S-split-p", stmt14, f"2 <= n <= {n_max}", split_p())
 
     top_k = n_max.bit_length()
     if use_printed_forms:
@@ -626,7 +585,7 @@ def check_bit_recurrences(
         def closed(k):
             return partial_sum_pow2(k, p)
 
-    scan(
+    rep.scan(
         "S-pow2",
         stmt16,
         f"2 <= k <= {top_k}",

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digitsum import QParam, partial_sum_prefix_scaled, partial_sum_progression_scaled
-from .odometer import (
-    OdometerState,
-    RegisterOverflowError,
-    find_stabilizing_levels,
-    num_value,
-)
+from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
 
@@ -228,22 +223,21 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
     devs = _deviations(nums)
     normalizer = analytic_normalizer(l, p)
     gaps, gap_den = _gaps(devs, l * den, normalizer, p, l.bit_length() - 1)
-    checked = 0
-    first = None
-    for j, gap in enumerate(gaps):
-        checked += 1
-        if gap:
-            got = Fraction(devs[j]) / (l * den * normalizer)
-            want = got - Fraction(gap, gap_den)
-            first = f"t={Fraction(j, l)}: {got} != {want}"
-            break
-    rep.add(
+
+    def points():
+        # integer per point; the label and Fractions only where a gap is nonzero
+        for j, gap in enumerate(gaps):
+            if gap:
+                got = Fraction(devs[j]) / (l * den * normalizer)
+                yield f"t={Fraction(j, l)}", got, got - Fraction(gap, gap_den)
+            else:
+                yield None, 0, 0
+
+    rep.scan(
         "bridge-equals-target",
         "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)",
         f"all {l + 1} breakpoints j/l",
-        checked,
-        first is None,
-        first,
+        points(),
     )
     return rep
 
@@ -328,7 +322,7 @@ def theorem1_experiment(
         register_length = state.length
         if seed is None:
             seed = state.seed
-    big_x = num_value(state)
+    big_x = state.value
     notes: list[str] = []
     levels: list[BridgeLevel] = []
     for r in r_list:

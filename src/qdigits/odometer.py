@@ -1,9 +1,11 @@
 """The binary odometer on a finite register.
 
-States are finite binary words x = (x_1, ..., x_L), least significant
-digit first.  The odometer map is addition of 1 with carry; it is
-undefined on the all-ones word (the register would overflow).  The
-integer value of a prefix is Num(x_1..x_n) = sum_i x_i 2^(i-1), so the
+A state is a register of L binary digits x = (x_1, ..., x_L), least
+significant first, held as one integer value = sum_i x_i 2^(i-1) with
+0 <= value < 2^L; digit x_i is bit i-1 of value.  The odometer map is
+addition of 1 with carry, i.e. value + 1; it is undefined on the
+all-ones word value = 2^L - 1 (the register would overflow).  The
+integer value of a prefix is Num(x_1..x_n) = value mod 2^n, so the
 odometer successor adds exactly one to every prefix value it does not
 carry out of.
 
@@ -36,48 +38,49 @@ class NoStabilizingLevelError(LookupError):
 
 @dataclass(frozen=True)
 class OdometerState:
-    """An immutable register; bits[0] is the least significant digit."""
+    """An immutable register of length digits; bit i of value is digit i+1."""
 
-    bits: tuple[int, ...]
+    value: int
+    length: int
     origin: str = "explicit"
     seed: int | None = None
 
     def __post_init__(self):
-        if len(self.bits) == 0:
+        if self.value < 0:
+            raise ValueError("value must be nonnegative")
+        if self.value.bit_length() > self.length:
+            raise ValueError(f"value {self.value} does not fit in {self.length} digits")
+        if self.length < 1:
             raise ValueError("register must have at least one digit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("digits must be 0 or 1")
+
+    def __repr__(self):
+        # hex: a long register in decimal exceeds Python's int/str digit limit
+        return (
+            f"OdometerState(value={self.value:#x}, length={self.length},"
+            f" origin={self.origin!r}, seed={self.seed!r})"
+        )
 
     @classmethod
     def zeros(cls, length: int) -> "OdometerState":
         if length < 1:
             raise ValueError("length must be >= 1")
-        return cls((0,) * length, origin="zero")
+        return cls(0, length, origin="zero")
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "OdometerState":
-        if value < 0:
-            raise ValueError("value must be nonnegative")
-        if value.bit_length() > length:
-            raise ValueError(f"value {value} does not fit in {length} digits")
-        return cls(tuple((value >> i) & 1 for i in range(length)))
+        return cls(value, length)
 
     @classmethod
     def random_state(cls, seed: int, length: int) -> "OdometerState":
         """Deterministic seeded register (independent draws per digit)."""
         if length < 1:
             raise ValueError("length must be >= 1")
-        rng = random.Random(seed)
-        value = rng.getrandbits(length)
         return cls(
-            tuple((value >> i) & 1 for i in range(length)),
+            random.Random(seed).getrandbits(length),
+            length,
             origin=f"seeded-random(seed={seed}, length={length})",
             seed=seed,
         )
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
 
 
 def num_value(s: OdometerState, n: int | None = None) -> int:
@@ -86,21 +89,14 @@ def num_value(s: OdometerState, n: int | None = None) -> int:
         n = s.length
     if not 0 <= n <= s.length:
         raise ValueError(f"prefix length {n} outside register of length {s.length}")
-    value = 0
-    for i in range(n):
-        value |= s.bits[i] << i
-    return value
+    return s.value & ((1 << n) - 1)
 
 
 def successor(s: OdometerState) -> OdometerState:
     """Add one with carry; raises RegisterOverflowError on all ones."""
-    bits = list(s.bits)
-    for i, b in enumerate(bits):
-        if b == 0:
-            bits[i] = 1
-            return OdometerState(tuple(bits))
-        bits[i] = 0
-    raise RegisterOverflowError("successor of the all-ones register")
+    if s.value + 1 == 1 << s.length:
+        raise RegisterOverflowError("successor of the all-ones register")
+    return OdometerState(s.value + 1, s.length)
 
 
 class StateSum(NamedTuple):
@@ -118,7 +114,7 @@ def weighted_sum_state(s: OdometerState, p: QParam) -> StateSum:
     """
     if abs(p.q) >= 1:
         raise ValueError("|q| < 1 required for a finite tail bound")
-    value = weighted_digit_sum(num_value(s), p)
+    value = weighted_digit_sum(s.value, p)
     tail = abs(p.q) ** (s.length + 1) / (1 - abs(p.q))
     return StateSum(value, tail)
 
@@ -131,20 +127,14 @@ def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if num_value(s) + count > (1 << s.length):
+    if s.value + count > (1 << s.length):
         raise RegisterOverflowError(
             f"orbit of length {count} carries out of the {s.length}-digit register"
         )
-    q = p.q
-    powers = [q ** (i + 1) for i in range(s.length)]
     sums = [Fraction(0)]
     state = s
     for step in range(count):
-        term = sum(
-            (powers[i] for i in range(state.length) if state.bits[i]),
-            Fraction(0),
-        )
-        sums.append(sums[-1] + term)
+        sums.append(sums[-1] + weighted_digit_sum(state.value, p))
         if step + 1 < count:
             state = successor(state)
     return sums
@@ -176,22 +166,23 @@ def find_stabilizing_levels(
         raise ValueError("run length r must be >= 1")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    levels: list[StabilizingLevel] = []
-    zero_run = 0
-    prefix = 0
-    for i, b in enumerate(s.bits):
-        prefix |= b << i
-        zero_run = zero_run + 1 if b == 0 else 0
-        n = i + 1
-        if zero_run >= r:
-            ratio = Fraction(prefix, 1 << n)
-            level = StabilizingLevel(n, n - r, r, ratio)
-            assert ratio < Fraction(1, 1 << r)
-            levels.append(level)
-            if len(levels) == max_levels:
-                return levels
-    if not levels:
+    # bit i of runs is set when the digits x_(i+1)..x_(i+r) are all zero:
+    # the AND of the register's zero mask shifted by 0..r-1, by doubling
+    runs = ~s.value & ((1 << s.length) - 1)
+    width = 1
+    while width < r and runs:
+        shift = min(width, r - width)
+        runs &= runs >> shift
+        width += shift
+    if not runs:
         raise NoStabilizingLevelError(
             f"no run of {r} zeros in the {s.length}-digit register"
         )
+    levels: list[StabilizingLevel] = []
+    while runs and len(levels) < max_levels:
+        n = (runs & -runs).bit_length() - 1 + r
+        ratio = Fraction(s.value & ((1 << n) - 1), 1 << n)
+        assert ratio < Fraction(1, 1 << r)
+        levels.append(StabilizingLevel(n, n - r, r, ratio))
+        runs &= runs - 1
     return levels

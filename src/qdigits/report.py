@@ -56,6 +56,21 @@ class VerificationReport:
             IdentityCheck(name, statement, scope, checked, passed, first_counterexample)
         )
 
+    def scan(self, name, statement, scope, pairs):
+        """Add one check scanning (label, lhs, rhs) triples for lhs == rhs.
+
+        Stops at the first mismatch, which counts as checked and is
+        recorded as "label: lhs != rhs"; later triples are never drawn.
+        """
+        checked = 0
+        first = None
+        for label, lhs, rhs in pairs:
+            checked += 1
+            if lhs != rhs:
+                first = f"{label}: {lhs} != {rhs}"
+                break
+        self.add(name, statement, scope, checked, first is None, first)
+
     def to_dict(self) -> dict:
         return {
             "title": self.title,

@@ -48,49 +48,16 @@ class InconsistentSystemError(ValueError):
     """The two branches of a functional system disagree at the seam."""
 
 
+_HALF = Fraction(1, 2)
+
+
 def is_power_of_two(n: int) -> bool:
     """True when n is 1, 2, 4, 8, ..."""
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2^exponent, stored in canonical form (odd or exponent 0)."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        num, exp = self.numerator, self.exponent
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def from_fraction(cls, x) -> "DyadicRational":
-        x = Fraction(x)
-        if not is_power_of_two(x.denominator):
-            raise ValueError(f"{x} is not dyadic (denominator not a power of two)")
-        return cls(x.numerator, x.denominator.bit_length() - 1)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def __str__(self):
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/2^{self.exponent}"
-
-
 def as_dyadic(t) -> Fraction:
     """Coerce t to a dyadic Fraction in [0, 1] or raise ValueError."""
-    if isinstance(t, DyadicRational):
-        t = t.value
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"argument {t} outside [0, 1]")
@@ -171,7 +138,7 @@ def takagi_dyadic_exact(t, a) -> Fraction:
     total = Fraction(0)
     scale = Fraction(1)
     while t != 0 and t != 1:
-        if t <= Fraction(1, 2):
+        if t <= _HALF:
             total += scale * t
             t = 2 * t
         else:
@@ -288,6 +255,20 @@ def derham_consistency(sys: DeRhamSystem) -> ConsistencyResult:
     return ConsistencyResult(residual == 0, residual)
 
 
+def _unwind_step(sys: DeRhamSystem, t: Fraction, mult: Fraction, add: Fraction):
+    """One branch step of f(x) = add + mult f(t): returns the next (t, mult, add)."""
+    if t <= _HALF:
+        y = 2 * t
+        return y, mult * sys.a0, add + mult * sys.g0(y)
+    y = 2 * t - 1
+    return y, mult * sys.a1, add + mult * sys.g1(y)
+
+
+def _endpoint_value(sys: DeRhamSystem, t: Fraction) -> Fraction:
+    """f(0) or f(1), where every unwinding ends."""
+    return sys.left_value if t == 0 else sys.right_value
+
+
 def derham_eval(sys: DeRhamSystem, x, tol: float = 1e-12, mode: str = "exact-dyadic"):
     """Evaluate the solution of a consistent system at x in [0, 1].
 
@@ -303,21 +284,10 @@ def derham_eval(sys: DeRhamSystem, x, tol: float = 1e-12, mode: str = "exact-dya
             f"branches disagree at the seam (residual {residual})"
         )
     if mode == "exact-dyadic":
-        t = as_dyadic(x)
-        mult = Fraction(1)
-        add = Fraction(0)
+        t, mult, add = as_dyadic(x), Fraction(1), Fraction(0)
         while t != 0 and t != 1:
-            if t <= Fraction(1, 2):
-                y = 2 * t
-                add += mult * sys.g0(y)
-                mult *= sys.a0
-            else:
-                y = 2 * t - 1
-                add += mult * sys.g1(y)
-                mult *= sys.a1
-            t = y
-        endpoint = sys.left_value if t == 0 else sys.right_value
-        return add + mult * endpoint
+            t, mult, add = _unwind_step(sys, t, mult, add)
+        return add + mult * _endpoint_value(sys, t)
     if mode != "certified-approx":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -338,16 +308,9 @@ def derham_eval(sys: DeRhamSystem, x, tol: float = 1e-12, mode: str = "exact-dya
     steps = 0
     while abs(mult) * f_bound > tol_exact:
         if t == 0 or t == 1:
-            endpoint = sys.left_value if t == 0 else sys.right_value
-            return CertifiedValue(float(add + mult * endpoint), 0.0, steps)
-        if t <= Fraction(1, 2):
-            y = 2 * t
-            add += mult * sys.g0(y)
-            mult *= sys.a0
-        else:
-            y = 2 * t - 1
-            add += mult * sys.g1(y)
-            mult *= sys.a1
-        t = y
+            value = add + mult * _endpoint_value(sys, t)
+            return CertifiedValue(float(value), 0.0, steps)
+        t, mult, add = _unwind_step(sys, t, mult, add)
         steps += 1
     return CertifiedValue(float(add), float(abs(mult) * f_bound), steps)
+

@@ -206,17 +206,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             g_cache[n] = g_profile(n, p)
         return g_cache[n]
 
-    def scan(name, statement, scope, pairs):
-        checked = 0
-        first = None
-        for label, lhs, rhs in pairs:
-            checked += 1
-            if lhs != rhs:
-                first = f"{label}: {lhs} != {rhs}"
-                break
-        rep.add(name, statement, scope, checked, first is None, first)
-
-    scan(
+    rep.scan(
         "G-double",
         "G(2n) = G(n)",
         f"1 <= n <= {n_max}",
@@ -229,7 +219,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             rhs = g(n) / (2 * q) + Fraction(d.p - n, 4 * d.p) * (3 - 2 * q)
             yield f"n={n}", g(n + d.p), rhs
 
-    scan(
+    rep.scan(
         "G-split-p",
         "G(n+p) = G(n)/(2q) + (p-n)(3-2q)/(4p)",
         f"1 <= n <= {n_max}",
@@ -242,7 +232,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             rhs = g(n) / (2 * q) + Fraction(n, 4 * d.p) * (2 * q - 1)
             yield f"n={n}", g(n + 2 * d.p), rhs
 
-    scan(
+    rep.scan(
         "G-split-2p",
         "G(n+2p) = G(n)/(2q) + n(2q-1)/(4p)",
         f"1 <= n <= {n_max}",
@@ -255,7 +245,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             d2 = ScaleDecomposition.of(n + d.p, p)
             yield f"n={n}", d.x / 2, d2.x
 
-    scan(
+    rep.scan(
         "x-half",
         "x(n)/2 = x(n+p)",
         f"1 <= n <= {n_max}",
@@ -268,7 +258,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             d2 = ScaleDecomposition.of(n + 2 * d.p, p)
             yield f"n={n}", (d.x + 1) / 2, d2.x
 
-    scan(
+    rep.scan(
         "x-shift",
         "(x(n)+1)/2 = x(n+2p)",
         f"1 <= n <= {n_max}",
@@ -280,7 +270,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             d = ScaleDecomposition.of(n, p)
             yield f"n={n}", f_closed(d.x, p), g(n)
 
-    scan(
+    rep.scan(
         "F-matches-G",
         "F(x(n)) = G(n) with F(x) = q x - T_a(x)/2",
         f"1 <= n <= {n_max}",
@@ -299,7 +289,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
             rhs1 = p.a * f_closed(x, p) + sys.g1(x)
             yield f"x={x} (right)", lhs1, rhs1
 
-    scan(
+    rep.scan(
         "F-system",
         "F(x/2) = a F(x) + (2q-3)x/4 and F((x+1)/2) = a F(x) + (2q-1)(x+1)/4",
         f"x over the {len(grid)} octave positions visited by n <= {n_max}",

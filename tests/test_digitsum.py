@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qdigits.digitsum import (
     DEFAULT_ORACLE_BUDGET,
-    DigitWord,
     OracleBudgetError,
     QParam,
     Regime,
@@ -74,21 +73,6 @@ class TestQParam:
         p = QParam(1)
         assert p.a == F(1, 2)
         assert p.is_curve_regime
-
-
-class TestDigitWord:
-    def test_roundtrip(self):
-        for n in [0, 1, 2, 5, 100, 12345]:
-            assert DigitWord.from_int(n).value == n
-
-    def test_lsb_first(self):
-        assert DigitWord.from_int(6).bits == (0, 1, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DigitWord((0, 2))
-        with pytest.raises(ValueError):
-            DigitWord.from_int(-1)
 
 
 class TestWeightedDigitSum:

@@ -1,14 +1,17 @@
 """Takagi-Landsberg curves and the two-branch affine system machinery."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdigits.digitsum import QParam
 from qdigits.takagi import (
     AffineMap,
     CertifiedValue,
     DeRhamSystem,
-    DyadicRational,
     InconsistentSystemError,
     as_dyadic,
     derham_consistency,
@@ -19,28 +22,7 @@ from qdigits.takagi import (
     takagi_dyadic_grid,
     takagi_series,
 )
-
-
-class TestDyadicRational:
-    def test_canonicalization(self):
-        d = DyadicRational(6, 3)
-        assert (d.numerator, d.exponent) == (3, 2)
-        assert DyadicRational(0, 5).exponent == 0
-
-    def test_from_fraction(self):
-        d = DyadicRational.from_fraction(F(5, 8))
-        assert (d.numerator, d.exponent) == (5, 3)
-        assert d.value == F(5, 8)
-        with pytest.raises(ValueError):
-            DyadicRational.from_fraction(F(1, 3))
-
-    def test_str(self):
-        assert str(DyadicRational(3, 2)) == "3/2^2"
-        assert str(DyadicRational(7, 0)) == "7"
-
-    def test_negative_exponent(self):
-        with pytest.raises(ValueError):
-            DyadicRational(1, -1)
+from qdigits.trollope_delange import fluctuation_system
 
 
 class TestAsDyadic:
@@ -48,7 +30,6 @@ class TestAsDyadic:
         assert as_dyadic(0) == 0
         assert as_dyadic(1) == 1
         assert as_dyadic(F(3, 4)) == F(3, 4)
-        assert as_dyadic(DyadicRational(1, 1)) == F(1, 2)
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -257,3 +238,51 @@ class TestDeRhamEval:
         for j in range(17):
             t = F(j, 16)
             assert derham_eval(sys, t) == t
+
+
+@st.composite
+def contractions(draw, above_half=False):
+    """u/v with |u/v| < 1, and |u/v| > 1/2 when above_half."""
+    v = draw(st.integers(3, 1000))
+    u = draw(st.integers(v // 2 + 1 if above_half else 0, v - 1))
+    return F(u if draw(st.booleans()) else -u, v)
+
+
+@st.composite
+def dyadics(draw, max_exponent=12):
+    k = draw(st.integers(0, max_exponent))
+    return F(draw(st.integers(0, 1 << k)), 1 << k)
+
+
+HALF_AMPLITUDE = DeRhamSystem(F(1, 4), F(1, 4), AffineMap(F(1, 4)), AffineMap(F(-1, 4), F(1, 4)))
+systems = st.one_of(
+    contractions().map(DeRhamSystem.takagi),
+    contractions(above_half=True).map(lambda q: fluctuation_system(QParam(q))),
+    st.just(HALF_AMPLITUDE),
+)
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sys=systems,
+        t=dyadics(),
+        tol=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-12]),
+    )
+    def test_certified_approx_brackets_exact(self, sys, t, tol):
+        exact = derham_eval(sys, t)
+        got = derham_eval(sys, t, tol=tol, mode="certified-approx")
+        assert got.bound <= tol
+        # the bound covers the dropped tail; the two float roundings get an ulp each
+        slack = F(2 * math.ulp(max(1.0, abs(float(exact)))))
+        assert abs(F(got.value) - exact) <= F(got.bound) + slack
+        if got.bound == 0:
+            assert got.value == float(exact)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=contractions(), g=st.integers(0, 10))
+    def test_grid_matches_pointwise(self, a, g):
+        nums, den = takagi_dyadic_grid(g, a)
+        assert len(nums) == (1 << g) + 1
+        for j, num in enumerate(nums):
+            assert F(num, den) == takagi_dyadic_exact(F(j, 1 << g), a), (a, g, j)
