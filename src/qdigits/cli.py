@@ -438,7 +438,7 @@ def _cmd_bridge(args) -> int:
                 "l_j": str(1 << lvl.position),
                 "ratio": float(lvl.ratio),
                 "R": str(lvl.normalizer),
-                "grid_points": len(lvl.curve.grid),
+                "grid_points": (1 << lvl.grid_exponent) + 1,
                 "sup_distance": float(lvl.sup_distance),
                 "sup_distance_exact": str(lvl.sup_distance),
             }

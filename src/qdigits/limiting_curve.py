@@ -19,15 +19,19 @@ All of it runs on one exact representation: partial sums and curve
 values are integer numerators over one denominator shared by the whole
 grid (the scaled prefix or progression sums, and takagi_dyadic_grid for
 the target), compared by cross-multiplication.  Fractions are built only
-for values handed back to the caller.
+for values handed back to the caller: theorem1_experiment keeps each
+level's polygon as integer deviations over one scale, and
+BridgeLevel.curve builds its Fractions on first access.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
 that fail); at or above |q| = 1 the state sums themselves diverge.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 
 from .digitsum import QParam, partial_sum_prefix_scaled, partial_sum_progression_scaled
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
@@ -249,7 +253,12 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 
 @dataclass(frozen=True)
 class BridgeLevel:
-    """One stabilising level of the experiment with its measured curve."""
+    """One stabilising level of the experiment with its measured curve.
+
+    The polygon is held as integer deviation numerators devs over scale;
+    curve turns them into Fractions, rescaled by the normalizer, on first
+    access and keeps the result.
+    """
 
     run_length: int
     position: int
@@ -257,8 +266,13 @@ class BridgeLevel:
     ratio: Fraction
     normalizer: Fraction
     grid_exponent: int
-    curve: CurveSamples
     sup_distance: Fraction
+    devs: tuple[int, ...] = field(repr=False, compare=False)
+    scale: int = field(repr=False, compare=False)
+
+    @cached_property
+    def curve(self) -> CurveSamples:
+        return _polygon(self.devs, self.scale, self.normalizer)
 
     @property
     def level_length_log2(self) -> int:
@@ -305,8 +319,8 @@ def theorem1_experiment(
     dyadic points, rescaled by (2q)^(n-1) and compared with the exact
     limit curve on the same grid.
 
-    Requires 1/2 < |q| < 1.  Supply either a seed (register drawn with
-    OdometerState.random_state) or an explicit state.
+    Requires 1/2 < |q| < 1 and grid_exponent >= 0.  Supply either a seed
+    (register drawn with OdometerState.random_state) or an explicit state.
     """
     if not Fraction(1, 2) < abs(p.q) < 1:
         raise ValueError(
@@ -314,6 +328,8 @@ def theorem1_experiment(
         )
     if not r_list:
         raise ValueError("r_list must be nonempty")
+    if grid_exponent < 0:
+        raise ValueError(f"grid_exponent must be >= 0, got {grid_exponent}")
     if state is None:
         if seed is None:
             raise ValueError("supply a seed or an explicit state")
@@ -336,8 +352,13 @@ def theorem1_experiment(
         points = 1 << g
         nums, den = partial_sum_progression_scaled(big_x, n - g, points, p)
         devs = _deviations(nums)
+        scale = points * den
         normalizer = (2 * p.q) ** (n - 1)
-        gaps, gap_den = _gaps(devs, points * den, normalizer, p, g)
+        gaps, gap_den = _gaps(devs, scale, normalizer, p, g)
+        # den carries the whole register's depth at every level; keep the
+        # polygon without the power of two its numerators share with it
+        low = reduce(or_, devs, scale)
+        shift = (low & -low).bit_length() - 1
         levels.append(
             BridgeLevel(
                 run_length=r,
@@ -346,8 +367,9 @@ def theorem1_experiment(
                 ratio=level.ratio,
                 normalizer=normalizer,
                 grid_exponent=g,
-                curve=_polygon(devs, points * den, normalizer),
                 sup_distance=Fraction(max(map(abs, gaps)), abs(gap_den)),
+                devs=tuple(d >> shift for d in devs),
+                scale=scale >> shift,
             )
         )
         wrapped = big_x & ((1 << n) - 1)

@@ -8,6 +8,8 @@ import pytest
 
 from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast
+from qdigits.limiting_curve import theorem1_experiment
+from qdigits.odometer import OdometerState
 
 FROZEN_CURVE_CSV = (
     "t,phi,target\n"
@@ -185,6 +187,14 @@ class TestVerify:
         assert code == 1
         assert "qdigits verify:" in err
 
+    def test_theorem1_negative_grid_exponent(self, capsys):
+        code, _, err = run(
+            capsys,
+            ["verify", "--suite", "theorem1", "--q", "3/4", "--grid-exponent", "-3"],
+        )
+        assert code == 2
+        assert "grid_exponent must be >= 0, got -3" in err
+
     def test_regime_guard(self, capsys):
         code, _, err = run(capsys, ["verify", "--suite", "prop1", "--q", "1/2"])
         assert code == 2
@@ -358,3 +368,48 @@ class TestBridge:
     def test_bad_run_lengths(self, capsys):
         assert run(capsys, ["bridge", "--q", "3/4", "--seed", "1", "--r", "0"])[0] == 2
         assert run(capsys, ["bridge", "--q", "3/4", "--seed", "1", "--r", "a,b"])[0] == 2
+
+    def test_negative_grid_exponent(self, capsys):
+        code, _, err = run(
+            capsys, ["bridge", "--q", "3/4", "--seed", "1", "--grid-exponent", "-1"]
+        )
+        assert code == 2
+        assert "grid_exponent must be >= 0, got -1" in err
+
+    def test_grid_exponent_zero(self, capsys):
+        code, out, _ = run(
+            capsys,
+            [
+                "bridge", "--q", "3/4", "--seed", "5", "--r", "2,4",
+                "--register-length", "256", "--grid-exponent", "0",
+            ],
+        )
+        assert code == 1  # 0 is not < 0
+        doc = json.loads(out)
+        assert [lvl["grid_points"] for lvl in doc["levels"]] == [2, 2]
+        assert doc["sup_distances"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "source, r_list",
+        [("zero", [2, 3]), (5, [2, 3, 4])],
+    )
+    def test_grid_points_of_clipped_levels(self, capsys, source, r_list):
+        # levels below the default grid exponent 8 are sampled on 2^n + 1 points
+        argv = ["bridge", "--q", "3/4", "--register-length", "64"]
+        argv += ["--r", ",".join(map(str, r_list))]
+        if source == "zero":
+            argv += ["--state", "zero"]
+            bridge = theorem1_experiment(
+                None, QParam(F(3, 4)), r_list, state=OdometerState.zeros(64)
+            )
+        else:
+            argv += ["--seed", str(source)]
+            bridge = theorem1_experiment(
+                source, QParam(F(3, 4)), r_list, register_length=64
+            )
+        _, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert [lvl["grid_points"] for lvl in doc["levels"]] == [
+            len(lvl.curve.grid) for lvl in bridge.levels
+        ]
+        assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)

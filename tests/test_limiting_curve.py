@@ -1,11 +1,16 @@
 """Deviation polygons, the zero-orbit bridge identity, and the seeded
 register experiment."""
 
+import hashlib
+import json
 from fractions import Fraction as F
+from functools import reduce
+from operator import or_
 
 import pytest
 
 import qdigits.limiting_curve as limiting_curve
+from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast, partial_sum_prefix
 from qdigits.limiting_curve import (
     BridgeLevel,
@@ -29,6 +34,7 @@ from qdigits.odometer import (
     orbit_partial_sums,
 )
 from qdigits.takagi import takagi_dyadic_exact, takagi_dyadic_grid
+from test_acceptance import DECAY_FIXTURES
 
 Q34 = QParam(F(3, 4))
 
@@ -343,3 +349,51 @@ class TestTheoremExperiment:
             theorem1_experiment(1, QParam(F(1, 4)), [2])
         with pytest.raises(ValueError):
             theorem1_experiment(1, QParam(F(3, 2)), [2])
+
+    def test_negative_grid_exponent_before_the_draw(self, monkeypatch):
+        def no_draw(cls, seed, length):
+            raise AssertionError("register drawn before the argument check")
+
+        monkeypatch.setattr(OdometerState, "random_state", classmethod(no_draw))
+        with pytest.raises(ValueError, match="grid_exponent must be >= 0, got -1"):
+            theorem1_experiment(1, Q34, [2], grid_exponent=-1)
+
+
+class TestLazyCurve:
+    def test_polygon_built_only_on_demand(self, monkeypatch, capsys):
+        polygon = limiting_curve._polygon
+
+        def refuse(*args):
+            raise AssertionError("polygon built before curve was read")
+
+        monkeypatch.setattr(limiting_curve, "_polygon", refuse)
+        bridge = theorem1_experiment(42, Q34, [4, 8, 12])
+        for lvl in bridge.levels:
+            assert "devs" not in repr(lvl)
+            assert "curve" not in vars(lvl)
+            # the kept numerators share no power of two with their scale
+            assert reduce(or_, lvl.devs, lvl.scale) & 1
+        assert main(["bridge", "--q", "3/4", "--seed", "42"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = [
+            (
+                lvl["r"],
+                lvl["n_j"],
+                lvl["sup_distance"],
+                hashlib.sha256(lvl["sup_distance_exact"].encode()).hexdigest()[:16],
+            )
+            for lvl in doc["levels"]
+        ]
+        assert got == DECAY_FIXTURES[42]
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return polygon(*args)
+
+        monkeypatch.setattr(limiting_curve, "_polygon", counted)
+        lvl = bridge.levels[-1]
+        assert lvl.curve is lvl.curve
+        assert len(calls) == 1
+        assert len(lvl.curve.grid) == 257
