@@ -15,6 +15,7 @@ byte-identical across runs.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -40,7 +41,6 @@ from .odometer import (
 )
 from .report import VerificationReport
 from .takagi import (
-    CertifiedValue,
     DeRhamSystem,
     derham_consistency,
     derham_eval,
@@ -149,7 +149,7 @@ def _cmd_eval(args) -> int:
         if is_power_of_two(x.denominator):
             value = takagi_dyadic_exact(x, a)
         else:
-            value = takagi_series(x, a, tol=args.tol)
+            value = takagi_series(x, a, tol=args.tol).value
     else:  # td
         if args.classical:
             value = td_classical(args.n)
@@ -157,10 +157,7 @@ def _cmd_eval(args) -> int:
             if args.q is None:
                 raise _CliError("eval td needs --q or --classical")
             value = td_generalized(args.n, _parse_qparam(args.q))
-    if isinstance(value, CertifiedValue):
-        print(_format_value(value.value, args.digits))
-    else:
-        print(_format_value(value, args.digits))
+    print(_format_value(value, args.digits))
     return 0
 
 
@@ -180,14 +177,7 @@ def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
     l = 2
     while l <= lmax:
         sub = verify_identity_8(l, p).checks[0]
-        rep.add(
-            f"bridge-l-{l}",
-            sub.statement,
-            sub.scope,
-            sub.checked,
-            sub.passed,
-            sub.first_counterexample,
-        )
+        rep.checks.append(dataclasses.replace(sub, name=f"bridge-l-{l}"))
         l *= 2
     return rep
 
@@ -368,6 +358,19 @@ def _cmd_curve(args) -> int:
         )
         return 2
 
+    fhat_text = None
+    if args.fhat_out is not None:
+        # sampled before the curve, so that a bad f-hat input exits 2
+        # before any output is written
+        n = args.fhat_points
+        if n < 1:
+            raise _CliError(f"--fhat-points must be >= 1, got {n}")
+        lines = ["u,fhat"]
+        for i in range(n + 1):
+            u = i / n
+            lines.append(f"{u!r},{f_hat_float(u, p)!r}")
+        fhat_text = "\n".join(lines) + "\n"
+
     curve = zero_orbit_curve(l, p, args.norm)
 
     with_target = p.is_curve_regime
@@ -397,15 +400,8 @@ def _cmd_curve(args) -> int:
             )
         _write_text(args.svg, _svg_document(curve.grid, series))
 
-    if args.fhat_out is not None:
-        n = args.fhat_points
-        if n < 1:
-            raise _CliError(f"--fhat-points must be >= 1, got {n}")
-        lines = ["u,fhat"]
-        for i in range(n + 1):
-            u = i / n
-            lines.append(f"{u!r},{f_hat_float(u, p)!r}")
-        _write_text(args.fhat_out, "\n".join(lines) + "\n")
+    if fhat_text is not None:
+        _write_text(args.fhat_out, fhat_text)
     return 0
 
 

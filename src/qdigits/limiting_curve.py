@@ -49,32 +49,23 @@ class DegenerateNormalizerError(ValueError):
 
 @dataclass(frozen=True)
 class CurveSamples:
-    """A sampled curve on a strictly increasing grid over [0, 1]."""
+    """A curve sampled on the uniform grid j/l, j = 0..l, l = len(values) - 1."""
 
-    grid: tuple[Fraction, ...]
     values: tuple
-    mode: str = "exact"
 
     def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values must have equal length")
-        if len(self.grid) < 2:
+        if len(self.values) < 2:
             raise ValueError("a curve needs at least two samples")
-        if self.grid[0] != 0 or self.grid[-1] != 1:
-            raise ValueError("grid must span [0, 1]")
-        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-        if self.mode not in ("exact", "approx"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+
+    @cached_property
+    def grid(self) -> tuple[Fraction, ...]:
+        l = len(self.values) - 1
+        return tuple(Fraction(j, l) for j in range(l + 1))
 
 
 def _require_level(l: int):
     if l < 2 or not is_power_of_two(l):
         raise ValueError(f"l must be a power of two >= 2, got {l}")
-
-
-def _unit_grid(points: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(j, points) for j in range(points + 1))
 
 
 def _deviations(nums: list[int]) -> list[int]:
@@ -93,8 +84,7 @@ def _polygon(devs: list[int], scale: int, normalizer: Fraction) -> CurveSamples:
     """The curve with values devs[j] / (scale * normalizer) on j/(len-1)."""
     num = normalizer.denominator
     den = scale * normalizer.numerator
-    values = tuple(Fraction(d * num, den) for d in devs)
-    return CurveSamples(_unit_grid(len(devs) - 1), values, "exact")
+    return CurveSamples(tuple(Fraction(d * num, den) for d in devs))
 
 
 def _gaps(devs: list[int], scale: int, normalizer: Fraction, p: QParam, g: int):
@@ -130,11 +120,9 @@ def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
     if normalizer == 0:
         raise DegenerateNormalizerError("zero normalizer")
     total = sums[-1]
-    grid = tuple(Fraction(j, l) for j in range(l + 1))
-    values = tuple(
-        (sums[j] - Fraction(j, l) * total) / normalizer for j in range(l + 1)
+    return CurveSamples(
+        tuple((sums[j] - Fraction(j, l) * total) / normalizer for j in range(l + 1))
     )
-    return CurveSamples(grid, values, "exact")
 
 
 def canonical_normalizer(partial_sums, l: int) -> Fraction:
@@ -195,20 +183,18 @@ def target_curve(l: int, p: QParam) -> CurveSamples:
     _require_level(l)
     tak, tak_den = takagi_dyadic_grid(l.bit_length() - 1, p.a)
     qn, qd = p.q.numerator, p.q.denominator
-    values = tuple(Fraction(-qn * t, qd * tak_den) for t in tak)
-    return CurveSamples(_unit_grid(l), values, "exact")
+    return CurveSamples(tuple(Fraction(-qn * t, qd * tak_den) for t in tak))
 
 
 def sup_distance(c1: CurveSamples, c2: CurveSamples):
     """max_j |c1(t_j) - c2(t_j)| over a shared grid.
 
-    Exact Fraction when both curves are exact, float otherwise.
+    Exact Fraction when both curves hold Fractions, float when either
+    holds floats.
     """
-    if c1.grid != c2.grid:
+    if len(c1.values) != len(c2.values):
         raise GridMismatchError("curves sampled on different grids")
-    if c1.mode == "exact" and c2.mode == "exact":
-        return max(abs(a - b) for a, b in zip(c1.values, c2.values))
-    return max(abs(float(a) - float(b)) for a, b in zip(c1.values, c2.values))
+    return max(abs(a - b) for a, b in zip(c1.values, c2.values))
 
 
 def verify_identity_8(l: int, p: QParam) -> VerificationReport:
@@ -273,10 +259,6 @@ class BridgeLevel:
     @cached_property
     def curve(self) -> CurveSamples:
         return _polygon(self.devs, self.scale, self.normalizer)
-
-    @property
-    def level_length_log2(self) -> int:
-        return self.position
 
 
 @dataclass(frozen=True)

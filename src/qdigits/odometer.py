@@ -23,7 +23,6 @@ experiments exploit.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .digitsum import QParam, weighted_digit_sum
 
@@ -67,10 +66,6 @@ class OdometerState:
         return cls(0, length, origin="zero")
 
     @classmethod
-    def from_int(cls, value: int, length: int) -> "OdometerState":
-        return cls(value, length)
-
-    @classmethod
     def random_state(cls, seed: int, length: int) -> "OdometerState":
         """Deterministic seeded register (independent draws per digit)."""
         if length < 1:
@@ -97,26 +92,6 @@ def successor(s: OdometerState) -> OdometerState:
     if s.value + 1 == 1 << s.length:
         raise RegisterOverflowError("successor of the all-ones register")
     return OdometerState(s.value + 1, s.length)
-
-
-class StateSum(NamedTuple):
-    """Weighted digit sum of a register with its truncation tail bound."""
-
-    value: Fraction
-    tail_bound: Fraction
-
-
-def weighted_sum_state(s: OdometerState, p: QParam) -> StateSum:
-    """sum_i x_i q^i over the register, plus the infinite-tail bound.
-
-    Requires |q| < 1: the bound |q|^(L+1) / (1 - |q|) on the ignored
-    digits beyond the register is otherwise meaningless.
-    """
-    if abs(p.q) >= 1:
-        raise ValueError("|q| < 1 required for a finite tail bound")
-    value = weighted_digit_sum(s.value, p)
-    tail = abs(p.q) ** (s.length + 1) / (1 - abs(p.q))
-    return StateSum(value, tail)
 
 
 def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction]:

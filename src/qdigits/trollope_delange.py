@@ -40,10 +40,8 @@ class ScaleDecomposition:
     """n split against its leading binary scale.
 
     k is the exponent of the largest power of two p = 2^k <= n,
-    x = (n - p)/p in [0, 1) locates n within its octave, r = q^k is the
-    scale weight, and two_pow_u = n/p represents the fractional part of
-    log2 n through its exact power 2^u rather than through u itself
-    (u is irrational off the powers of two; n/p never is).
+    x = (n - p)/p in [0, 1) locates n within its octave, and r = q^k is
+    the scale weight.
     """
 
     n: int
@@ -51,7 +49,6 @@ class ScaleDecomposition:
     p: int
     r: Fraction
     x: Fraction
-    two_pow_u: Fraction
 
     @classmethod
     def of(cls, n: int, param: QParam) -> "ScaleDecomposition":
@@ -65,7 +62,6 @@ class ScaleDecomposition:
             p=p,
             r=param.q**k,
             x=Fraction(n - p, p),
-            two_pow_u=Fraction(n, p),
         )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction as F
@@ -290,6 +291,31 @@ class TestCurve:
             run(capsys, ["curve", "--q", "2/3", "--l", "32", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--q", "3/4", "--fhat-points", "0"],
+                "--fhat-points must be >= 1, got 0",
+            ),
+            (["--q=-3/4"], "float sampling needs q > 0 for real powers q^u"),
+            (["--q", "1"], "q = 1 has no geometric main term; use td_classical"),
+        ],
+    )
+    def test_bad_fhat_input_exits_before_any_output(self, capsys, tmp_path, argv, message):
+        csv = tmp_path / "c.csv"
+        svg = tmp_path / "c.svg"
+        fhat = tmp_path / "fhat.csv"
+        code, out, err = run(
+            capsys,
+            ["curve", "--l", "4", "--out", str(csv), "--svg", str(svg)]
+            + ["--fhat-out", str(fhat)] + argv,
+        )
+        assert (code, out, err) == (2, "", f"qdigits: {message}\n")
+        assert not csv.exists()
+        assert not svg.exists()
+        assert not fhat.exists()
+
 
 class TestBridge:
     def test_zero_state_single_level(self, capsys):
@@ -413,3 +439,48 @@ class TestBridge:
             len(lvl.curve.grid) for lvl in bridge.levels
         ]
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
+
+
+# sha256 of five frozen CLI outputs: the determinism tests above only
+# compare runs with each other, so they miss a change that alters every run
+GOLDEN = {
+    "curve-3/4-4096.csv": "d377ba8505ae1240bcd0bada0f1dd7e489e3862eeb641a461065974b11749d19",
+    "curve-3/4-4096.svg": "4ac4235686dc7ec647c74038be3c9bd0f0e5cfe815584281f9dc19a66521e367",
+    "curve--3/4-64-canonical.csv": "9ae292962bce0439118fd9503bb79052937539692e34e2322c283916298f12e9",
+    "bridge-3/4-seed-42.json": "bfb398dda2e598b019f10a259422d533c8fa23a61b8e6a20da31cd7cee7f72c4",
+    "verify-prop1-3/4.json": "00f58d73d55093f730b8324e5f698462312c98db0953d0f650922fa03b1dd985",
+}
+
+
+def sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    def test_curve_csv_and_svg(self, capsys, tmp_path):
+        csv = tmp_path / "c.csv"
+        svg = tmp_path / "c.svg"
+        code, out, _ = run(
+            capsys,
+            ["curve", "--q", "3/4", "--l", "4096", "--out", str(csv), "--svg", str(svg)],
+        )
+        assert (code, out) == (0, "")
+        assert sha256(csv.read_bytes()) == GOLDEN["curve-3/4-4096.csv"]
+        assert sha256(svg.read_bytes()) == GOLDEN["curve-3/4-4096.svg"]
+
+    def test_canonical_curve_negative_weight(self, capsys):
+        code, out, _ = run(capsys, ["curve", "--q=-3/4", "--l", "64", "--norm", "canonical"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["curve--3/4-64-canonical.csv"]
+
+    def test_bridge(self, capsys):
+        code, out, _ = run(capsys, ["bridge", "--q", "3/4", "--seed", "42"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["bridge-3/4-seed-42.json"]
+
+    def test_verify_prop1_json(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["verify-prop1-3/4.json"]

@@ -45,20 +45,31 @@ def unit_grid(l):
 
 class TestCurveSamples:
     def test_ok(self):
-        c = CurveSamples(unit_grid(2), (F(0), F(1), F(0)))
-        assert c.mode == "exact"
+        c = CurveSamples((F(0), F(1), F(0)))
+        assert c.values == (0, 1, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="equal length"):
-            CurveSamples(unit_grid(2), (F(0), F(1)))
         with pytest.raises(ValueError, match="at least two"):
-            CurveSamples((F(0),), (F(0),))
-        with pytest.raises(ValueError, match="span"):
-            CurveSamples((F(0), F(1, 2)), (F(0), F(0)))
-        with pytest.raises(ValueError, match="increasing"):
-            CurveSamples((F(0), F(1), F(1)), (F(0), F(0), F(0)))
-        with pytest.raises(ValueError, match="mode"):
-            CurveSamples(unit_grid(2), (F(0), F(1), F(0)), mode="fuzzy")
+            CurveSamples((F(0),))
+        with pytest.raises(ValueError, match="at least two"):
+            CurveSamples(())
+
+    @pytest.mark.parametrize("l", [1, 2, 7, 64])
+    def test_grid_is_j_over_l(self, l):
+        c = CurveSamples(tuple(F(0) for _ in range(l + 1)))
+        assert c.grid == tuple(F(j, l) for j in range(l + 1))
+
+    def test_grid_built_once(self):
+        c = target_curve(8, Q34)
+        assert c.grid is c.grid
+
+    def test_equal_exactly_when_values_are(self):
+        a = CurveSamples((F(0), F(1, 2), F(0)))
+        assert a == CurveSamples((F(0), F(1, 2), F(0)))
+        assert a.grid  # a cached grid takes no part in the comparison
+        assert a == CurveSamples((F(0), F(1, 2), F(0)))
+        assert a != CurveSamples((F(0), F(1, 3), F(0)))
+        assert a != CurveSamples((F(0), F(0)))
 
 
 class TestBuildFluctuationCurve:
@@ -183,14 +194,14 @@ class TestSupDistance:
 
     def test_exact_offset(self):
         c = target_curve(4, Q34)
-        shifted = CurveSamples(c.grid, tuple(v + F(1, 3) for v in c.values))
+        shifted = CurveSamples(tuple(v + F(1, 3) for v in c.values))
         d = sup_distance(c, shifted)
         assert d == F(1, 3)
         assert isinstance(d, F)
 
     def test_float_when_approx(self):
-        c = CurveSamples(unit_grid(2), (F(0), F(1), F(0)))
-        approx = CurveSamples(unit_grid(2), (0.0, 0.75, 0.0), mode="approx")
+        c = CurveSamples((F(0), F(1), F(0)))
+        approx = CurveSamples((0.0, 0.75, 0.0))
         d = sup_distance(c, approx)
         assert isinstance(d, float)
         assert d == 0.25
@@ -198,6 +209,8 @@ class TestSupDistance:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             sup_distance(target_curve(4, Q34), target_curve(8, Q34))
+        with pytest.raises(GridMismatchError):
+            sup_distance(CurveSamples((F(0), F(0), F(0))), CurveSamples((F(0), F(0))))
 
 
 class TestVerifyIdentity8:
@@ -255,7 +268,7 @@ class TestTheoremExperiment:
     def test_matches_literal_odometer_orbit(self):
         # small register, carries crossing the level: the progression
         # evaluator must agree with literal successor stepping
-        state = OdometerState.from_int(0b10011, 16)
+        state = OdometerState(0b10011, 16)
         bridge = theorem1_experiment(None, Q34, [2], state=state)
         lvl = bridge.levels[0]
         assert lvl.position == 4
@@ -327,12 +340,11 @@ class TestTheoremExperiment:
         assert isinstance(lvl, BridgeLevel)
         assert lvl.run_length == 4
         assert lvl.prefix_end == lvl.position - 4
-        assert lvl.level_length_log2 == lvl.position
         assert lvl.normalizer == (F(3, 2)) ** (lvl.position - 1)
 
     def test_register_overflow(self):
         # all ones above the zero run: the orbit would carry out
-        state = OdometerState.from_int(0b11111001, 8)
+        state = OdometerState(0b11111001, 8)
         with pytest.raises(RegisterOverflowError):
             theorem1_experiment(None, Q34, [2], state=state)
 

@@ -16,7 +16,6 @@ from qdigits.odometer import (
     num_value,
     orbit_partial_sums,
     successor,
-    weighted_sum_state,
 )
 
 Q34 = QParam(F(3, 4))
@@ -29,7 +28,7 @@ class TestOdometerState:
         assert z.origin == "zero"
         assert z.seed is None
 
-        e = OdometerState.from_int(0b1011, 6)
+        e = OdometerState(0b1011, 6)
         assert (e.value, e.length) == (0b1011, 6)
         assert e.origin == "explicit"
 
@@ -51,9 +50,9 @@ class TestOdometerState:
         with pytest.raises(ValueError):
             OdometerState(4, 2)
         with pytest.raises(ValueError):
-            OdometerState.from_int(-1, 4)
+            OdometerState(-1, 4)
         with pytest.raises(ValueError):
-            OdometerState.from_int(16, 4)
+            OdometerState(16, 4)
         with pytest.raises(ValueError):
             OdometerState.zeros(0)
 
@@ -61,17 +60,17 @@ class TestOdometerState:
         # its decimal value would run past Python's 4300-digit int/str limit
         s = OdometerState.random_state(1, 20000)
         assert eval(repr(s), {"OdometerState": OdometerState}) == s
-        assert repr(OdometerState.from_int(0b1011, 6)) == (
+        assert repr(OdometerState(0b1011, 6)) == (
             "OdometerState(value=0xb, length=6, origin='explicit', seed=None)"
         )
 
 
 class TestNumValue:
     def test_whole_register(self):
-        assert num_value(OdometerState.from_int(0b1011, 6)) == 11
+        assert num_value(OdometerState(0b1011, 6)) == 11
 
     def test_prefixes(self):
-        s = OdometerState.from_int(0b1011, 6)
+        s = OdometerState(0b1011, 6)
         assert num_value(s, 0) == 0
         assert num_value(s, 2) == 3
         assert num_value(s, 4) == 11
@@ -92,31 +91,12 @@ class TestSuccessor:
             assert num_value(s) == expected
 
     def test_carry(self):
-        s = OdometerState.from_int(0b0111, 4)
+        s = OdometerState(0b0111, 4)
         assert num_value(successor(s)) == 0b1000
 
     def test_overflow(self):
         with pytest.raises(RegisterOverflowError):
-            successor(OdometerState.from_int(0b1111, 4))
-
-
-class TestWeightedSumState:
-    def test_value_and_tail(self):
-        s = OdometerState.from_int(5, 8)
-        got = weighted_sum_state(s, Q34)
-        assert got.value == weighted_digit_sum(5, Q34) == F(75, 64)
-        # (3/4)^9 / (1 - 3/4)
-        assert got.tail_bound == F(19683, 65536)
-
-    def test_negative_weight(self):
-        s = OdometerState.from_int(5, 8)
-        got = weighted_sum_state(s, QParam(F(-3, 4)))
-        assert got.value == F(-75, 64)
-        assert got.tail_bound == F(19683, 65536)  # bound uses |q|
-
-    def test_rejects_weight_outside_unit_disc(self):
-        with pytest.raises(ValueError):
-            weighted_sum_state(OdometerState.zeros(4), QParam(1))
+            successor(OdometerState(0b1111, 4))
 
 
 class TestOrbitPartialSums:
@@ -124,7 +104,7 @@ class TestOrbitPartialSums:
         for q in [F(3, 4), F(-2, 3)]:
             p = QParam(q)
             base = 3
-            sums = orbit_partial_sums(OdometerState.from_int(base, 8), p, 12)
+            sums = orbit_partial_sums(OdometerState(base, 8), p, 12)
             assert sums[0] == 0
             s_base = partial_sum_fast(base, p)
             for j in range(1, 13):
@@ -132,16 +112,16 @@ class TestOrbitPartialSums:
 
     def test_orbit_may_end_on_the_last_state(self):
         # 14, 15 fit in four digits; the successor of 15 is never needed
-        sums = orbit_partial_sums(OdometerState.from_int(14, 4), Q34, 2)
+        sums = orbit_partial_sums(OdometerState(14, 4), Q34, 2)
         assert len(sums) == 3
         assert sums[2] - sums[1] == weighted_digit_sum(15, Q34)
 
     def test_overflow_guard(self):
         with pytest.raises(RegisterOverflowError):
-            orbit_partial_sums(OdometerState.from_int(14, 4), Q34, 3)
+            orbit_partial_sums(OdometerState(14, 4), Q34, 3)
 
     def test_count_zero(self):
-        assert orbit_partial_sums(OdometerState.from_int(15, 4), Q34, 0) == [0]
+        assert orbit_partial_sums(OdometerState(15, 4), Q34, 0) == [0]
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -179,7 +159,7 @@ class TestStabilizingLevels:
 
     def test_no_level(self):
         with pytest.raises(NoStabilizingLevelError):
-            find_stabilizing_levels(OdometerState.from_int(0b1111, 4), 1)
+            find_stabilizing_levels(OdometerState(0b1111, 4), 1)
         with pytest.raises(NoStabilizingLevelError):
             find_stabilizing_levels(OdometerState.zeros(4), 5)
 

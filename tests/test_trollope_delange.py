@@ -29,11 +29,10 @@ class TestScaleDecomposition:
         assert (d.n, d.k, d.p) == (5, 2, 4)
         assert d.r == F(9, 16)
         assert d.x == F(1, 4)
-        assert d.two_pow_u == F(5, 4)
 
     def test_power_of_two(self):
         d = ScaleDecomposition.of(8, Q34)
-        assert (d.k, d.p, d.x, d.two_pow_u) == (3, 8, 0, 1)
+        assert (d.k, d.p, d.x) == (3, 8, 0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
