@@ -72,8 +72,6 @@ def _decimal_string(x: Fraction, digits: int) -> str:
 
     Rounding is exact (ties to even); no float ever enters.
     """
-    if digits < 0:
-        raise _CliError("--digits must be >= 0")
     r = round(Fraction(x), digits)
     sign = "-" if r < 0 else ""
     scaled = abs(r) * 10**digits
@@ -584,6 +582,8 @@ def _run(argv) -> int:
         "bridge": _cmd_bridge,
     }
     try:
+        if getattr(args, "digits", None) is not None and args.digits < 0:
+            raise _CliError("--digits must be >= 0")
         return handlers[args.command](args)
     except (NoStabilizingLevelError, RegisterOverflowError) as exc:
         print(f"qdigits {args.command}: {exc}", file=sys.stderr)

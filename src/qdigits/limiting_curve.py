@@ -13,7 +13,8 @@ value Num/2^n < 2^(-r) controls the distance.  theorem1_experiment
 measures those sup distances exactly, at astronomically large l, via the
 progression evaluator (the orbit is never stepped literally; partial
 sums along it are differences S_q(X + i) - S_q(X) of the integer
-summatory function, which handles every carry exactly).
+summatory function, which handles every carry exactly).  Each level runs
+on the bits of X below its carry reach, the only bits its orbit changes.
 
 All of it runs on one exact representation: partial sums and curve
 values are integer numerators over one denominator shared by the whole
@@ -30,8 +31,7 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 
 from .digitsum import QParam, partial_sum_prefix_scaled, partial_sum_progression_scaled
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
@@ -297,9 +297,12 @@ def theorem1_experiment(
     orbit's partial sums are S_q(X + i) - S_q(X) with X the register
     value, so carries past position n (which occur near the end of the
     segment whenever the low n digits of X are nonzero) are handled
-    exactly.  The polygon is sampled at min(2^grid_exponent, l) + 1
-    dyadic points, rescaled by (2q)^(n-1) and compared with the exact
-    limit curve on the same grid.
+    exactly.  Only the bits of X below its carry reach, the bit length of
+    X xor (X + 2^n), change along the segment; the bits above add a term
+    linear in i that the deviations cancel, so each level runs on the low
+    bits.  The polygon is sampled at min(2^grid_exponent, l) + 1 dyadic
+    points, rescaled by (2q)^(n-1) and compared with the exact limit curve
+    on the same grid.
 
     Requires 1/2 < |q| < 1 and grid_exponent >= 0.  Supply either a seed
     (register drawn with OdometerState.random_state) or an explicit state.
@@ -330,17 +333,15 @@ def theorem1_experiment(
             raise RegisterOverflowError(
                 f"orbit of length 2^{n} carries out of the register"
             )
+        reach = (big_x ^ (big_x + (1 << n))).bit_length()
+        low = big_x & ((1 << reach) - 1)
         g = min(grid_exponent, n)
         points = 1 << g
-        nums, den = partial_sum_progression_scaled(big_x, n - g, points, p)
+        nums, den = partial_sum_progression_scaled(low, n - g, points, p)
         devs = _deviations(nums)
         scale = points * den
         normalizer = (2 * p.q) ** (n - 1)
         gaps, gap_den = _gaps(devs, scale, normalizer, p, g)
-        # den carries the whole register's depth at every level; keep the
-        # polygon without the power of two its numerators share with it
-        low = reduce(or_, devs, scale)
-        shift = (low & -low).bit_length() - 1
         levels.append(
             BridgeLevel(
                 run_length=r,
@@ -350,8 +351,8 @@ def theorem1_experiment(
                 normalizer=normalizer,
                 grid_exponent=g,
                 sup_distance=Fraction(max(map(abs, gaps)), abs(gap_den)),
-                devs=tuple(d >> shift for d in devs),
-                scale=scale >> shift,
+                devs=tuple(devs),
+                scale=scale,
             )
         )
         wrapped = big_x & ((1 << n) - 1)

@@ -88,23 +88,25 @@ def _require_contraction(a: Fraction):
         )
 
 
+def _require_tol(tol) -> Fraction:
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return Fraction(tol)
+
+
 def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
     """Partial sum of sum_n a^n tau(2^n x) with a certified tail bound.
 
     Works for any rational x and |a| < 1.  The tail after N terms is at
-    most |a|^N / (2 (1 - |a|)) since tau <= 1/2; N is chosen as the
-    smallest count that pushes this below tol.  The partial sum itself
-    is computed exactly and rounded once at the end, so the reported
-    bound is the whole story up to one float rounding.
+    most |a|^N / (2 (1 - |a|)) since tau <= 1/2; N is the smallest count
+    that pushes this below tol.  With x = c/e and a = u/v the partial sum
+    is the one integer ratio sum_{n<N} u^n v^(N-1-n) min(r_n, e - r_n) /
+    (v^(N-1) e), r_n = 2^n c mod e, rounded once at the end.
     """
     x = Fraction(x)
     a = Fraction(a)
     _require_contraction(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tol_exact = Fraction(tol)
-    if a == 0:
-        return CertifiedValue(float(nearest_int_dist(x)), 0.0, 1)
+    tol_exact = _require_tol(tol)
 
     abs_a = abs(a)
     tail = Fraction(1, 2) / (1 - abs_a)  # tail bound before any terms
@@ -113,16 +115,13 @@ def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
         tail *= abs_a
         terms += 1
 
-    total = Fraction(0)
-    power = Fraction(1)
-    y = x - math.floor(x)
+    u, v, e = a.numerator, a.denominator, x.denominator
+    num, u_n, r = 0, 1, x.numerator % e
     for _ in range(terms):
-        total += power * min(y, 1 - y)
-        power *= a
-        y = 2 * y
-        if y >= 1:
-            y -= 1
-    return CertifiedValue(float(total), float(tail), terms)
+        num = num * v + u_n * min(r, e - r)
+        u_n *= u
+        r = 2 * r % e
+    return CertifiedValue(num / (v ** max(terms - 1, 0) * e), float(tail), terms)
 
 
 def takagi_dyadic_exact(t, a) -> Fraction:
@@ -294,14 +293,12 @@ def derham_eval(sys: DeRhamSystem, x, tol: float = 1e-12, mode: str = "exact-dya
     t = Fraction(x)
     if not 0 <= t <= 1:
         raise ValueError(f"argument {t} outside [0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol_exact = _require_tol(tol)
     a_max = max(abs(sys.a0), abs(sys.a1))
     g_max = max(
         abs(sys.g0(0)), abs(sys.g0(1)), abs(sys.g1(0)), abs(sys.g1(1))
     )
     f_bound = g_max / (1 - a_max)
-    tol_exact = Fraction(tol)
 
     mult = Fraction(1)
     add = Fraction(0)

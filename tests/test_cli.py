@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import qdigits.cli as cli
 from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast
 from qdigits.limiting_curve import theorem1_experiment
@@ -78,6 +79,26 @@ class TestEval:
     def test_rejects_bad_weight(self, capsys):
         assert run(capsys, ["eval", "S", "--q", "abc", "--n", "4"])[0] == 2
         assert run(capsys, ["eval", "S", "--q", "0", "--n", "4"])[0] == 2
+
+    @pytest.mark.parametrize("x", ["1/3", "1/4"])
+    def test_negative_digits_before_evaluation(self, capsys, monkeypatch, x):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated before the --digits check")
+
+        monkeypatch.setattr(cli, "takagi_series", refuse)
+        monkeypatch.setattr(cli, "takagi_dyadic_exact", refuse)
+        code, out, err = run(
+            capsys, ["eval", "takagi", "--a", "2/3", "--x", x, "--digits", "-1"]
+        )
+        assert (code, out, err) == (2, "", "qdigits: --digits must be >= 0\n")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol(self, capsys, tol):
+        code, out, err = run(
+            capsys, ["eval", "takagi", "--a", "2/3", "--x", "1/3", "--tol", tol]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("qdigits: tol must be positive and finite")
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2
@@ -316,6 +337,19 @@ class TestCurve:
         assert not svg.exists()
         assert not fhat.exists()
 
+    def test_negative_digits_before_the_curve(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curve built before the --digits check")
+
+        monkeypatch.setattr(cli, "zero_orbit_curve", refuse)
+        csv = tmp_path / "c.csv"
+        code, out, err = run(
+            capsys,
+            ["curve", "--q", "3/4", "--l", "4", "--digits", "-1", "--out", str(csv)],
+        )
+        assert (code, out, err) == (2, "", "qdigits: --digits must be >= 0\n")
+        assert not csv.exists()
+
 
 class TestBridge:
     def test_zero_state_single_level(self, capsys):
@@ -441,13 +475,15 @@ class TestBridge:
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 
 
-# sha256 of five frozen CLI outputs: the determinism tests above only
+# sha256 of seven frozen CLI outputs: the determinism tests above only
 # compare runs with each other, so they miss a change that alters every run
 GOLDEN = {
     "curve-3/4-4096.csv": "d377ba8505ae1240bcd0bada0f1dd7e489e3862eeb641a461065974b11749d19",
     "curve-3/4-4096.svg": "4ac4235686dc7ec647c74038be3c9bd0f0e5cfe815584281f9dc19a66521e367",
     "curve--3/4-64-canonical.csv": "9ae292962bce0439118fd9503bb79052937539692e34e2322c283916298f12e9",
     "bridge-3/4-seed-42.json": "bfb398dda2e598b019f10a259422d533c8fa23a61b8e6a20da31cd7cee7f72c4",
+    "bridge-2/3-seed-9.json": "52bbdd157c28d1eccaa7ab2d5edf5316dcbd0d8ab849256bda7f3545c61a386b",
+    "verify-theorem1--2/3.json": "9afc049b1ad4eb899d51d038a3cda615ddf5404d1363043b9624c6ec7dadc9a6",
     "verify-prop1-3/4.json": "00f58d73d55093f730b8324e5f698462312c98db0953d0f650922fa03b1dd985",
 }
 
@@ -479,6 +515,18 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["bridge", "--q", "3/4", "--seed", "42"])
         assert code == 0
         assert sha256(out) == GOLDEN["bridge-3/4-seed-42.json"]
+
+    def test_bridge_weight_off_the_dyadic_denominators(self, capsys):
+        code, out, _ = run(capsys, ["bridge", "--q", "2/3", "--seed", "9"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["bridge-2/3-seed-9.json"]
+
+    def test_verify_theorem1_negative_weight_json(self, capsys):
+        code, out, _ = run(
+            capsys, ["verify", "--suite", "theorem1", "--q=-2/3", "--json"]
+        )
+        assert code == 0
+        assert sha256(out) == GOLDEN["verify-theorem1--2/3.json"]
 
     def test_verify_prop1_json(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])

@@ -4,10 +4,10 @@ register experiment."""
 import hashlib
 import json
 from fractions import Fraction as F
-from functools import reduce
-from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdigits.limiting_curve as limiting_curve
 from qdigits.cli import main
@@ -41,6 +41,39 @@ Q34 = QParam(F(3, 4))
 
 def unit_grid(l):
     return tuple(F(j, l) for j in range(l + 1))
+
+
+def assert_at_carry_depth(lvl, x, p):
+    """The level's integers live at the depth of the bits its orbit reaches.
+
+    Along X + i, i <= 2^n, only the bits below reach = bitlen(X ^ (X + 2^n))
+    change, so the scale is at most v^reach 2^g for q = u/v; every
+    deviation is under 2^(n+1) max|s_q| <= 2^(n+1) |q| / (1 - |q|).
+    """
+    n, g = lvl.position, lvl.grid_exponent
+    reach = (x ^ (x + (1 << n))).bit_length()
+    depth = p.q.denominator**reach << g
+    assert lvl.scale <= depth
+    q = abs(p.q)
+    assert max(map(abs, lvl.devs)) * (1 - q) <= (depth << (n + 1)) * q
+
+
+def assert_matches_fraction_route(lvl, x, p):
+    """The level's curve and sup distance from partial_sum_fast on all of x."""
+
+    def big_s(m):
+        return partial_sum_fast(m, p) if m else F(0)
+
+    n, g, q = lvl.position, lvl.grid_exponent, p.q
+    points = 1 << g
+    sums = [big_s(x + (j << (n - g))) - big_s(x) for j in range(points + 1)]
+    curve = tuple(
+        (sums[j] - F(j, points) * sums[-1]) / (2 * q) ** (n - 1)
+        for j in range(points + 1)
+    )
+    target = [-q * takagi_dyadic_exact(F(j, points), p.a) for j in range(points + 1)]
+    assert lvl.curve.values == curve
+    assert lvl.sup_distance == max(abs(c - t) for c, t in zip(curve, target))
 
 
 class TestCurveSamples:
@@ -294,24 +327,8 @@ class TestTheoremExperiment:
             None, p, [2, 3, 4], state=state, grid_exponent=grid_exponent
         )
         assert {lvl.normalizer > 0 for lvl in bridge.levels} == {True, False}
-        x = num_value(state)
-
-        def big_s(m):
-            return partial_sum_fast(m, p) if m else F(0)
-
         for lvl in bridge.levels:
-            n, g = lvl.position, lvl.grid_exponent
-            points = 1 << g
-            sums = [big_s(x + (j << (n - g))) - big_s(x) for j in range(points + 1)]
-            curve = tuple(
-                (sums[j] - F(j, points) * sums[-1]) / (2 * q) ** (n - 1)
-                for j in range(points + 1)
-            )
-            target = [
-                -q * takagi_dyadic_exact(F(j, points), p.a) for j in range(points + 1)
-            ]
-            assert lvl.curve.values == curve
-            assert lvl.sup_distance == max(abs(c - t) for c, t in zip(curve, target))
+            assert_matches_fraction_route(lvl, num_value(state), p)
 
     def test_grid_exponent_clipping(self):
         state = OdometerState.zeros(2048)
@@ -362,6 +379,49 @@ class TestTheoremExperiment:
         with pytest.raises(ValueError):
             theorem1_experiment(1, QParam(F(3, 2)), [2])
 
+    def test_integers_at_carry_depth_off_the_dyadic_denominators(self):
+        # q = 2/3: the scale is a power of 3 times 2^g, so no common power
+        # of two could take the register's depth out of it
+        p = QParam(F(2, 3))
+        bridge = theorem1_experiment(9, p, [4, 8, 12])
+        x = OdometerState.random_state(9, 8192).value
+        assert [lvl.position for lvl in bridge.levels] == [23, 289, 4369]
+        for lvl in bridge.levels:
+            assert_at_carry_depth(lvl, x, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.sampled_from([F(3, 4), F(-3, 4), F(2, 3), F(-2, 3), F(5, 9), F(9, 10)]),
+        r=st.integers(1, 4),
+        prefix=st.integers(0, 255),
+        prefix_len=st.integers(0, 8),
+        ones=st.integers(0, 24),
+        high=st.integers(0, (1 << 48) - 1),
+        grid_exponent=st.integers(0, 4),
+    )
+    def test_matches_full_register_route(
+        self, q, r, prefix, prefix_len, ones, high, grid_exponent
+    ):
+        # register: a prefix with no run of r zeros, the run of r zeros that
+        # makes level n, a run of ones the final carry crosses, one zero
+        # that stops it, and random bits above
+        n = prefix_len + r
+        if prefix_len:
+            prefix |= sum(1 << i for i in range(r - 1, prefix_len, r))
+            prefix = (prefix | 1 << (prefix_len - 1)) & ((1 << prefix_len) - 1)
+        else:
+            prefix = 0
+        x = prefix | ((1 << ones) - 1) << n | high << (n + ones + 1)
+        state = OdometerState(x, n + ones + 49)
+        p = QParam(q)
+        (lvl,) = theorem1_experiment(
+            None, p, [r], state=state, grid_exponent=grid_exponent
+        ).levels
+        assert lvl.position == n
+        assert (x ^ (x + (1 << n))).bit_length() == n + ones + 1
+        assert_at_carry_depth(lvl, x, p)
+        assert_matches_fraction_route(lvl, x, p)
+
     def test_negative_grid_exponent_before_the_draw(self, monkeypatch):
         def no_draw(cls, seed, length):
             raise AssertionError("register drawn before the argument check")
@@ -380,11 +440,11 @@ class TestLazyCurve:
 
         monkeypatch.setattr(limiting_curve, "_polygon", refuse)
         bridge = theorem1_experiment(42, Q34, [4, 8, 12])
+        x = OdometerState.random_state(42, 8192).value
         for lvl in bridge.levels:
             assert "devs" not in repr(lvl)
             assert "curve" not in vars(lvl)
-            # the kept numerators share no power of two with their scale
-            assert reduce(or_, lvl.devs, lvl.scale) & 1
+            assert_at_carry_depth(lvl, x, Q34)
         assert main(["bridge", "--q", "3/4", "--seed", "42"]) == 0
         doc = json.loads(capsys.readouterr().out)
         got = [

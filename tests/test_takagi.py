@@ -156,6 +156,31 @@ class TestSeries:
         with pytest.raises(ValueError):
             takagi_series(F(1, 2), F(1, 2), tol=0)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            takagi_series(F(1, 3), F(2, 3), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            derham_eval(DeRhamSystem.takagi(F(2, 3)), F(1, 3), tol=tol, mode="certified-approx")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.integers(-10**6, 10**6),
+        e=st.integers(1, 10**6),
+        v=st.integers(2, 60),
+        data=st.data(),
+        tol=st.sampled_from([1e-1, 1e-4, 1e-9, 1e-15, 0.3]),
+    )
+    def test_integer_sum_matches_fraction_sum(self, c, e, v, data, tol):
+        a = F(data.draw(st.integers(-((9 * v) // 10), (9 * v) // 10)), v)
+        x = F(c, e)
+        got = takagi_series(x, a, tol)
+        # the correctly rounded value of the same partial sum in Fractions
+        total = sum(a**n * nearest_int_dist(2**n * x) for n in range(got.terms))
+        assert got.value == float(total)
+        tail = abs(a) ** got.terms / 2 / (1 - abs(a))
+        assert tail <= F(tol) and got.bound == float(tail)
+
 
 class TestAffineMap:
     def test_call(self):
