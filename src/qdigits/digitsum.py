@@ -27,7 +27,6 @@ recombine with a few big-integer products per level instead of one
 growing product per bit.
 """
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,14 +39,6 @@ class OracleBudgetError(ValueError):
     """Raised when a brute-force evaluation would exceed its term budget."""
 
 
-class Regime(enum.Enum):
-    # |q| > 1/2 puts the curve parameter a = 1/(2q) inside the unit disc,
-    # which is the regime where the limiting-curve machinery applies.
-    CONTRACTING = "contracting"
-    BOUNDARY = "boundary"
-    EXPANDING = "expanding"
-
-
 @dataclass(frozen=True)
 class QParam:
     """A digit-sum weight q with its derived curve parameter a = 1/(2q).
@@ -55,11 +46,14 @@ class QParam:
     q may be any nonzero rational, including q = 1 (the plain popcount
     weight).  Operations that divide by 1 - q guard against q = 1
     themselves; the parameter object does not forbid it.
+
+    is_curve_regime is |q| > 1/2, i.e. |a| < 1: the regime where the
+    curve sums converge and the limiting-curve machinery applies.
     """
 
     q: Fraction
     a: Fraction = field(init=False)
-    regime: Regime = field(init=False)
+    is_curve_regime: bool = field(init=False)
 
     def __post_init__(self):
         q = Fraction(self.q)
@@ -67,36 +61,13 @@ class QParam:
             raise ValueError("weight q must be nonzero")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", Fraction(1, 2) / q)
-        half = Fraction(1, 2)
-        if abs(q) > half:
-            regime = Regime.CONTRACTING
-        elif abs(q) == half:
-            regime = Regime.BOUNDARY
-        else:
-            regime = Regime.EXPANDING
-        object.__setattr__(self, "regime", regime)
-
-    @classmethod
-    def from_a(cls, a) -> "QParam":
-        """Build from the curve parameter instead: q = 1/(2a)."""
-        a = Fraction(a)
-        if a == 0:
-            raise ValueError("curve parameter a must be nonzero")
-        return cls(Fraction(1, 2) / a)
-
-    @property
-    def is_curve_regime(self) -> bool:
-        """True when |q| > 1/2, i.e. |a| < 1 and the curve sums converge."""
-        return self.regime is Regime.CONTRACTING
+        object.__setattr__(self, "is_curve_regime", abs(q) > Fraction(1, 2))
 
     def require_curve_regime(self):
         if not self.is_curve_regime:
             raise ValueError(
                 f"|q| > 1/2 required for curve-regime operations, got q = {self.q}"
             )
-
-    def __str__(self):
-        return f"q={self.q} (a={self.a}, {self.regime.value})"
 
 
 # ---------------------------------------------------------------------------

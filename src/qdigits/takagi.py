@@ -27,8 +27,8 @@ by level instead, from the midpoint rule (Takagi 1903, de Rham 1957)
 
 which refines every interval of level m at once: O(2^g) integer
 additions over one shared denominator for the whole grid.  Non-dyadic
-rational arguments get a certified float: a partial unwinding plus a
-rigorous bound on the discarded remainder.
+rational arguments get a certified float from takagi_series: a partial
+sum of the series, rounded once, with a rigorous bound on its tail.
 
 Note on the smooth member of the family: with tau = dist(x, Z) as above,
 the a = 1/4 curve is the parabola 2 x (1 - x).  A widely quoted form of
@@ -88,28 +88,30 @@ def _require_contraction(a: Fraction):
         )
 
 
-def _require_tol(tol) -> Fraction:
-    if not math.isfinite(tol) or tol <= 0:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return Fraction(tol)
-
-
 def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
     """Partial sum of sum_n a^n tau(2^n x) with a certified tail bound.
 
     Works for any rational x and |a| < 1.  The tail after N terms is at
     most |a|^N / (2 (1 - |a|)) since tau <= 1/2; N is the smallest count
-    that pushes this below tol.  With x = c/e and a = u/v the partial sum
-    is the one integer ratio sum_{n<N} u^n v^(N-1-n) min(r_n, e - r_n) /
-    (v^(N-1) e), r_n = 2^n c mod e, rounded once at the end.
+    that pushes this below tol.  tol must lie below the zero-term bound
+    1/(2 (1 - |a|)), which the empty sum already meets.  With x = c/e and
+    a = u/v the partial sum is the one integer ratio
+    sum_{n<N} u^n v^(N-1-n) min(r_n, e - r_n) / (v^(N-1) e),
+    r_n = 2^n c mod e, rounded once at the end.
     """
     x = Fraction(x)
     a = Fraction(a)
     _require_contraction(a)
-    tol_exact = _require_tol(tol)
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol_exact = Fraction(tol)
 
     abs_a = abs(a)
     tail = Fraction(1, 2) / (1 - abs_a)  # tail bound before any terms
+    if tol_exact >= tail:
+        raise ValueError(
+            f"tol must be below the zero-term bound 1/(2(1-|a|)) = {tail}, got {tol}"
+        )
     terms = 0
     while tail > tol_exact:
         tail *= abs_a
@@ -254,60 +256,26 @@ def derham_consistency(sys: DeRhamSystem) -> ConsistencyResult:
     return ConsistencyResult(residual == 0, residual)
 
 
-def _unwind_step(sys: DeRhamSystem, t: Fraction, mult: Fraction, add: Fraction):
-    """One branch step of f(x) = add + mult f(t): returns the next (t, mult, add)."""
-    if t <= _HALF:
-        y = 2 * t
-        return y, mult * sys.a0, add + mult * sys.g0(y)
-    y = 2 * t - 1
-    return y, mult * sys.a1, add + mult * sys.g1(y)
+def derham_eval(sys: DeRhamSystem, x) -> Fraction:
+    """The solution of a consistent system at a dyadic x in [0, 1], exactly.
 
-
-def _endpoint_value(sys: DeRhamSystem, t: Fraction) -> Fraction:
-    """f(0) or f(1), where every unwinding ends."""
-    return sys.left_value if t == 0 else sys.right_value
-
-
-def derham_eval(sys: DeRhamSystem, x, tol: float = 1e-12, mode: str = "exact-dyadic"):
-    """Evaluate the solution of a consistent system at x in [0, 1].
-
-    mode="exact-dyadic" (default): x must be dyadic; returns an exact
-    Fraction by finite unwinding.  mode="certified-approx": x may be any
-    rational in [0, 1]; returns a CertifiedValue whose bound is at most
-    tol.  If the approx walk lands exactly on 0 or 1 it finishes exactly
-    with bound 0.
+    Unwinds f(x) = add + mult f(t) one branch at a time; each step
+    doubles t (mod the branch map) and reduces its dyadic exponent by
+    one, so the walk ends at 0 or 1, where f is the branch fixed point.
     """
     ok, residual = derham_consistency(sys)
     if not ok:
         raise InconsistentSystemError(
             f"branches disagree at the seam (residual {residual})"
         )
-    if mode == "exact-dyadic":
-        t, mult, add = as_dyadic(x), Fraction(1), Fraction(0)
-        while t != 0 and t != 1:
-            t, mult, add = _unwind_step(sys, t, mult, add)
-        return add + mult * _endpoint_value(sys, t)
-    if mode != "certified-approx":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    t = Fraction(x)
-    if not 0 <= t <= 1:
-        raise ValueError(f"argument {t} outside [0, 1]")
-    tol_exact = _require_tol(tol)
-    a_max = max(abs(sys.a0), abs(sys.a1))
-    g_max = max(
-        abs(sys.g0(0)), abs(sys.g0(1)), abs(sys.g1(0)), abs(sys.g1(1))
-    )
-    f_bound = g_max / (1 - a_max)
-
-    mult = Fraction(1)
-    add = Fraction(0)
-    steps = 0
-    while abs(mult) * f_bound > tol_exact:
-        if t == 0 or t == 1:
-            value = add + mult * _endpoint_value(sys, t)
-            return CertifiedValue(float(value), 0.0, steps)
-        t, mult, add = _unwind_step(sys, t, mult, add)
-        steps += 1
-    return CertifiedValue(float(add), float(abs(mult) * f_bound), steps)
-
+    t, mult, add = as_dyadic(x), Fraction(1), Fraction(0)
+    while t != 0 and t != 1:
+        if t <= _HALF:
+            t = 2 * t
+            add += mult * sys.g0(t)
+            mult *= sys.a0
+        else:
+            t = 2 * t - 1
+            add += mult * sys.g1(t)
+            mult *= sys.a1
+    return add + mult * (sys.left_value if t == 0 else sys.right_value)

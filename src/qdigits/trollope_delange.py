@@ -116,13 +116,14 @@ def f_hat_periodic(n: int, p: QParam) -> Fraction:
     return (1 - q ** (d.k + 1)) / (1 - q) - 2 * d.r * Fraction(d.p, n) * curve
 
 
-def f_hat_float(u: float, p: QParam, tol: float = 1e-12) -> float:
+def f_hat_float(u: float, p: QParam) -> float:
     """Float sampler of the raw periodic factor for plotting.
 
     Evaluates (1 - q^(1-u))/(1 - q) - q^(-u) 2^(1-u) T_a(2^(u-1)) at a
     real u in [0, 1].  Requires q > 0 (real powers) besides the usual
-    regime guard.  Plot-quality only; every assertion in the test suite
-    goes through the exact reduced form instead.
+    regime guard.  T_a comes from takagi_series at its default tolerance.
+    Plot-quality only; every assertion in the test suite goes through the
+    exact reduced form instead.
     """
     p.require_curve_regime()
     if p.q <= 0:
@@ -132,7 +133,7 @@ def f_hat_float(u: float, p: QParam, tol: float = 1e-12) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     q = float(p.q)
-    curve = takagi_series(Fraction(2.0 ** (u - 1.0)), p.a, tol).value
+    curve = takagi_series(Fraction(2.0 ** (u - 1.0)), p.a).value
     return (1.0 - q ** (1.0 - u)) / (1.0 - q) - q ** (-u) * 2.0 ** (1.0 - u) * curve
 
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import re
+import shlex
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,14 @@ class TestEval:
         )
         assert (code, out) == (2, "")
         assert err.startswith("qdigits: tol must be positive and finite")
+
+    def test_tol_at_zero_term_bound(self, capsys):
+        # at a = 1/2 the empty sum is within 1/(2(1-|a|)) = 1 of T_a(x)
+        code, out, err = run(
+            capsys, ["eval", "takagi", "--a", "1/2", "--x", "1/3", "--tol", "1.5"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("qdigits: tol must be below the zero-term bound")
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2
@@ -532,3 +543,28 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1-3/4.json"]
+
+
+def readme_examples():
+    """(argv, output) for each README command that shows its full output.
+
+    Commands with no output lines, or whose output is elided with "...",
+    are left out.
+    """
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for command, output in re.findall(
+            r"^\$ qdigits (.*)\n((?:(?!\$ ).*\n)*)", block, re.M
+        ):
+            if output and "...\n" not in output:
+                examples.append((shlex.split(command, comments=True), output))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    # the five eval lines and the curve --l 4 block
+    assert len(examples) == 6
+    for argv, want in examples:
+        assert run(capsys, argv) == (0, want, ""), argv

@@ -16,7 +16,6 @@ from qdigits.digitsum import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     QParam,
-    Regime,
     _summatory_leaf,
     _summatory_scaled,
     check_bit_recurrences,
@@ -45,20 +44,12 @@ class TestQParam:
         assert QParam(F(-3, 4)).a == F(-2, 3)
         assert QParam(2).a == F(1, 4)
 
-    def test_from_a_roundtrip(self):
-        for q in TEST_WEIGHTS:
-            p = QParam(q)
-            assert QParam.from_a(p.a).q == q
-        with pytest.raises(ValueError):
-            QParam.from_a(0)
-
     def test_regimes(self):
-        assert Q34.regime is Regime.CONTRACTING
-        assert QParam(F(-3, 4)).regime is Regime.CONTRACTING
-        assert QParam(2).regime is Regime.CONTRACTING
-        assert QParam(F(1, 2)).regime is Regime.BOUNDARY
-        assert QParam(F(-1, 2)).regime is Regime.BOUNDARY
-        assert QParam(F(1, 4)).regime is Regime.EXPANDING
+        # |q| > 1/2 exactly: the boundary weights +-1/2 are outside
+        for q in [F(3, 4), F(-3, 4), F(2)]:
+            assert QParam(q).is_curve_regime
+        for q in [F(1, 2), F(-1, 2), F(1, 4)]:
+            assert not QParam(q).is_curve_regime
 
     def test_curve_regime_guard(self):
         Q34.require_curve_regime()

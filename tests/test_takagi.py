@@ -22,7 +22,7 @@ from qdigits.takagi import (
     takagi_dyadic_grid,
     takagi_series,
 )
-from qdigits.trollope_delange import fluctuation_system
+from qdigits.trollope_delange import f_closed, fluctuation_system
 
 
 class TestAsDyadic:
@@ -155,13 +155,15 @@ class TestSeries:
             takagi_series(F(1, 2), 1)
         with pytest.raises(ValueError):
             takagi_series(F(1, 2), F(1, 2), tol=0)
+        # the empty sum already meets a tol at or above 1/(2(1-|a|))
+        for a, tol in [(F(1, 2), 1.0), (F(1, 2), 1.5), (F(-3, 4), 2.0), (0, 0.5)]:
+            with pytest.raises(ValueError, match="zero-term bound"):
+                takagi_series(F(1, 3), a, tol=tol)
 
     @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
     def test_non_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             takagi_series(F(1, 3), F(2, 3), tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            derham_eval(DeRhamSystem.takagi(F(2, 3)), F(1, 3), tol=tol, mode="certified-approx")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -240,22 +242,12 @@ class TestDeRhamEval:
         with pytest.raises(ValueError):
             derham_eval(DeRhamSystem.takagi(F(1, 2)), F(1, 3))
 
-    def test_certified_mode(self):
-        sys = DeRhamSystem.takagi(F(1, 2))
-        got = derham_eval(sys, F(1, 3), tol=1e-9, mode="certified-approx")
-        assert got.bound <= 1e-9
-        assert abs(got.value - 2 / 3) <= 2e-9
-
-    def test_certified_finishes_exactly_on_endpoint(self):
-        # 1/2 maps to the endpoint 1 after one branch step
-        sys = DeRhamSystem.takagi(F(2, 3))
-        got = derham_eval(sys, F(1, 2), tol=1e-12, mode="certified-approx")
-        assert got.value == 0.5
-        assert got.bound == 0.0
-
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            derham_eval(DeRhamSystem.takagi(F(1, 2)), F(1, 2), mode="float")
+        # exact at dyadic points is the only mode; takagi_series does the rest
+        with pytest.raises(TypeError):
+            derham_eval(DeRhamSystem.takagi(F(1, 2)), F(1, 2), mode="certified-approx")
+        with pytest.raises(TypeError):
+            derham_eval(DeRhamSystem.takagi(F(1, 2)), F(1, 2), tol=1e-9)
 
     def test_general_affine_solution(self):
         # f(x) = x solves f(x/2) = (1/2) f(x), f((x+1)/2) = (1/2) f(x) + 1/2
@@ -280,29 +272,24 @@ def dyadics(draw, max_exponent=12):
 
 
 HALF_AMPLITUDE = DeRhamSystem(F(1, 4), F(1, 4), AffineMap(F(1, 4)), AffineMap(F(-1, 4), F(1, 4)))
+# (system, closed form of its solution) pairs
 systems = st.one_of(
-    contractions().map(DeRhamSystem.takagi),
-    contractions(above_half=True).map(lambda q: fluctuation_system(QParam(q))),
-    st.just(HALF_AMPLITUDE),
+    contractions().map(
+        lambda a: (DeRhamSystem.takagi(a), lambda t: takagi_dyadic_exact(t, a))
+    ),
+    contractions(above_half=True).map(QParam).map(
+        lambda p: (fluctuation_system(p), lambda t: f_closed(t, p))
+    ),
+    st.just((HALF_AMPLITUDE, lambda t: t * (1 - t))),
 )
 
 
 class TestDifferential:
     @settings(max_examples=150, deadline=None)
-    @given(
-        sys=systems,
-        t=dyadics(),
-        tol=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-12]),
-    )
-    def test_certified_approx_brackets_exact(self, sys, t, tol):
-        exact = derham_eval(sys, t)
-        got = derham_eval(sys, t, tol=tol, mode="certified-approx")
-        assert got.bound <= tol
-        # the bound covers the dropped tail; the two float roundings get an ulp each
-        slack = F(2 * math.ulp(max(1.0, abs(float(exact)))))
-        assert abs(F(got.value) - exact) <= F(got.bound) + slack
-        if got.bound == 0:
-            assert got.value == float(exact)
+    @given(system=systems, t=dyadics(max_exponent=40))
+    def test_exact_matches_closed_forms(self, system, t):
+        sys, closed_form = system
+        assert derham_eval(sys, t) == closed_form(t)
 
     @settings(max_examples=30, deadline=None)
     @given(a=contractions(), g=st.integers(0, 10))
