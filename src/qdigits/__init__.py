@@ -4,131 +4,47 @@ ergodic sums.
 
 Everything assertable is computed in stdlib Fractions; floats appear
 only in explicitly certified approximations and in plot output.
+
+The top level exports the documented API listed in README's "Library
+API" section; every other name is imported from its submodule.
 """
 
 from .digitsum import (
-    DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     QParam,
-    check_bit_recurrences,
-    partial_sum_bruteforce,
     partial_sum_bruteforce_at,
     partial_sum_fast,
-    partial_sum_fast_instrumented,
     partial_sum_pow2,
-    partial_sum_prefix,
-    partial_sum_progression,
     weighted_digit_sum,
 )
-from .limiting_curve import (
-    BridgeLevel,
-    CurveSamples,
-    DegenerateNormalizerError,
-    GridMismatchError,
-    LimitingBridge,
-    analytic_normalizer,
-    build_fluctuation_curve,
-    canonical_normalizer,
-    sup_distance,
-    target_curve,
-    theorem1_experiment,
-    verify_identity_8,
-    zero_orbit_curve,
-)
-from .odometer import (
-    NoStabilizingLevelError,
-    OdometerState,
-    RegisterOverflowError,
-    StabilizingLevel,
-    find_stabilizing_levels,
-    num_value,
-    orbit_partial_sums,
-    successor,
-)
-from .report import IdentityCheck, VerificationReport
+from .limiting_curve import theorem1_experiment
+from .odometer import NoStabilizingLevelError, RegisterOverflowError
 from .takagi import (
-    AffineMap,
-    CertifiedValue,
-    ConsistencyResult,
     DeRhamSystem,
     InconsistentSystemError,
-    as_dyadic,
-    derham_consistency,
     derham_eval,
-    nearest_int_dist,
     takagi_dyadic_exact,
-    takagi_dyadic_grid,
     takagi_series,
 )
-from .trollope_delange import (
-    ScaleDecomposition,
-    check_g_identities,
-    f_closed,
-    f_hat_float,
-    f_hat_periodic,
-    fluctuation_system,
-    g_profile,
-    td_classical,
-    td_generalized,
-)
+from .trollope_delange import g_profile, td_generalized
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ORACLE_BUDGET",
-    "AffineMap",
-    "BridgeLevel",
-    "CertifiedValue",
-    "ConsistencyResult",
-    "CurveSamples",
-    "DeRhamSystem",
-    "DegenerateNormalizerError",
-    "GridMismatchError",
-    "IdentityCheck",
-    "InconsistentSystemError",
-    "LimitingBridge",
-    "NoStabilizingLevelError",
-    "OdometerState",
-    "OracleBudgetError",
     "QParam",
-    "RegisterOverflowError",
-    "ScaleDecomposition",
-    "StabilizingLevel",
-    "VerificationReport",
-    "analytic_normalizer",
-    "as_dyadic",
-    "build_fluctuation_curve",
-    "canonical_normalizer",
-    "check_bit_recurrences",
-    "check_g_identities",
-    "derham_consistency",
-    "derham_eval",
-    "f_closed",
-    "f_hat_float",
-    "f_hat_periodic",
-    "find_stabilizing_levels",
-    "fluctuation_system",
-    "g_profile",
-    "nearest_int_dist",
-    "num_value",
-    "orbit_partial_sums",
-    "partial_sum_bruteforce",
-    "partial_sum_bruteforce_at",
-    "partial_sum_fast",
-    "partial_sum_fast_instrumented",
-    "partial_sum_pow2",
-    "partial_sum_prefix",
-    "partial_sum_progression",
-    "successor",
-    "sup_distance",
-    "takagi_dyadic_exact",
-    "takagi_dyadic_grid",
-    "takagi_series",
-    "target_curve",
-    "td_classical",
-    "td_generalized",
-    "theorem1_experiment",
-    "verify_identity_8",
     "weighted_digit_sum",
-    "zero_orbit_curve",
+    "partial_sum_fast",
+    "partial_sum_pow2",
+    "partial_sum_bruteforce_at",
+    "DeRhamSystem",
+    "derham_eval",
+    "takagi_dyadic_exact",
+    "takagi_series",
+    "td_generalized",
+    "g_profile",
+    "theorem1_experiment",
+    "OracleBudgetError",
+    "InconsistentSystemError",
+    "NoStabilizingLevelError",
+    "RegisterOverflowError",
 ]

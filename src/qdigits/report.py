@@ -6,7 +6,7 @@ was found.  Reports render to plain text lines or to a JSON-friendly dict
 with a stable key order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -21,14 +21,7 @@ class IdentityCheck:
     first_counterexample: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "scope": self.scope,
-            "checked": self.checked,
-            "passed": self.passed,
-            "first_counterexample": self.first_counterexample,
-        }
+        return asdict(self)
 
     def format_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

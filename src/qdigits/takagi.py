@@ -199,9 +199,6 @@ class AffineMap:
     def __call__(self, x) -> Fraction:
         return self.slope * Fraction(x) + self.intercept
 
-    def __str__(self):
-        return f"{self.slope}*x + {self.intercept}"
-
 
 @dataclass(frozen=True)
 class DeRhamSystem:

@@ -1,6 +1,33 @@
-"""The package's public names."""
+"""The package's public names, checked against README."""
+
+import importlib
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import qdigits
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def readme_section(title):
+    return re.search(rf"^## {title}\n(.*?)(?=^## |\Z)", README, re.M | re.S).group(1)
+
+
+def readme_api():
+    """(name, module) for each row of README's "Library API" table."""
+    return re.findall(r"^\| `(\w+)` \| `(qdigits\.\w+)` \|", readme_section("Library API"), re.M)
+
+
+def readme_moved():
+    """(name, module) for each name README lists as moved off the top level."""
+    return [
+        (name, module)
+        for module, names in re.findall(
+            r"^- `(qdigits\.\w+)`: (.*)$", readme_section("Library API"), re.M
+        )
+        for name in re.findall(r"`(\w+)`", names)
+    ]
 
 
 def test_exports_resolve_once():
@@ -9,7 +36,32 @@ def test_exports_resolve_once():
         assert hasattr(qdigits, name), name
 
 
+def test_all_is_readme_api():
+    api = readme_api()
+    assert qdigits.__all__ == [name for name, _ in api]
+    for name, module in api:
+        assert getattr(importlib.import_module(module), name) is getattr(qdigits, name), name
+
+
+def test_moved_names_import_from_their_submodule():
+    moved = readme_moved()
+    assert len(moved) == len(set(moved)) == 40
+    for name, module in moved:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+        assert not hasattr(qdigits, name), name
+
+
 def test_removed_names_stay_gone():
     assert "Regime" not in qdigits.__all__
     assert not hasattr(qdigits, "Regime")
     assert not hasattr(qdigits.QParam, "from_a")
+
+
+def test_readme_library_example():
+    (code,) = re.findall(r"^```python\n(.*?)^```", readme_section("Library example"), re.M | re.S)
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["td_generalized"](5, namespace["p"]) == Fraction(39, 64)
+    distances = namespace["bridge"].sup_distances
+    assert len(distances) == 3
+    assert all(a > b for a, b in zip(distances, distances[1:]))

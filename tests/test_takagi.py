@@ -193,9 +193,6 @@ class TestAffineMap:
     def test_default_intercept(self):
         assert AffineMap(F(1, 2))(F(1, 4)) == F(1, 8)
 
-    def test_str(self):
-        assert str(AffineMap(F(1, 2), F(-1, 4))) == "1/2*x + -1/4"
-
 
 class TestDeRhamSystem:
     def test_contraction_guard(self):
