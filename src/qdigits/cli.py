@@ -58,6 +58,12 @@ from .trollope_delange import (
 )
 
 
+# the decimal expansion behind --digits grows superlinearly: one value of
+# eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
+# (2-vCPU Xeon, Python 3.11)
+_MAX_DIGITS = 100_000
+
+
 class _CliError(Exception):
     """Bad input; the message goes to stderr and the exit code is 2."""
 
@@ -582,8 +588,11 @@ def _run(argv) -> int:
         "bridge": _cmd_bridge,
     }
     try:
-        if getattr(args, "digits", None) is not None and args.digits < 0:
+        digits = getattr(args, "digits", None)
+        if digits is not None and digits < 0:
             raise _CliError("--digits must be >= 0")
+        if digits is not None and digits > _MAX_DIGITS:
+            raise _CliError(f"--digits must be <= {_MAX_DIGITS}")
         return handlers[args.command](args)
     except (NoStabilizingLevelError, RegisterOverflowError) as exc:
         print(f"qdigits {args.command}: {exc}", file=sys.stderr)

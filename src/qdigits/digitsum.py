@@ -25,6 +25,11 @@ leaf walks its bits from the top, one halving step per bit, via
 so each bit of n takes exactly one halving step, and the halves
 recombine with a few big-integer products per level instead of one
 growing product per bit.
+
+partial_sum_prefix tabulates S_q(0..n) by the oracle's loop, and
+partial_sum_progression evaluates partial_sum_fast pointwise along an
+arithmetic progression; the deviation polygons of limiting_curve walk
+their own carries and call neither.
 """
 
 from dataclasses import dataclass, field
@@ -154,23 +159,18 @@ def partial_sum_bruteforce(
     return partial_sum_bruteforce_at([n], p, budget=budget)[n]
 
 
-def partial_sum_prefix_scaled(n: int, p: QParam) -> tuple[list[int], int]:
-    """Integer core of partial_sum_prefix: S_q(j) = nums[j] / den, j = 0..n.
+def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
+    """The whole table S_q(0), S_q(1), ..., S_q(n), definitionally.
 
-    den = v^width for q = u/v and width = max(n.bit_length(), 1), shared
-    by the whole table; the sums are the oracle's running totals.
+    The oracle's running totals over one shared denominator v^width,
+    q = u/v, width = max(n.bit_length(), 1).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     v = p.q.denominator
     width = max(n.bit_length(), 1)
-    return list(_running_sums(n, p.q.numerator, v, width)), v**width
-
-
-def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
-    """The whole table S_q(0), S_q(1), ..., S_q(n), definitionally."""
-    nums, den = partial_sum_prefix_scaled(n, p)
-    return [Fraction(x, den) for x in nums]
+    den = v**width
+    return [Fraction(x, den) for x in _running_sums(n, p.q.numerator, v, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +259,6 @@ def _summatory_split(
     return S, s, steps_a + steps_b
 
 
-def _summatory_scaled(n: int, u: int, v: int) -> tuple[int, int, int]:
-    """Integer core of the fast evaluator.
-
-    Returns (S, s, d) with S_q(n) = S / v^d and s_q(n) = s / v^d, where
-    d = n.bit_length() and q = u/v in lowest terms.  Binary splitting
-    on bit halves over a bit-serial leaf (_summatory_split), all in
-    integers so no gcd normalisation happens until the caller builds a
-    Fraction; an n of at most _LEAF_BITS bits goes straight to the leaf.
-    """
-    if n == 0:
-        return 0, 0, 0
-    d = n.bit_length()
-    S, s, _steps = _summatory_split(n, d, u, v, {})
-    return S, s, d
-
-
 def partial_sum_fast_instrumented(n: int, p: QParam) -> tuple[Fraction, int]:
     """S_q(n) plus the number of halving steps the leaves took.
 
@@ -319,92 +303,17 @@ def partial_sum_pow2(k: int, p: QParam) -> Fraction:
     return Fraction(_pow2_scaled(k, u, v, u**k, v_k), v_k)
 
 
-def partial_sum_progression_scaled(
-    base: int, step_exponent: int, count: int, p: QParam
-) -> tuple[list[int], int]:
-    """S_q(base + t * 2^h) = nums[t] / den for t = 0..count, h = step_exponent.
-
-    Shares work across the progression: splitting the argument at bit h,
-
-        S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
-
-    so one kernel evaluation at the low part B, one at the first high
-    part a0 (which also gives s_q(a0)), and a running prefix of S_q over
-    the consecutive high parts A cover every point.  Moving from A to
-    A + 1 only touches the digit weights of the bits its carry clears or
-    sets, and only those weights are built.
-
-    This is the integer core: every point shares den = v^(h + da) for
-    q = u/v, where da is the bit length of the largest high part, and no
-    gcd runs.  partial_sum_progression wraps it into Fractions.
-    """
-    if base < 0 or step_exponent < 0 or count < 0:
-        raise ValueError("base, step_exponent and count must be nonnegative")
-    u = p.q.numerator
-    v = p.q.denominator
-    h = step_exponent
-    a0 = base >> h
-    b = base & ((1 << h) - 1)
-    # depth for the high-part values, shared across t = 0..count
-    da = max((a0 + count).bit_length(), 1)
-
-    u_h = u**h
-    v_h = v**h
-    v_da = v**da
-    denom = v_h * v_da
-
-    sb, _sb_digit, db = _summatory_scaled(b, u, v)
-    s_high, digit, d0 = _summatory_scaled(a0, u, v)
-    rescale = v ** (da - d0)
-    s_high *= rescale  # S_q(a0) at depth da
-    # scaled s_q of the high part, updated through the carries below
-    digit *= rescale
-
-    # A carry from a to a + 1 with a0 <= a < a0 + count only reaches bits
-    # at or below the highest bit where a0 and a0 + count differ, so only
-    # those weights[i] = u^(i+1) v^(da-1-i) are built, by exact shifts of
-    # v-factors into u-factors.
-    w = u * (v_da // v)
-    weights = [w]
-    for _ in range(max((a0 ^ (a0 + count)).bit_length(), 1) - 1):
-        w = w * u // v
-        weights.append(w)
-
-    sb_rescaled = sb * v ** (da + h - db)
-    # multiplies the running high part
-    pow2_term = _pow2_scaled(h, u, v, u_h, v_h) * v_da
-    high_term = u_h << h  # multiplies the running S_q of the high part
-    low_term = b * u_h  # multiplies the running digit sum
-
-    nums: list[int] = []
-    a = a0
-    s_a = s_high
-    for t in range(count + 1):
-        total = a * pow2_term + high_term * s_a + sb_rescaled + low_term * digit
-        nums.append(total)
-        if t == count:
-            break
-        s_a += digit
-        i = 0
-        while (a >> i) & 1:
-            digit -= weights[i]
-            i += 1
-        digit += weights[i]
-        a += 1
-    return nums, denom
-
-
 def partial_sum_progression(
     base: int, step_exponent: int, count: int, p: QParam
 ) -> list[Fraction]:
     """S_q(base + t * 2^h) for t = 0..count, h = step_exponent, exactly.
 
-    A thin wrapper: partial_sum_progression_scaled computes the whole
-    progression as integers over one denominator, and each point becomes
-    one Fraction here.
+    Pointwise partial_sum_fast, with S_q(0) = 0.
     """
-    nums, den = partial_sum_progression_scaled(base, step_exponent, count, p)
-    return [Fraction(x, den) for x in nums]
+    if base < 0 or step_exponent < 0 or count < 0:
+        raise ValueError("base, step_exponent and count must be nonnegative")
+    points = (base + (t << step_exponent) for t in range(count + 1))
+    return [partial_sum_fast(m, p) if m else Fraction(0) for m in points]
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,20 @@ For orbits started elsewhere, stabilising levels of the register (runs
 of r zero digits ending at position n) give lengths l = 2^n at which the
 orbit polygon approaches the same limit curve as r grows: the prefix
 value Num/2^n < 2^(-r) controls the distance.  theorem1_experiment
-measures those sup distances exactly, at astronomically large l, via the
-progression evaluator (the orbit is never stepped literally; partial
-sums along it are differences S_q(X + i) - S_q(X) of the integer
-summatory function, which handles every carry exactly).  Each level runs
-on the bits of X below its carry reach, the only bits its orbit changes.
+measures those sup distances exactly, at astronomically large l, without
+stepping the orbit: partial sums along it are differences
+S_q(X + i) - S_q(X) of the summatory function, and their chord
+deviations need only the digit sums of the few register bits that the
+orbit's carries reach (_orbit_deviations).  The zero orbit is the case
+X = 0 of the same walk.
 
-All of it runs on one exact representation: partial sums and curve
-values are integer numerators over one denominator shared by the whole
-grid (the scaled prefix or progression sums, and takagi_dyadic_grid for
-the target), compared by cross-multiplication.  Fractions are built only
-for values handed back to the caller: theorem1_experiment keeps each
-level's polygon as integer deviations over one scale, and
-BridgeLevel.curve builds its Fractions on first access.
+All of it runs on one exact representation: deviations are integers
+times one rational factor shared by the whole grid (and
+takagi_dyadic_grid gives the target over one denominator), compared by
+cross-multiplication.  Fractions are built only for values handed back
+to the caller: theorem1_experiment keeps each level's polygon as integer
+deviations and one factor, and BridgeLevel.curve builds its Fractions on
+first access.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .digitsum import QParam, partial_sum_prefix_scaled, partial_sum_progression_scaled
+from .digitsum import QParam
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
@@ -68,39 +69,66 @@ def _require_level(l: int):
         raise ValueError(f"l must be a power of two >= 2, got {l}")
 
 
-def _deviations(nums: list[int]) -> list[int]:
-    """Deviation numerators of scaled partial sums S(j) = nums[j] / den.
+def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fraction]:
+    """Chord deviations of D(t) = S_q(x + t 2^h) - S_q(x), t = 0..2^g, h = n - g.
 
-    With l = len(nums) - 1, (S(j) - S(0)) - (j/l) (S(l) - S(0)) equals
-    devs[j] / (l den), devs[j] = (nums[j] - nums[0]) l - j (nums[l] - nums[0]).
+    Returns (devs, scale) with D(t) - (t/2^g) D(2^g) = devs[t] * scale.
+    With x = A 2^h + B, B < 2^h, the split identity
+
+        S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A)
+
+    leaves q^h [2^h sum_{i<t} s_q(A + i) + B s_q(A + t)] once the terms
+    linear in t, which the chord cancels, are dropped.  Every A + t,
+    t <= 2^g, agrees with A above bit m = bitlen(A xor (A + 2^g)), and
+    those bits add a constant to s_q(A + t), linear again; so the walk
+    runs on c = A mod 2^m, keeping s_q(c + t) v^m (q = u/v) as an integer
+    that each step moves by one carry.
     """
-    l = len(nums) - 1
-    base = nums[0]
-    total = nums[l] - base
-    return [(s - base) * l - j * total for j, s in enumerate(nums)]
+    u, v = p.q.numerator, p.q.denominator
+    h = n - g
+    points = 1 << g
+    a, b = x >> h, x & ((1 << h) - 1)
+    m = (a ^ (a + points)).bit_length()
+    c = a & ((1 << m) - 1)
+    # weights[i] = q^(i+1) v^m, by exact shifts of v-factors into u-factors
+    weights = [u * v ** (m - 1)]
+    for _ in range(m - 1):
+        weights.append(weights[-1] * u // v)
+    digit = sum(w for i, w in enumerate(weights) if c >> i & 1)
+    nums = [b * digit]
+    running = 0
+    for _ in range(points):
+        running += digit
+        i = 0
+        while c >> i & 1:
+            digit -= weights[i]
+            i += 1
+        digit += weights[i]
+        c += 1
+        nums.append((running << h) + b * digit)
+    total = nums[-1] - nums[0]
+    devs = [(s - nums[0]) * points - t * total for t, s in enumerate(nums)]
+    return devs, Fraction(u**h, v ** (m + h) << g)
 
 
-def _polygon(devs: list[int], scale: int, normalizer: Fraction) -> CurveSamples:
-    """The curve with values devs[j] / (scale * normalizer) on j/(len-1)."""
-    num = normalizer.denominator
-    den = scale * normalizer.numerator
+def _polygon(devs: list[int], factor: Fraction) -> CurveSamples:
+    """The curve with values devs[j] * factor on j/(len-1)."""
+    num, den = factor.numerator, factor.denominator
     return CurveSamples(tuple(Fraction(d * num, den) for d in devs))
 
 
-def _gaps(devs: list[int], scale: int, normalizer: Fraction, p: QParam, g: int):
+def _gaps(devs: list[int], factor: Fraction, p: QParam, g: int):
     """Polygon minus -q T_a on the grid j/2^g, over one shared denominator.
 
-    The polygon value at j/2^g is devs[j] / (scale * normalizer).
-    Returns (gaps, den) with polygon - target = gaps[j] / den exactly at
-    every j; den carries the sign of the normalizer.
+    The polygon value at j/2^g is devs[j] * factor.  Returns (gaps, den)
+    with polygon - target = gaps[j] / den exactly at every j, den > 0.
     """
     tak, tak_den = takagi_dyadic_grid(g, p.a)
     qn, qd = p.q.numerator, p.q.denominator
-    rn, rd = normalizer.numerator, normalizer.denominator
-    dev_factor = rd * qd * tak_den
-    tak_factor = qn * scale * rn
+    dev_factor = factor.numerator * qd * tak_den
+    tak_factor = qn * factor.denominator
     gaps = [d * dev_factor + t * tak_factor for d, t in zip(devs, tak)]
-    return gaps, scale * rn * qd * tak_den
+    return gaps, factor.denominator * qd * tak_den
 
 
 def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
@@ -161,20 +189,20 @@ def zero_orbit_curve(l: int, p: QParam, norm: str = "analytic") -> CurveSamples:
 
     Equal to build_fluctuation_curve(partial_sum_prefix(l, p), l, R) with
     R = analytic_normalizer(l, p) (norm="analytic") or the largest
-    absolute deviation (norm="canonical", sup-norm one), but computed on
-    the scaled prefix sums with one Fraction per value.
+    absolute deviation (norm="canonical", sup-norm one), but computed as
+    integer deviations of the orbit walk with one Fraction per value.
     """
     _require_level(l)
-    nums, den = partial_sum_prefix_scaled(l, p)
-    devs = _deviations(nums)
+    g = l.bit_length() - 1
+    devs, scale = _orbit_deviations(0, g, g, p)
     if norm == "analytic":
-        return _polygon(devs, l * den, analytic_normalizer(l, p))
+        return _polygon(devs, scale / analytic_normalizer(l, p))
     if norm != "canonical":
         raise ValueError(f"unknown norm {norm!r}")
     peak = max(abs(d) for d in devs)
     if peak == 0:
         raise DegenerateNormalizerError("deviation polygon is identically zero")
-    return _polygon(devs, 1, Fraction(peak))
+    return _polygon(devs, Fraction(1, peak))
 
 
 def target_curve(l: int, p: QParam) -> CurveSamples:
@@ -200,25 +228,26 @@ def sup_distance(c1: CurveSamples, c2: CurveSamples):
 def verify_identity_8(l: int, p: QParam) -> VerificationReport:
     """Exact bridge identity for the zero orbit at length l = 2^j.
 
-    Builds S_q(0..l) definitionally, rescales by the analytic normalizer
-    and compares every breakpoint with -q T_a(j/l), by cross-multiplying
-    integers over the shared denominators.
+    Builds the deviations of S_q(0..l) by the orbit walk, rescales them
+    by the analytic normalizer and compares every breakpoint with
+    -q T_a(j/l), by cross-multiplying integers over the shared
+    denominators.
     """
     p.require_curve_regime()
     _require_level(l)
     rep = VerificationReport(
         "zero-orbit bridge identity", params={"q": str(p.q), "l": str(l)}
     )
-    nums, den = partial_sum_prefix_scaled(l, p)
-    devs = _deviations(nums)
-    normalizer = analytic_normalizer(l, p)
-    gaps, gap_den = _gaps(devs, l * den, normalizer, p, l.bit_length() - 1)
+    g = l.bit_length() - 1
+    devs, scale = _orbit_deviations(0, g, g, p)
+    factor = scale / analytic_normalizer(l, p)
+    gaps, gap_den = _gaps(devs, factor, p, g)
 
     def points():
         # integer per point; the label and Fractions only where a gap is nonzero
         for j, gap in enumerate(gaps):
             if gap:
-                got = Fraction(devs[j]) / (l * den * normalizer)
+                got = devs[j] * factor
                 yield f"t={Fraction(j, l)}", got, got - Fraction(gap, gap_den)
             else:
                 yield None, 0, 0
@@ -241,9 +270,9 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 class BridgeLevel:
     """One stabilising level of the experiment with its measured curve.
 
-    The polygon is held as integer deviation numerators devs over scale;
-    curve turns them into Fractions, rescaled by the normalizer, on first
-    access and keeps the result.
+    The polygon is held as integer deviations devs, each worth
+    devs[j] * factor (the normalizer is already in factor); curve turns
+    them into Fractions on first access and keeps the result.
     """
 
     run_length: int
@@ -254,11 +283,11 @@ class BridgeLevel:
     grid_exponent: int
     sup_distance: Fraction
     devs: tuple[int, ...] = field(repr=False, compare=False)
-    scale: int = field(repr=False, compare=False)
+    factor: Fraction = field(repr=False, compare=False)
 
     @cached_property
     def curve(self) -> CurveSamples:
-        return _polygon(self.devs, self.scale, self.normalizer)
+        return _polygon(self.devs, self.factor)
 
 
 @dataclass(frozen=True)
@@ -299,10 +328,10 @@ def theorem1_experiment(
     segment whenever the low n digits of X are nonzero) are handled
     exactly.  Only the bits of X below its carry reach, the bit length of
     X xor (X + 2^n), change along the segment; the bits above add a term
-    linear in i that the deviations cancel, so each level runs on the low
-    bits.  The polygon is sampled at min(2^grid_exponent, l) + 1 dyadic
-    points, rescaled by (2q)^(n-1) and compared with the exact limit curve
-    on the same grid.
+    linear in i that the deviations cancel, so each level walks only the
+    reached bits above its grid step (_orbit_deviations).  The polygon is
+    sampled at min(2^grid_exponent, l) + 1 dyadic points, rescaled by
+    (2q)^(n-1) and compared with the exact limit curve on the same grid.
 
     Requires 1/2 < |q| < 1 and grid_exponent >= 0.  Supply either a seed
     (register drawn with OdometerState.random_state) or an explicit state.
@@ -333,15 +362,11 @@ def theorem1_experiment(
             raise RegisterOverflowError(
                 f"orbit of length 2^{n} carries out of the register"
             )
-        reach = (big_x ^ (big_x + (1 << n))).bit_length()
-        low = big_x & ((1 << reach) - 1)
         g = min(grid_exponent, n)
-        points = 1 << g
-        nums, den = partial_sum_progression_scaled(low, n - g, points, p)
-        devs = _deviations(nums)
-        scale = points * den
+        devs, scale = _orbit_deviations(big_x, n, g, p)
         normalizer = (2 * p.q) ** (n - 1)
-        gaps, gap_den = _gaps(devs, scale, normalizer, p, g)
+        factor = scale / normalizer
+        gaps, gap_den = _gaps(devs, factor, p, g)
         levels.append(
             BridgeLevel(
                 run_length=r,
@@ -350,9 +375,9 @@ def theorem1_experiment(
                 ratio=level.ratio,
                 normalizer=normalizer,
                 grid_exponent=g,
-                sup_distance=Fraction(max(map(abs, gaps)), abs(gap_den)),
+                sup_distance=Fraction(max(map(abs, gaps)), gap_den),
                 devs=tuple(devs),
-                scale=scale,
+                factor=factor,
             )
         )
         wrapped = big_x & ((1 << n) - 1)

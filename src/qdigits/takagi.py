@@ -66,13 +66,6 @@ def as_dyadic(t) -> Fraction:
     return t
 
 
-def nearest_int_dist(x) -> Fraction:
-    """tau(x) = distance from x to the nearest integer, in [0, 1/2]."""
-    x = Fraction(x)
-    frac = x - math.floor(x)
-    return min(frac, 1 - frac)
-
-
 class CertifiedValue(NamedTuple):
     """A float approximation with a rigorous bound on its error."""
 

@@ -95,6 +95,23 @@ class TestEval:
         )
         assert (code, out, err) == (2, "", "qdigits: --digits must be >= 0\n")
 
+    @pytest.mark.parametrize(
+        "command", [["takagi", "--a", "2/3", "--x", "1/3"], ["td", "--q", "3/4", "--n", "5"]]
+    )
+    def test_digits_over_bound_before_evaluation(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated before the --digits check")
+
+        for name in ("takagi_series", "takagi_dyadic_exact", "td_generalized"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, ["eval", *command, "--digits", "100001"])
+        assert (code, out, err) == (2, "", "qdigits: --digits must be <= 100000\n")
+
+    def test_digits_at_bound(self, capsys):
+        argv = ["eval", "S", "--q", "3/4", "--n", "4", "--digits", "100000"]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0, "2.625" + "0" * 99997 + "\n")  # S(4) = 21/8
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol(self, capsys, tol):
         code, out, err = run(

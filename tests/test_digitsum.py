@@ -17,7 +17,7 @@ from qdigits.digitsum import (
     OracleBudgetError,
     QParam,
     _summatory_leaf,
-    _summatory_scaled,
+    _summatory_split,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_bruteforce_at,
@@ -26,7 +26,6 @@ from qdigits.digitsum import (
     partial_sum_pow2,
     partial_sum_prefix,
     partial_sum_progression,
-    partial_sum_progression_scaled,
     weighted_digit_sum,
 )
 
@@ -300,7 +299,7 @@ def shaped_ints(draw, max_bits):
 def _check_split_kernel(n, q):
     u, v = q.numerator, q.denominator
     d = n.bit_length()
-    assert _summatory_scaled(n, u, v) == (*_summatory_leaf(n, d, u, v), d)
+    assert _summatory_split(n, d, u, v, {}) == (*_summatory_leaf(n, d, u, v), d)
     _value, steps = partial_sum_fast_instrumented(n, QParam(q))
     assert steps == d
 
@@ -327,28 +326,6 @@ class TestSplitKernel:
         oracle = partial_sum_bruteforce_at(ns, p)
         for n in ns:
             assert partial_sum_fast(n, p) == oracle[n], (q, n)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a0=st.one_of(st.just(0), shaped_ints(300)),
-        h=st.integers(0, 80),
-        low=st.integers(0),
-        count=st.integers(0, 40),
-        q=weights,
-    )
-    @example(a0=0, h=70, low=12345, count=40, q=F(3, 4))
-    @example(a0=(1 << 70) - 1, h=0, low=0, count=0, q=F(-3, 4))
-    @example(a0=(1 << 70) - 1, h=5, low=9, count=3, q=F(1))
-    @example(a0=(1 << 130) - 1, h=66, low=(1 << 66) - 1, count=1, q=F(1000003, 999983))
-    def test_progression_matches_fast_pointwise(self, a0, h, low, count, q):
-        p = QParam(q)
-        base = (a0 << h) + low % (1 << h)
-        nums, den = partial_sum_progression_scaled(base, h, count, p)
-        assert len(nums) == count + 1
-        for t, num in enumerate(nums):
-            n = base + (t << h)
-            want = partial_sum_fast(n, p) if n else F(0)
-            assert F(num, den) == want, (q, base, h, t)
 
     def test_65536_bits_against_split_identity(self):
         # An independent split point (the kernel halves at bit 32768),

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdigits.limiting_curve as limiting_curve
@@ -47,15 +47,19 @@ def assert_at_carry_depth(lvl, x, p):
     """The level's integers live at the depth of the bits its orbit reaches.
 
     Along X + i, i <= 2^n, only the bits below reach = bitlen(X ^ (X + 2^n))
-    change, so the scale is at most v^reach 2^g for q = u/v; every
-    deviation is under 2^(n+1) max|s_q| <= 2^(n+1) |q| / (1 - |q|).
+    change, and of those the walk keeps the m = reach - h above the grid
+    step 2^h, h = n - g.  For q = u/v the scale of devs (factor times the
+    normalizer) then has a denominator dividing 2^g v^(m+h), and each
+    deviation is under 2^(n+g+2) max|s_q| v^m <= 2^(n+g+2) v^m |q| / (1 - |q|).
     """
     n, g = lvl.position, lvl.grid_exponent
-    reach = (x ^ (x + (1 << n))).bit_length()
-    depth = p.q.denominator**reach << g
-    assert lvl.scale <= depth
+    h = n - g
+    m = (x ^ (x + (1 << n))).bit_length() - h
+    v = p.q.denominator
+    scale = lvl.factor * lvl.normalizer
+    assert (v ** (m + h) << g) % scale.denominator == 0
     q = abs(p.q)
-    assert max(map(abs, lvl.devs)) * (1 - q) <= (depth << (n + 1)) * q
+    assert max(map(abs, lvl.devs)) * (1 - q) <= (v**m << (n + g + 2)) * q
 
 
 def assert_matches_fraction_route(lvl, x, p):
@@ -287,6 +291,48 @@ class TestVerifyIdentity8:
             verify_identity_8(16, QParam(F(1, 4)))
 
 
+# the experiment's weights in both signs, and the weights curve --explore takes
+ORBIT_WEIGHTS = [F(3, 4), F(-3, 4), F(2, 3), F(-5, 7), F(1), F(1, 3), F(5, 2), F(-1, 4)]
+
+
+def chord_deviations(sums):
+    """D(t) - (t/P) D(P) with D(t) = sums[t] - sums[0], P = len(sums) - 1."""
+    points = len(sums) - 1
+    total = sums[-1] - sums[0]
+    return [s - sums[0] - F(t, points) * total for t, s in enumerate(sums)]
+
+
+class TestOrbitDeviations:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=st.one_of(st.just(0), st.integers(0, (1 << 200) - 1)),
+        h=st.integers(0, 200),
+        g=st.integers(0, 6),
+        q=st.sampled_from(ORBIT_WEIGHTS),
+    )
+    # a single grid step
+    @example(x=(1 << 150) - 12345, h=100, g=0, q=F(3, 4))
+    # A = x >> h has ones at bits 4..39, so A + 2^4 carries through 36 of them
+    @example(x=(((1 << 36) - 1) << 104) + 777, h=100, g=4, q=F(-5, 7))
+    # B = x mod 2^h is zero
+    @example(x=0xDEADBEEF << 64, h=64, g=6, q=F(5, 2))
+    def test_matches_fast_differences(self, x, h, g, q):
+        p = QParam(q)
+        devs, scale = limiting_curve._orbit_deviations(x, h + g, g, p)
+        orbit = range(x, x + (1 << (h + g)) + 1, 1 << h)
+        sums = [partial_sum_fast(m, p) if m else F(0) for m in orbit]
+        assert [d * scale for d in devs] == chord_deviations(sums)
+
+    @pytest.mark.parametrize("q", ORBIT_WEIGHTS)
+    def test_zero_orbit_matches_prefix_table(self, q):
+        p = QParam(q)
+        for n in range(9):
+            table = partial_sum_prefix(1 << n, p)
+            for g in range(min(n, 6) + 1):
+                devs, scale = limiting_curve._orbit_deviations(0, n, g, p)
+                assert [d * scale for d in devs] == chord_deviations(table[:: 1 << (n - g)])
+
+
 class TestTheoremExperiment:
     def test_zero_register_matches_limit_exactly(self):
         bridge = theorem1_experiment(
@@ -299,8 +345,8 @@ class TestTheoremExperiment:
         assert all("stays below" in note for note in bridge.notes)
 
     def test_matches_literal_odometer_orbit(self):
-        # small register, carries crossing the level: the progression
-        # evaluator must agree with literal successor stepping
+        # small register, carries crossing the level: the orbit walk must
+        # agree with literal successor stepping
         state = OdometerState(0b10011, 16)
         bridge = theorem1_experiment(None, Q34, [2], state=state)
         lvl = bridge.levels[0]

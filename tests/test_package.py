@@ -45,7 +45,7 @@ def test_all_is_readme_api():
 
 def test_moved_names_import_from_their_submodule():
     moved = readme_moved()
-    assert len(moved) == len(set(moved)) == 40
+    assert len(moved) == len(set(moved)) == 39
     for name, module in moved:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
         assert not hasattr(qdigits, name), name
@@ -55,6 +55,9 @@ def test_removed_names_stay_gone():
     assert "Regime" not in qdigits.__all__
     assert not hasattr(qdigits, "Regime")
     assert not hasattr(qdigits.QParam, "from_a")
+    assert not hasattr(qdigits.takagi, "nearest_int_dist")
+    assert not hasattr(qdigits.digitsum, "partial_sum_prefix_scaled")
+    assert not hasattr(qdigits.digitsum, "partial_sum_progression_scaled")
 
 
 def test_readme_library_example():

@@ -17,7 +17,6 @@ from qdigits.takagi import (
     derham_consistency,
     derham_eval,
     is_power_of_two,
-    nearest_int_dist,
     takagi_dyadic_exact,
     takagi_dyadic_grid,
     takagi_series,
@@ -38,16 +37,6 @@ class TestAsDyadic:
             as_dyadic(F(-1, 4))
         with pytest.raises(ValueError):
             as_dyadic(F(1, 3))
-
-
-class TestNearestIntDist:
-    def test_values(self):
-        assert nearest_int_dist(0) == 0
-        assert nearest_int_dist(7) == 0
-        assert nearest_int_dist(F(1, 4)) == F(1, 4)
-        assert nearest_int_dist(F(3, 4)) == F(1, 4)
-        assert nearest_int_dist(F(5, 2)) == F(1, 2)
-        assert nearest_int_dist(F(-1, 4)) == F(1, 4)
 
 
 class TestDyadicExact:
@@ -177,8 +166,10 @@ class TestSeries:
         a = F(data.draw(st.integers(-((9 * v) // 10), (9 * v) // 10)), v)
         x = F(c, e)
         got = takagi_series(x, a, tol)
-        # the correctly rounded value of the same partial sum in Fractions
-        total = sum(a**n * nearest_int_dist(2**n * x) for n in range(got.terms))
+        # the correctly rounded value of the same partial sum in Fractions,
+        # with tau(y) = min(y mod 1, 1 - y mod 1) the distance to Z
+        fracs = [2**n * x % 1 for n in range(got.terms)]
+        total = sum(a**n * min(f, 1 - f) for n, f in enumerate(fracs))
         assert got.value == float(total)
         tail = abs(a) ** got.terms / 2 / (1 - abs(a))
         assert tail <= F(tol) and got.bound == float(tail)
