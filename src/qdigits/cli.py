@@ -16,7 +16,9 @@ byte-identical across runs.
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -29,10 +31,10 @@ from .digitsum import (
     weighted_digit_sum,
 )
 from .limiting_curve import (
-    target_curve,
+    _target_scaled,
+    _zero_orbit_scaled,
     theorem1_experiment,
     verify_identity_8,
-    zero_orbit_curve,
 )
 from .odometer import (
     NoStabilizingLevelError,
@@ -62,6 +64,9 @@ from .trollope_delange import (
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _MAX_DIGITS = 100_000
+# the largest --l and --lmax: at 2^20 curve --svg took 10.3-10.6 s and
+# 426-485 MB (q = 3/4, 9/10), verify prop1 3.1 s and 141 MB (same machine)
+_MAX_LEVEL = 2**20
 
 
 class _CliError(Exception):
@@ -174,6 +179,8 @@ def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
     p.require_curve_regime()
     if not is_power_of_two(lmax) or lmax < 2:
         raise _CliError(f"--lmax must be a power of two >= 2, got {lmax}")
+    if lmax > _MAX_LEVEL:
+        raise _CliError(f"--lmax must be <= {_MAX_LEVEL}")
     rep = VerificationReport(
         "zero-orbit bridge identities",
         params={"q": str(p.q), "lmax": str(lmax)},
@@ -315,11 +322,15 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _svg_document(grid, series) -> str:
-    """A fixed-size SVG plot: axes plus one polyline per series."""
+def _svg_document(xs, phi, target=None) -> str:
+    """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target."""
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
-    xs = [left + (right - left) * float(t) for t in grid]
-    series = [([float(v) for v in vals], style) for vals, style in series]
+    xs = [left + (right - left) * x for x in xs]
+    series = [(phi, 'stroke="#1f77b4" stroke-width="1.5"')]
+    if target is not None:
+        series.append(
+            (target, 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
+        )
     values = [v for vals, _style in series for v in vals]
     lo = min(values + [0.0])
     hi = max(values + [0.0])
@@ -348,11 +359,25 @@ def _svg_document(grid, series) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _ratio_strings(ints, factor: Fraction, digits):
+    """str(i * factor), or its --digits decimal, for each i; no Fraction per i."""
+    num, den = factor.numerator, factor.denominator
+    for i in ints:
+        n = i * num
+        if digits is not None:
+            yield _decimal_string(Fraction(n, den), digits)
+        else:
+            g = math.gcd(n, den)
+            yield str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def _cmd_curve(args) -> int:
     p = _parse_qparam(args.q)
     l = args.l
     if not is_power_of_two(l) or l < 2:
         raise _CliError(f"--l must be a power of two >= 2, got {l}")
+    if l > _MAX_LEVEL:
+        raise _CliError(f"--l must be <= {_MAX_LEVEL}")
     if not p.is_curve_regime and not args.explore:
         print(
             f"qdigits curve: no limiting curve for q = {p.q}; the regime"
@@ -375,34 +400,20 @@ def _cmd_curve(args) -> int:
             lines.append(f"{u!r},{f_hat_float(u, p)!r}")
         fhat_text = "\n".join(lines) + "\n"
 
-    curve = zero_orbit_curve(l, p, args.norm)
-
-    with_target = p.is_curve_regime
-    if with_target:
-        target = target_curve(l, p)
-        header = "t,phi,target"
-        rows = (
-            (t, phi, tgt)
-            for t, phi, tgt in zip(curve.grid, curve.values, target.values)
-        )
-    else:
-        header = "t,phi"
-        rows = zip(curve.grid, curve.values)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_format_value(v, args.digits) for v in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # every column is (ints, factor), worth ints[j] * factor at t = j/l
+    columns = [(range(l + 1), Fraction(1, l)), _zero_orbit_scaled(l, p, args.norm)]
+    header = "t,phi"
+    if p.is_curve_regime:
+        columns.append(_target_scaled(l.bit_length() - 1, p))
+        header += ",target"
+    cells = [_ratio_strings(ints, f, args.digits) for ints, f in columns]
+    rows = map(",".join, zip(*cells))
+    _write_text(args.out, "".join(f"{row}\n" for row in [header, *rows]))
 
     if args.svg is not None:
-        series = [(curve.values, 'stroke="#1f77b4" stroke-width="1.5"')]
-        if with_target:
-            series.append(
-                (
-                    target.values,
-                    'stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"',
-                )
-            )
-        _write_text(args.svg, _svg_document(curve.grid, series))
+        # int / int is correctly rounded, so each float equals float(Fraction)
+        floats = [[i * f.numerator / f.denominator for i in ints] for ints, f in columns]
+        _write_text(args.svg, _svg_document(*floats))
 
     if fhat_text is not None:
         _write_text(args.fhat_out, fhat_text)
@@ -457,6 +468,9 @@ def _cmd_bridge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# one parser for every main call: parse_args keeps no state between calls
+# and argparse looks up sys.stdout and sys.stderr only when it prints
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdigits",

@@ -22,8 +22,9 @@ times one rational factor shared by the whole grid (and
 takagi_dyadic_grid gives the target over one denominator), compared by
 cross-multiplication.  Fractions are built only for values handed back
 to the caller: theorem1_experiment keeps each level's polygon as integer
-deviations and one factor, and BridgeLevel.curve builds its Fractions on
-first access.
+deviations and one factor, BridgeLevel.curve builds its Fractions on
+first access, and qdigits curve writes its CSV and SVG from the same
+(integers, factor) form of the zero-orbit polygon and the target.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
@@ -117,18 +118,23 @@ def _polygon(devs: list[int], factor: Fraction) -> CurveSamples:
     return CurveSamples(tuple(Fraction(d * num, den) for d in devs))
 
 
+def _target_scaled(g: int, p: QParam) -> tuple[list[int], Fraction]:
+    """-q T_a on the grid j/2^g as (tak, factor), worth tak[j] * factor."""
+    tak, tak_den = takagi_dyadic_grid(g, p.a)
+    return tak, -p.q / tak_den
+
+
 def _gaps(devs: list[int], factor: Fraction, p: QParam, g: int):
     """Polygon minus -q T_a on the grid j/2^g, over one shared denominator.
 
     The polygon value at j/2^g is devs[j] * factor.  Returns (gaps, den)
     with polygon - target = gaps[j] / den exactly at every j, den > 0.
     """
-    tak, tak_den = takagi_dyadic_grid(g, p.a)
-    qn, qd = p.q.numerator, p.q.denominator
-    dev_factor = factor.numerator * qd * tak_den
-    tak_factor = qn * factor.denominator
-    gaps = [d * dev_factor + t * tak_factor for d, t in zip(devs, tak)]
-    return gaps, factor.denominator * qd * tak_den
+    tak, tak_factor = _target_scaled(g, p)
+    dev_scale = factor.numerator * tak_factor.denominator
+    tak_scale = tak_factor.numerator * factor.denominator
+    gaps = [d * dev_scale - t * tak_scale for d, t in zip(devs, tak)]
+    return gaps, factor.denominator * tak_factor.denominator
 
 
 def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
@@ -184,6 +190,21 @@ def analytic_normalizer(l: int, p: QParam) -> Fraction:
     return (2 * p.q) ** (j - 1)
 
 
+def _zero_orbit_scaled(l: int, p: QParam, norm: str) -> tuple[list[int], Fraction]:
+    """zero_orbit_curve as (devs, factor): its value at j/l is devs[j] * factor."""
+    _require_level(l)
+    g = l.bit_length() - 1
+    devs, scale = _orbit_deviations(0, g, g, p)
+    if norm == "analytic":
+        return devs, scale / analytic_normalizer(l, p)
+    if norm != "canonical":
+        raise ValueError(f"unknown norm {norm!r}")
+    peak = max(abs(d) for d in devs)
+    if peak == 0:
+        raise DegenerateNormalizerError("deviation polygon is identically zero")
+    return devs, Fraction(1, peak)
+
+
 def zero_orbit_curve(l: int, p: QParam, norm: str = "analytic") -> CurveSamples:
     """The zero orbit's deviation polygon at length l = 2^j, exactly.
 
@@ -192,26 +213,14 @@ def zero_orbit_curve(l: int, p: QParam, norm: str = "analytic") -> CurveSamples:
     absolute deviation (norm="canonical", sup-norm one), but computed as
     integer deviations of the orbit walk with one Fraction per value.
     """
-    _require_level(l)
-    g = l.bit_length() - 1
-    devs, scale = _orbit_deviations(0, g, g, p)
-    if norm == "analytic":
-        return _polygon(devs, scale / analytic_normalizer(l, p))
-    if norm != "canonical":
-        raise ValueError(f"unknown norm {norm!r}")
-    peak = max(abs(d) for d in devs)
-    if peak == 0:
-        raise DegenerateNormalizerError("deviation polygon is identically zero")
-    return _polygon(devs, Fraction(1, peak))
+    return _polygon(*_zero_orbit_scaled(l, p, norm))
 
 
 def target_curve(l: int, p: QParam) -> CurveSamples:
     """Samples of -q T_a(t) on the breakpoint grid j/l, exactly."""
     p.require_curve_regime()
     _require_level(l)
-    tak, tak_den = takagi_dyadic_grid(l.bit_length() - 1, p.a)
-    qn, qd = p.q.numerator, p.q.denominator
-    return CurveSamples(tuple(Fraction(-qn * t, qd * tak_den) for t in tak))
+    return _polygon(*_target_scaled(l.bit_length() - 1, p))
 
 
 def sup_distance(c1: CurveSamples, c2: CurveSamples):
@@ -234,14 +243,11 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
     denominators.
     """
     p.require_curve_regime()
-    _require_level(l)
+    devs, factor = _zero_orbit_scaled(l, p, "analytic")
     rep = VerificationReport(
         "zero-orbit bridge identity", params={"q": str(p.q), "l": str(l)}
     )
-    g = l.bit_length() - 1
-    devs, scale = _orbit_deviations(0, g, g, p)
-    factor = scale / analytic_normalizer(l, p)
-    gaps, gap_den = _gaps(devs, factor, p, g)
+    gaps, gap_den = _gaps(devs, factor, p, l.bit_length() - 1)
 
     def points():
         # integer per point; the label and Fractions only where a gap is nonzero

@@ -13,7 +13,7 @@ import pytest
 import qdigits.cli as cli
 from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast
-from qdigits.limiting_curve import theorem1_experiment
+from qdigits.limiting_curve import target_curve, theorem1_experiment, zero_orbit_curve
 from qdigits.odometer import OdometerState
 
 FROZEN_CURVE_CSV = (
@@ -264,22 +264,43 @@ class TestCurve:
         assert max(abs(v) for v in phys) == 1
         assert phys == [0, -1, F(-6, 7), -1, 0]
 
-    def test_csv_round_trips_to_exact_values(self, capsys):
-        from qdigits.digitsum import QParam, partial_sum_prefix
-        from qdigits.limiting_curve import analytic_normalizer, build_fluctuation_curve
-
+    @pytest.mark.parametrize("digits", [None, 0, 3, 25])
+    @pytest.mark.parametrize("norm", ["analytic", "canonical"])
+    @pytest.mark.parametrize("l", [2, 8, 64, 1024])
+    @pytest.mark.parametrize(
+        "q", ["3/4", "-3/4", "2/3", "-2/3", "9/10", "1", "2", "1/2", "-1/2", "2/5"]
+    )
+    def test_csv_round_trips_to_exact_values(self, capsys, tmp_path, q, l, norm, digits):
+        # the CLI writes from scaled integers; the oracle is the Fraction
+        # route: str() or _decimal_string of zero_orbit_curve and
+        # target_curve, and _svg_document over float() of the same values
+        p = QParam(F(q))
+        csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
         # negative weights need the --q=value spelling; a bare "-3/4"
         # looks like an option flag to the argument parser
-        code, out, _ = run(capsys, ["curve", "--q=-3/4", "--l", "8"])
-        assert code == 0
-        p = QParam(F(-3, 4))
-        curve = build_fluctuation_curve(
-            partial_sum_prefix(8, p), 8, analytic_normalizer(8, p)
-        )
-        for line, t, v in zip(out.splitlines()[1:], curve.grid, curve.values):
-            cells = line.split(",")
-            assert F(cells[0]) == t
-            assert F(cells[1]) == v
+        argv = ["curve", f"--q={q}", "--l", str(l), "--norm", norm]
+        argv += ["--out", str(csv), "--svg", str(svg)]
+        if not p.is_curve_regime:
+            argv.append("--explore")
+        if digits is not None:
+            argv += ["--digits", str(digits)]
+        assert run(capsys, argv) == (0, "", "")
+
+        curve = zero_orbit_curve(l, p, norm)
+        columns = [curve.grid, curve.values]
+        header = "t,phi"
+        if p.is_curve_regime:
+            columns.append(target_curve(l, p).values)
+            header += ",target"
+        if digits is None:
+            cell = str
+        else:
+            def cell(v):
+                return cli._decimal_string(v, digits)
+        lines = [header] + [",".join(map(cell, row)) for row in zip(*columns)]
+        assert csv.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+        floats = [[float(v) for v in column] for column in columns]
+        assert svg.read_bytes() == cli._svg_document(*floats).encode()
 
     def test_digits_formatting(self, capsys):
         code, out, _ = run(capsys, ["curve", "--q", "3/4", "--l", "4", "--digits", "3"])
@@ -369,7 +390,7 @@ class TestCurve:
         def refuse(*args, **kwargs):
             raise AssertionError("curve built before the --digits check")
 
-        monkeypatch.setattr(cli, "zero_orbit_curve", refuse)
+        monkeypatch.setattr(cli, "_zero_orbit_scaled", refuse)
         csv = tmp_path / "c.csv"
         code, out, err = run(
             capsys,
@@ -377,6 +398,47 @@ class TestCurve:
         )
         assert (code, out, err) == (2, "", "qdigits: --digits must be >= 0\n")
         assert not csv.exists()
+
+
+class Reached(Exception):
+    """Raised by a stubbed evaluator: the CLI got past its input checks."""
+
+
+@pytest.mark.parametrize(
+    "command, evaluators",
+    [
+        (["curve", "--q", "3/4", "--l"], ["f_hat_float", "_zero_orbit_scaled"]),
+        (["verify", "--suite", "prop1", "--q", "3/4", "--lmax"], ["verify_identity_8"]),
+    ],
+    ids=["curve", "prop1"],
+)
+def test_level_bound(capsys, monkeypatch, tmp_path, command, evaluators):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    for name in evaluators:
+        monkeypatch.setattr(cli, name, refuse)
+    paths = [tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "f.csv"]
+    files = []
+    if command[0] == "curve":
+        for flag, path in zip(["--out", "--svg", "--fhat-out"], paths):
+            files += [flag, str(path)]
+    code, out, err = run(capsys, [*command, str(2**21), *files])
+    assert (code, out, err) == (2, "", f"qdigits: {command[-1]} must be <= 1048576\n")
+    assert not any(path.exists() for path in paths)
+    with pytest.raises(Reached):
+        main([*command, str(2**20), *files])
+
+
+def test_one_parser_serves_every_call(capsys):
+    argvs = [["curve", "--l", "4"], ["--help"], ["curve", "--q", "3/4", "--l", "4"]]
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        alone.append(run(capsys, argv))
+    assert [code for code, _, _ in alone] == [2, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [run(capsys, argv) for argv in argvs] == alone
 
 
 class TestBridge:
