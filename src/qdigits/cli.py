@@ -15,12 +15,12 @@ byte-identical across runs.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .digitsum import (
     DEFAULT_ORACLE_BUDGET,
@@ -31,10 +31,11 @@ from .digitsum import (
     weighted_digit_sum,
 )
 from .limiting_curve import (
+    _gaps,
+    _scan_identity_8,
     _target_scaled,
     _zero_orbit_scaled,
     theorem1_experiment,
-    verify_identity_8,
 )
 from .odometer import (
     NoStabilizingLevelError,
@@ -67,6 +68,24 @@ _MAX_DIGITS = 100_000
 # the largest --l and --lmax: at 2^20 curve --svg took 10.3-10.6 s and
 # 426-485 MB (q = 3/4, 9/10), verify prop1 3.1 s and 141 MB (same machine)
 _MAX_LEVEL = 2**20
+# curve --digits charges each CSV cell digits + 8 against one budget: a
+# decimal costs about d^2 at large d, and the 8 prices a cell's fixed
+# cost so that neither end runs long.  At the bound (same machine,
+# --norm canonical, q = 9/10 and 51/100), --digits 100000 stops at --l 8
+# (27 cells, 4.6 s), --digits 30000 at --l 32 (2.0 s) and --digits 0 at
+# --l 2^17 (5.8-6.0 s with --svg)
+_MAX_DECIMAL_WORK = 2**22
+# the largest --register-length: there the default --r 4,8,12 takes
+# 0.010-0.026 s (seeds 1 and 42, q = 3/4 and 51/100); a level near the
+# top, n = 130026 (seed 190, r = 16), takes 1.1 s at q = 9/10 and 3.2 s at
+# q = 51/100, 25 MB
+_MAX_REGISTER = 2**17
+# a bridge level holds 2^grid_exponent + 1 integers of up to about
+# register_length bits; at this product (q = 9/10 and 51/100), grid 2^20
+# on a 512-digit register took 2.7 s and 352 MB (seed 2, r = 7, n = 510),
+# grid 2^16 on the default register 0.96 s and 175 MB (seed 42), and grid
+# 2^12 on the level n = 130026 above 1.7-4.2 s and 153 MB
+_MAX_GRID_BITS = 2**29
 
 
 class _CliError(Exception):
@@ -176,20 +195,15 @@ def _cmd_eval(args) -> int:
 
 
 def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
+    """Identity (8) at l = 2, 4, ..., lmax, from one walk and one grid at lmax."""
     p.require_curve_regime()
     if not is_power_of_two(lmax) or lmax < 2:
         raise _CliError(f"--lmax must be a power of two >= 2, got {lmax}")
     if lmax > _MAX_LEVEL:
         raise _CliError(f"--lmax must be <= {_MAX_LEVEL}")
-    rep = VerificationReport(
-        "zero-orbit bridge identities",
-        params={"q": str(p.q), "lmax": str(lmax)},
-    )
-    l = 2
-    while l <= lmax:
-        sub = verify_identity_8(l, p).checks[0]
-        rep.checks.append(dataclasses.replace(sub, name=f"bridge-l-{l}"))
-        l *= 2
+    params = {"q": str(p.q), "lmax": str(lmax)}
+    rep = VerificationReport("zero-orbit bridge identities", params)
+    _scan_identity_8(rep, p, lmax, 2, "bridge-l-{l}")
     return rep
 
 
@@ -246,6 +260,15 @@ def _experiment(args, p: QParam):
     NoStabilizingLevelError and RegisterOverflowError pass to _run, which
     reports them under the command's name with exit code 1.
     """
+    g, length = args.grid_exponent, args.register_length
+    if g > _MAX_LEVEL.bit_length() - 1:
+        raise _CliError(f"--grid-exponent must be <= {_MAX_LEVEL.bit_length() - 1}")
+    if length > _MAX_REGISTER:
+        raise _CliError(f"--register-length must be <= {_MAX_REGISTER}")
+    if g >= 0 and length << g > _MAX_GRID_BITS:
+        raise _CliError(
+            f"2^(--grid-exponent) * --register-length must be <= {_MAX_GRID_BITS}"
+        )
     r_list = _parse_run_lengths(args.r)
     state = None
     if getattr(args, "state", None) == "zero":
@@ -325,50 +348,50 @@ def _cmd_verify(args) -> int:
 def _svg_document(xs, phi, target=None) -> str:
     """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target."""
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
-    xs = [left + (right - left) * x for x in xs]
+    xs = [f"{left + (right - left) * x:.3f}" for x in xs]
     series = [(phi, 'stroke="#1f77b4" stroke-width="1.5"')]
     if target is not None:
         series.append(
             (target, 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
         )
-    values = [v for vals, _style in series for v in vals]
-    lo = min(values + [0.0])
-    hi = max(values + [0.0])
+    lo = min(0.0, *(min(vals) for vals, _style in series))
+    hi = max(0.0, *(max(vals) for vals, _style in series))
     if hi == lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo -= pad
     hi += pad
-
-    def py(v: float) -> float:
-        return bottom - (bottom - top) * ((v - lo) / (hi - lo))
+    height, span = bottom - top, hi - lo
+    axis = bottom - height * ((0.0 - lo) / span)
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">']
     parts.append(
-        f'<line x1="{left:.3f}" y1="{py(0.0):.3f}" x2="{right:.3f}"'
-        f' y2="{py(0.0):.3f}" stroke="#888888" stroke-width="1" />'
+        f'<line x1="{left:.3f}" y1="{axis:.3f}" x2="{right:.3f}"'
+        f' y2="{axis:.3f}" stroke="#888888" stroke-width="1" />'
     )
     parts.append(
         f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
         f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
     )
+    previous = None
     for vals, style in series:
-        points = " ".join(f"{x:.3f},{py(v):.3f}" for x, v in zip(xs, vals))
+        if vals != previous:  # a column drawn twice is formatted once
+            ys = [bottom - height * ((v - lo) / span) for v in vals]
+            points = " ".join([f"{x},{y:.3f}" for x, y in zip(xs, ys)])
+            previous = vals
         parts.append(f'<polyline fill="none" {style} points="{points}" />')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _ratio_strings(ints, factor: Fraction, digits):
+def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
     """str(i * factor), or its --digits decimal, for each i; no Fraction per i."""
     num, den = factor.numerator, factor.denominator
-    for i in ints:
-        n = i * num
-        if digits is not None:
-            yield _decimal_string(Fraction(n, den), digits)
-        else:
-            g = math.gcd(n, den)
-            yield str(n // g) if g == den else f"{n // g}/{den // g}"
+    if digits is not None:
+        return [_decimal_string(Fraction(i * num, den), digits) for i in ints]
+    nums = [i * num for i in ints]
+    reduced = zip(nums, map(math.gcd, nums, repeat(den)))
+    return [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in reduced]
 
 
 def _cmd_curve(args) -> int:
@@ -386,6 +409,12 @@ def _cmd_curve(args) -> int:
             file=sys.stderr,
         )
         return 2
+    n_cells = (l + 1) * (3 if p.is_curve_regime else 2)
+    if args.digits is not None and n_cells * (args.digits + 8) > _MAX_DECIMAL_WORK:
+        raise _CliError(
+            f"--digits {args.digits} at --l {l}: {n_cells} cells x (digits + 8)"
+            f" must be <= {_MAX_DECIMAL_WORK}"
+        )
 
     fhat_text = None
     if args.fhat_out is not None:
@@ -406,13 +435,22 @@ def _cmd_curve(args) -> int:
     if p.is_curve_regime:
         columns.append(_target_scaled(l.bit_length() - 1, p))
         header += ",target"
+    # identity (8): the analytic phi is the target, so format it once
+    same = len(columns) == 3 and not any(_gaps(*columns[1], *columns[2])[0])
+    if same:
+        del columns[2]
     cells = [_ratio_strings(ints, f, args.digits) for ints, f in columns]
+    if same:
+        cells.append(cells[1])
     rows = map(",".join, zip(*cells))
     _write_text(args.out, "".join(f"{row}\n" for row in [header, *rows]))
 
     if args.svg is not None:
         # int / int is correctly rounded, so each float equals float(Fraction)
-        floats = [[i * f.numerator / f.denominator for i in ints] for ints, f in columns]
+        ratios = [(ints, *f.as_integer_ratio()) for ints, f in columns]
+        floats = [[i * n / d for i in ints] for ints, n, d in ratios]
+        if same:
+            floats.append(floats[1])
         _write_text(args.svg, _svg_document(*floats))
 
     if fhat_text is not None:

@@ -44,6 +44,11 @@ class OracleBudgetError(ValueError):
     """Raised when a brute-force evaluation would exceed its term budget."""
 
 
+def _require_budget(top: int, budget: int):
+    if top > budget:
+        raise OracleBudgetError(f"brute-force request n={top} exceeds budget {budget}")
+
+
 @dataclass(frozen=True)
 class QParam:
     """A digit-sum weight q with its derived curve parameter a = 1/(2q).
@@ -134,10 +139,7 @@ def partial_sum_bruteforce_at(
     if ns[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     top = ns[-1]
-    if top > budget:
-        raise OracleBudgetError(
-            f"brute-force request n={top} exceeds budget {budget}"
-        )
+    _require_budget(top, budget)
     u = p.q.numerator
     v = p.q.denominator
     width = max(top.bit_length(), 1)
@@ -351,6 +353,7 @@ def check_bit_recurrences(
     u, v = q.numerator, q.denominator
 
     hi = 3 * n_max + 2
+    _require_budget(hi, budget)  # before the oracle lists its hi checkpoints
     oracle = partial_sum_bruteforce_at(range(1, hi + 1), p, budget=budget)
     oracle[0] = Fraction(0)
 

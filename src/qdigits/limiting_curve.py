@@ -15,16 +15,17 @@ stepping the orbit: partial sums along it are differences
 S_q(X + i) - S_q(X) of the summatory function, and their chord
 deviations need only the digit sums of the few register bits that the
 orbit's carries reach (_orbit_deviations).  The zero orbit is the case
-X = 0 of the same walk.
+X = 0 of the same walk, and one walk to length L serves every l = 2^j
+<= L: the chord deviations of a prefix are those of the prefix of the
+chord deviations (_scan_identity_8).
 
-All of it runs on one exact representation: deviations are integers
-times one rational factor shared by the whole grid (and
-takagi_dyadic_grid gives the target over one denominator), compared by
-cross-multiplication.  Fractions are built only for values handed back
-to the caller: theorem1_experiment keeps each level's polygon as integer
-deviations and one factor, BridgeLevel.curve builds its Fractions on
-first access, and qdigits curve writes its CSV and SVG from the same
-(integers, factor) form of the zero-orbit polygon and the target.
+All of it runs on one exact representation: integer deviations times
+one rational factor per grid, against takagi_dyadic_grid's integers over
+one denominator, compared by cross-multiplication.  Fractions are built
+only for values handed back to the caller (BridgeLevel.curve builds them
+on first access); qdigits curve writes its CSV and SVG from the same
+(integers, factor) form, and formats the target once where identity (8)
+makes it the polygon.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
@@ -34,6 +35,8 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import mul, sub
 
 from .digitsum import QParam
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
@@ -124,17 +127,12 @@ def _target_scaled(g: int, p: QParam) -> tuple[list[int], Fraction]:
     return tak, -p.q / tak_den
 
 
-def _gaps(devs: list[int], factor: Fraction, p: QParam, g: int):
-    """Polygon minus -q T_a on the grid j/2^g, over one shared denominator.
-
-    The polygon value at j/2^g is devs[j] * factor.  Returns (gaps, den)
-    with polygon - target = gaps[j] / den exactly at every j, den > 0.
-    """
-    tak, tak_factor = _target_scaled(g, p)
+def _gaps(devs, factor: Fraction, tak, tak_factor: Fraction):
+    """devs[j] * factor - tak[j] * tak_factor as (gaps, den): gaps[j] / den, den > 0."""
     dev_scale = factor.numerator * tak_factor.denominator
     tak_scale = tak_factor.numerator * factor.denominator
-    gaps = [d * dev_scale - t * tak_scale for d, t in zip(devs, tak)]
-    return gaps, factor.denominator * tak_factor.denominator
+    gaps = map(sub, map(mul, devs, repeat(dev_scale)), map(mul, tak, repeat(tak_scale)))
+    return list(gaps), factor.denominator * tak_factor.denominator
 
 
 def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
@@ -234,36 +232,40 @@ def sup_distance(c1: CurveSamples, c2: CurveSamples):
     return max(abs(a - b) for a, b in zip(c1.values, c2.values))
 
 
-def verify_identity_8(l: int, p: QParam) -> VerificationReport:
-    """Exact bridge identity for the zero orbit at length l = 2^j.
+def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
+    """Check identity (8) into rep at l = lmin, 2 lmin, ..., lmax, as name.format(l=l).
 
-    Builds the deviations of S_q(0..l) by the orbit walk, rescales them
-    by the analytic normalizer and compares every breakpoint with
-    -q T_a(j/l), by cross-multiplying integers over the shared
-    denominators.
+    One walk and one grid at lmax serve all levels: a prefix's chord
+    deviations are those of the prefix y of the walk's (linear terms
+    cancel), so level l has y[t] l - t y[l] worth scale / l / (2q)^(log2(l)-1)
+    against every (lmax/l)-th grid value.  rep.scan gets one repeated
+    passing triple and at most one mismatch.
     """
     p.require_curve_regime()
-    devs, factor = _zero_orbit_scaled(l, p, "analytic")
-    rep = VerificationReport(
-        "zero-orbit bridge identity", params={"q": str(p.q), "l": str(l)}
-    )
-    gaps, gap_den = _gaps(devs, factor, p, l.bit_length() - 1)
+    _require_level(lmax)
+    top = lmax.bit_length() - 1
+    devs, scale = _orbit_deviations(0, top, top, p)
+    tak, tak_factor = _target_scaled(top, p)
+    statement = "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)"
+    for g in range(lmin.bit_length() - 1, top + 1):
+        l, y, target = 1 << g, devs[: (1 << g) + 1], tak[:: 1 << (top - g)]
+        level = list(map(sub, map(mul, y, repeat(l)), map(mul, count(), repeat(y[l]))))
+        factor = scale / l / analytic_normalizer(l, p)
+        gaps, _ = _gaps(level, factor, target, tak_factor)
+        j = next(compress(count(), gaps), l + 1)  # l + 1: no gap is nonzero
+        points = repeat((None, 0, 0), j)
+        if j <= l:
+            got, want = level[j] * factor, target[j] * tak_factor
+            points = chain(points, [(f"t={Fraction(j, l)}", got, want)])
+        rep.scan(name.format(l=l), statement, f"all {l + 1} breakpoints j/l", points)
 
-    def points():
-        # integer per point; the label and Fractions only where a gap is nonzero
-        for j, gap in enumerate(gaps):
-            if gap:
-                got = devs[j] * factor
-                yield f"t={Fraction(j, l)}", got, got - Fraction(gap, gap_den)
-            else:
-                yield None, 0, 0
 
-    rep.scan(
-        "bridge-equals-target",
-        "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)",
-        f"all {l + 1} breakpoints j/l",
-        points(),
-    )
+def verify_identity_8(l: int, p: QParam) -> VerificationReport:
+    """Exact bridge identity for the zero orbit at length l = 2^j: the top
+    level of the scan that qdigits verify --suite prop1 runs at every level.
+    """
+    rep = VerificationReport("zero-orbit bridge identity", {"q": str(p.q), "l": str(l)})
+    _scan_identity_8(rep, p, l, l, "bridge-equals-target")
     return rep
 
 
@@ -372,7 +374,7 @@ def theorem1_experiment(
         devs, scale = _orbit_deviations(big_x, n, g, p)
         normalizer = (2 * p.q) ** (n - 1)
         factor = scale / normalizer
-        gaps, gap_den = _gaps(devs, factor, p, g)
+        gaps, gap_den = _gaps(devs, factor, *_target_scaled(g, p))
         levels.append(
             BridgeLevel(
                 run_length=r,

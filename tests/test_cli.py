@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qdigits.cli as cli
+import qdigits.digitsum as digitsum
 from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast
 from qdigits.limiting_curve import target_curve, theorem1_experiment, zero_orbit_curve
@@ -408,7 +409,7 @@ class Reached(Exception):
     "command, evaluators",
     [
         (["curve", "--q", "3/4", "--l"], ["f_hat_float", "_zero_orbit_scaled"]),
-        (["verify", "--suite", "prop1", "--q", "3/4", "--lmax"], ["verify_identity_8"]),
+        (["verify", "--suite", "prop1", "--q", "3/4", "--lmax"], ["_scan_identity_8"]),
     ],
     ids=["curve", "prop1"],
 )
@@ -428,6 +429,82 @@ def test_level_bound(capsys, monkeypatch, tmp_path, command, evaluators):
     assert not any(path.exists() for path in paths)
     with pytest.raises(Reached):
         main([*command, str(2**20), *files])
+
+
+@pytest.mark.parametrize(
+    "argv, over, at, message",
+    [
+        # 51 cells over the budget at --digits 100000, 27 within it
+        (["--q", "9/10", "--digits", "100000"], "16", "8", "51 cells"),
+        # two columns without a target: 34 cells, within it
+        (["--q", "1/2", "--explore", "--digits", "100000"], "32", "16", "66 cells"),
+        (["--q", "9/10", "--digits", "0"], str(2**18), str(2**17), "786435 cells"),
+    ],
+    ids=["digits-max", "explore", "digits-zero"],
+)
+def test_decimal_budget(capsys, monkeypatch, tmp_path, argv, over, at, message):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    for name in ["f_hat_float", "_zero_orbit_scaled"]:
+        monkeypatch.setattr(cli, name, refuse)
+    paths = [tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "f.csv"]
+    files = []
+    for flag, path in zip(["--out", "--svg", "--fhat-out"], paths):
+        files += [flag, str(path)]
+    code, out, err = run(capsys, ["curve", "--l", over, *argv, *files])
+    digits = argv[-1]
+    assert (code, out) == (2, "")
+    assert err == (
+        f"qdigits: --digits {digits} at --l {over}: {message} x (digits + 8)"
+        " must be <= 4194304\n"
+    )
+    assert not any(path.exists() for path in paths)
+    with pytest.raises(Reached):
+        main(["curve", "--l", at, *argv, *files])
+
+
+@pytest.mark.parametrize(
+    "over, at, message",
+    [
+        (["--grid-exponent", "21"], ["--grid-exponent", "20", "--register-length", "512"],
+         "--grid-exponent must be <= 20"),
+        (["--register-length", str(2**17 + 1)], ["--register-length", str(2**17)],
+         "--register-length must be <= 131072"),
+        # 2^17 grid points on the default 8192-digit register, and 2^16
+        (["--grid-exponent", "17"], ["--grid-exponent", "16"],
+         "2^(--grid-exponent) * --register-length must be <= 536870912"),
+    ],
+    ids=["grid", "register", "product"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["bridge", "--q", "3/4", "--seed", "1"], ["verify", "--suite", "theorem1", "--q", "3/4"]],
+    ids=["bridge", "theorem1"],
+)
+def test_experiment_bounds(capsys, monkeypatch, command, over, at, message):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+    assert run(capsys, [*command, *over]) == (2, "", f"qdigits: {message}\n")
+    with pytest.raises(Reached):
+        main([*command, *at])
+
+
+def test_recurrence_budget_before_the_oracle(capsys, monkeypatch):
+    # the oracle would list all 3 nmax + 2 checkpoints before its own check
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(digitsum, "partial_sum_bruteforce_at", refuse)
+    command = ["verify", "--suite", "recurrences", "--q", "3/4", "--nmax"]
+    code, out, err = run(capsys, [*command, str(10**8)])
+    assert (code, out) == (2, "")
+    assert err == "qdigits: brute-force request n=300000002 exceeds budget 1048576\n"
+    assert run(capsys, [*command, "10", "--budget", "31"])[0] == 2
+    with pytest.raises(Reached):
+        main([*command, "10", "--budget", "32"])
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -565,7 +642,7 @@ class TestBridge:
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 
 
-# sha256 of seven frozen CLI outputs: the determinism tests above only
+# sha256 of ten frozen CLI outputs: the determinism tests above only
 # compare runs with each other, so they miss a change that alters every run
 GOLDEN = {
     "curve-3/4-4096.csv": "d377ba8505ae1240bcd0bada0f1dd7e489e3862eeb641a461065974b11749d19",
@@ -575,6 +652,11 @@ GOLDEN = {
     "bridge-2/3-seed-9.json": "52bbdd157c28d1eccaa7ab2d5edf5316dcbd0d8ab849256bda7f3545c61a386b",
     "verify-theorem1--2/3.json": "9afc049b1ad4eb899d51d038a3cda615ddf5404d1363043b9624c6ec7dadc9a6",
     "verify-prop1-3/4.json": "00f58d73d55093f730b8324e5f698462312c98db0953d0f650922fa03b1dd985",
+    # phi differs from the target, and there is no target: the SVGs of the
+    # cases whose polylines are not one column drawn twice
+    "curve--3/4-64-canonical.svg": "29fc3a047f55ce8ef0b27b0996e2148d2b42a551460411e196cc8e0f39ece9a4",
+    "curve-1/2-64-explore.svg": "fb0e205f625162999642a2809c87a8ab696c23f3f743902acc45e98097a7f984",
+    "verify-prop1--2/3.json": "3a16ffd893df444c333ae7b32210862329d77c6f3ecdd0fe8f38532fad752eca",
 }
 
 
@@ -601,6 +683,19 @@ class TestGoldenOutputs:
         assert code == 0
         assert sha256(out) == GOLDEN["curve--3/4-64-canonical.csv"]
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--q=-3/4", "--norm", "canonical"], "curve--3/4-64-canonical.svg"),
+            (["--q", "1/2", "--explore"], "curve-1/2-64-explore.svg"),
+        ],
+    )
+    def test_curve_svg_off_the_bridge_identity(self, capsys, tmp_path, argv, key):
+        svg = tmp_path / "c.svg"
+        code, _, _ = run(capsys, ["curve", "--l", "64", *argv, "--svg", str(svg)])
+        assert code == 0
+        assert sha256(svg.read_bytes()) == GOLDEN[key]
+
     def test_bridge(self, capsys):
         code, out, _ = run(capsys, ["bridge", "--q", "3/4", "--seed", "42"])
         assert code == 0
@@ -622,6 +717,11 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1-3/4.json"]
+
+    def test_verify_prop1_negative_weight_json(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q=-2/3", "--json"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["verify-prop1--2/3.json"]
 
 
 def readme_examples():

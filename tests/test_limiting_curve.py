@@ -1,6 +1,7 @@
 """Deviation polygons, the zero-orbit bridge identity, and the seeded
 register experiment."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qdigits.cli as cli
 import qdigits.limiting_curve as limiting_curve
 from qdigits.cli import main
 from qdigits.digitsum import QParam, partial_sum_fast, partial_sum_prefix
@@ -33,6 +35,7 @@ from qdigits.odometer import (
     num_value,
     orbit_partial_sums,
 )
+from qdigits.report import VerificationReport
 from qdigits.takagi import takagi_dyadic_exact, takagi_dyadic_grid
 from test_acceptance import DECAY_FIXTURES
 
@@ -284,11 +287,62 @@ class TestVerifyIdentity8:
         want = -p.q * (takagi_dyadic_exact(t, p.a) + F(1, den))
         assert check.first_counterexample == f"t=3/8: {got} != {want}"
 
+    @pytest.mark.parametrize("q", [F(3, 4), F(-2, 3), F(51, 100)])
+    @pytest.mark.parametrize("index", [3, 96, 128])
+    def test_shared_levels_report_a_perturbed_target(self, monkeypatch, q, index):
+        # one off-by-one in the top grid fails exactly the levels whose
+        # breakpoints include it, at the j, checked count and counterexample
+        # text of the per-point scan
+        real_grid = takagi_dyadic_grid
+        lmax, p = 256, QParam(q)
+        _, den = real_grid(8, p.a)
+
+        def perturbed(g, a):
+            nums, grid_den = real_grid(g, a)
+            nums[index] += 1
+            return nums, grid_den
+
+        want = []
+        for l in levels_up_to(lmax):
+            target = list(target_curve(l, p).values)
+            if index % (lmax // l) == 0:
+                target[index // (lmax // l)] -= p.q / den
+            want.append(per_point_check(l, p, target))
+        monkeypatch.setattr(limiting_curve, "takagi_dyadic_grid", perturbed)
+        got = main_prop1_checks(p, lmax)
+        assert got == want
+        assert [c.passed for c in got] == [index % (lmax // l) != 0 for l in levels_up_to(lmax)]
+
     def test_guards(self):
         with pytest.raises(ValueError):
             verify_identity_8(12, Q34)
         with pytest.raises(ValueError):
             verify_identity_8(16, QParam(F(1, 4)))
+
+
+def levels_up_to(lmax):
+    return [1 << j for j in range(1, lmax.bit_length())]
+
+
+def per_point_check(l, p, target=None):
+    """Identity (8) at level l from the level's own walk, one Fraction per point."""
+    curve = zero_orbit_curve(l, p)
+    if target is None:
+        target = target_curve(l, p).values
+    rep = VerificationReport("reference")
+    rep.scan(
+        "bridge-equals-target",
+        "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)",
+        f"all {l + 1} breakpoints j/l",
+        ((f"t={t}", v, w) for t, v, w in zip(curve.grid, curve.values, target)),
+    )
+    return rep.checks[0]
+
+
+def main_prop1_checks(p, lmax):
+    """verify --suite prop1's checks, under verify_identity_8's check name."""
+    rep = cli._suite_prop1(p, lmax)
+    return [dataclasses.replace(c, name="bridge-equals-target") for c in rep.checks]
 
 
 # the experiment's weights in both signs, and the weights curve --explore takes
@@ -323,7 +377,7 @@ class TestOrbitDeviations:
         sums = [partial_sum_fast(m, p) if m else F(0) for m in orbit]
         assert [d * scale for d in devs] == chord_deviations(sums)
 
-    @pytest.mark.parametrize("q", ORBIT_WEIGHTS)
+    @pytest.mark.parametrize("q", ORBIT_WEIGHTS + [F(-2, 3), F(9, 10), F(-9, 10), F(51, 100)])
     def test_zero_orbit_matches_prefix_table(self, q):
         p = QParam(q)
         for n in range(9):
@@ -331,6 +385,14 @@ class TestOrbitDeviations:
             for g in range(min(n, 6) + 1):
                 devs, scale = limiting_curve._orbit_deviations(0, n, g, p)
                 assert [d * scale for d in devs] == chord_deviations(table[:: 1 << (n - g)])
+        if not p.is_curve_regime:
+            return
+        # identity (8) at every level below lmax, from lmax's one walk and
+        # one grid, gives the check each level's own walk gives
+        want = [per_point_check(l, p) for l in levels_up_to(1 << 10)]
+        for j in range(1, 11):
+            assert main_prop1_checks(p, 1 << j) == want[:j]
+            assert verify_identity_8(1 << j, p).checks == want[j - 1 : j]
 
 
 class TestTheoremExperiment:
