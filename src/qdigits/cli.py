@@ -44,6 +44,7 @@ from .odometer import (
 )
 from .report import VerificationReport
 from .takagi import (
+    DEFAULT_SERIES_TOL,
     DeRhamSystem,
     derham_consistency,
     derham_eval,
@@ -86,6 +87,28 @@ _MAX_REGISTER = 2**17
 # grid 2^16 on the default register 0.96 s and 175 MB (seed 42), and grid
 # 2^12 on the level n = 130026 above 1.7-4.2 s and 153 MB
 _MAX_GRID_BITS = 2**29
+# a level's exact rationals, such as its normalizer (2q)^(n-1), are about
+# register_length times the bits of q's larger term wide, and its time
+# grows with the square of that product.
+# At this bound (2-vCPU Xeon, Python 3.11) a level near the top of the
+# register took 1.2 s at q = 9/10 and 2^17 digits (seed 190, r = 16,
+# n = 130026), 1.5 s at a 32-bit q and 2^14 digits (seed 272, r = 14,
+# n = 16377) and 1.7 s at a 128-bit q and 2^12 digits (seed 136, r = 14);
+# at twice the bound, 5.2 s, and q = 500001/1000000 at 2^17 digits 35.8 s
+_MAX_REGISTER_Q_BITS = 2**19
+# each --r entry walks a level of its own, even a repeated one: eight
+# copies of the first level above took 9.4 s and 63 MB
+_MAX_RUN_LENGTHS = 8
+# takagi_series builds one integer of terms * bits(a) bits, a term at a
+# time, so an evaluation is charged terms * (terms * bits(a) + bits(x) +
+# 8192), bits(x) those of x's denominator and 8192 a term's fixed cost.
+# Below the bound a = 255/256 took 0.35 s (8300 terms) and an f-hat point
+# 0.3 ms at q = 3/4 (70 terms) and 14 ms at q = 51/100 (1559 terms).  At
+# it, eval takagi --a 1023/1024 took 4.1 s (27574 terms), and curve
+# --fhat-points, charged once per point, 4.3 s at q = 3/4 (14634 points)
+# and 5.0 s at q = 51/100 (313 points); a = 2047/2048 (70767 terms, 8x
+# the bound) took 31 s
+_MAX_SERIES_WORK = 2**33
 
 
 class _CliError(Exception):
@@ -141,6 +164,28 @@ def _parse_run_lengths(text: str) -> list[int]:
     return values
 
 
+def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
+    """(terms, charge) of takagi_series(x, a, tol) against _MAX_SERIES_WORK.
+
+    terms, the smallest N with |a|^N / (2 (1 - |a|)) <= tol, comes from
+    logarithms, without summing; x_bits is the bit length of x's
+    denominator.  An a or tol that takagi_series refuses is charged
+    nothing, so that its own message reaches the user.
+    """
+    u, v = abs(a.numerator), a.denominator
+    gap = Fraction(v - u, v)  # 1 - |a|
+    if not (u < v and 0 < tol < math.inf and tol < 1 / (2 * gap)):
+        return 0, 0
+    if u == 0:
+        terms = 1
+    else:
+        # log|a|, or -0.0 when |a| is within float rounding of 1
+        rate = math.log1p(-float(gap)) if gap < 0.5 else math.log(u) - math.log(v)
+        log_tail = math.log(2 * tol) + math.log(v - u) - math.log(v)
+        terms = max(math.ceil(log_tail / rate), 1) if rate else math.inf
+    return terms, terms * (terms * v.bit_length() + x_bits + 8192)
+
+
 def _write_text(path, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -177,6 +222,13 @@ def _cmd_eval(args) -> int:
         if is_power_of_two(x.denominator):
             value = takagi_dyadic_exact(x, a)
         else:
+            terms, work = _series_work(a, args.tol, x.denominator.bit_length())
+            if work > _MAX_SERIES_WORK:
+                raise _CliError(
+                    f"a = {a} at --tol {args.tol} needs about {terms} series terms;"
+                    " terms x (terms x bits(a) + bits(x) + 8192) must be"
+                    f" <= {_MAX_SERIES_WORK}"
+                )
             value = takagi_series(x, a, tol=args.tol).value
     else:  # td
         if args.classical:
@@ -269,7 +321,21 @@ def _experiment(args, p: QParam):
         raise _CliError(
             f"2^(--grid-exponent) * --register-length must be <= {_MAX_GRID_BITS}"
         )
+    q_bits = max(abs(p.q.numerator), p.q.denominator).bit_length()
+    if length * q_bits > _MAX_REGISTER_Q_BITS:
+        raise _CliError(
+            f"--register-length * {q_bits} (the bits of q's larger term)"
+            f" must be <= {_MAX_REGISTER_Q_BITS}"
+        )
     r_list = _parse_run_lengths(args.r)
+    if len(r_list) > _MAX_RUN_LENGTHS:
+        raise _CliError(f"--r takes at most {_MAX_RUN_LENGTHS} run lengths")
+    longest = max(r_list)
+    if longest > length:
+        # the experiment's own outcome (exit 1), before any level is walked
+        raise NoStabilizingLevelError(
+            f"no run of {longest} zeros in the {length}-digit register"
+        )
     state = None
     if getattr(args, "state", None) == "zero":
         state = OdometerState.zeros(args.register_length)
@@ -423,6 +489,13 @@ def _cmd_curve(args) -> int:
         n = args.fhat_points
         if n < 1:
             raise _CliError(f"--fhat-points must be >= 1, got {n}")
+        # a float in [1/2, 1] has a denominator of at most 2^53
+        _terms, work = _series_work(p.a, DEFAULT_SERIES_TOL, 53)
+        if (n + 1) * work > _MAX_SERIES_WORK:
+            raise _CliError(
+                f"--fhat-points {n}: {n + 1} points x {work} per point"
+                f" must be <= {_MAX_SERIES_WORK}"
+            )
         lines = ["u,fhat"]
         for i in range(n + 1):
             u = i / n
@@ -535,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["fast", "oracle"],
         default="fast",
-        help="fast: one halving step per bit; oracle: definitional sum",
+        help="fast: binary splitting on the bits of n; oracle: definitional sum",
     )
     ev_big_s.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     ev_big_s.add_argument("--digits", type=int, help="decimal output precision")
@@ -548,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev_tak.add_argument(
         "--tol",
         type=float,
-        default=1e-12,
+        default=DEFAULT_SERIES_TOL,
         help="certified series tolerance for non-dyadic x",
     )
     ev_tak.add_argument("--digits", type=int, help="decimal output precision")

@@ -17,12 +17,16 @@ evaluates S_q(n) by binary splitting on the bits of n,
     S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
 
 recursing on both halves down to spans of at most _LEAF_BITS bits.  A
-leaf walks its bits from the top, one halving step per bit, via
+leaf walks its bits from the top, k = _TABLE_BITS of them per step: each
+step is the same identity at h = k, with S_q(c), s_q(c) and S_q(2^k)
+for the k-bit chunk c read from a table of 2^k entries built once per
+call.  At k = 1 the step is the halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
 
-so each bit of n takes exactly one halving step, and the halves
+and an n below 2^_LEAF_BITS takes it once per bit, with no table to
+build.  Each bit of n goes through exactly one leaf, and the halves
 recombine with a few big-integer products per level instead of one
 growing product per bit.
 
@@ -34,6 +38,7 @@ their own carries and call neither.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .report import VerificationReport
 
@@ -180,18 +185,29 @@ def partial_sum_prefix(n: int, p: QParam) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-# Spans of at most this many bits go to the bit-serial leaf.  Timing
-# 4k- to 64k-bit n on a 2-vCPU Xeon (Python 3.11) put leaves of 16 to 64
-# bits within a few per cent of each other and 128 or more bits slower;
-# 64 keeps every n < 2^64 inside a single leaf.
+# Spans of at most this many bits are leaves, and an n below 2^_LEAF_BITS
+# is one bit-serial leaf with no table to build.  Timing 65- to 65536-bit
+# n on a 2-vCPU Xeon (Python 3.11) put table leaves of 48 to 128 bits
+# within the noise of each other at 16384 bits or more.  At 65 bits, 64
+# ran 1.13x as fast as the old bit-serial split, 48 1.00x, and 80 (one
+# whole-n serial leaf) 0.85x.
 _LEAF_BITS = 64
+# Each leaf of a longer n reads this many bits per step from a table of
+# 2^_TABLE_BITS entries, built once per call (same machine).  The table
+# took 9 us at 6 bits and 25 us at 8, more than all of a 65-bit n through
+# bit-serial leaves (20-22 us): 8 bits made 65- to 96-bit n 0.6-0.9x as
+# fast as before, where 6 bits was faster at every length timed.  On the
+# 16384-bit n of bench big_s, 8 bits ran about 6% faster than 6.
+_TABLE_BITS = 6
 
 
 def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
     """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d, d >= 1.
 
     Bit-serial: walks the d bits of n from the top (leading zeros
-    included), one halving step per bit.  Its operands grow with every
+    included), one halving step per bit.  This is _table_leaf's k = 1
+    step with its two-entry table written into the code, which runs it
+    about 1.6x as fast at 20 to 64 bits.  Its operands grow with every
     bit, so the cost is quadratic in d.
     """
     S = s = m = 0
@@ -206,6 +222,51 @@ def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
             s *= u
             m *= 2
         vt *= v
+    return S, s
+
+
+def _leaf_table(k: int, u: int, v: int) -> tuple:
+    """(k, u^k, v^k, S, s) with S[c] = S_q(c) v^k and s[c] = s_q(c) v^k.
+
+    s covers c < 2^k and S covers c <= 2^k, so S[2^k] is S_q(2^k) v^k.
+    s comes by doubling: the c below 2^(i+1) with bit i set are the c
+    below 2^i plus the digit weight q^(i+1).  S is its running sum.
+    """
+    s = [0]
+    for i in range(k):
+        w = u ** (i + 1) * v ** (k - 1 - i)
+        s += [t + w for t in s]
+    return k, u**k, v**k, [0, *accumulate(s)], s
+
+
+def _table_leaf(n: int, d: int, u: int, v: int, table: tuple) -> tuple[int, int]:
+    """(S, s) as _summatory_leaf gives them, k bits per step from table.
+
+    With m the prefix read so far, t its length and c the next k bits,
+    each step is the split identity at h = k,
+
+        S_q(m 2^k + c) = m S_q(2^k) + q^k 2^k S_q(m) + S_q(c) + c q^k s_q(m),
+        s_q(m 2^k + c) = s_q(c) + q^k s_q(m),
+
+    over v^(t+k), with S_q(c), s_q(c) and S_q(2^k) read from the table.
+    The walk pads n with leading zeros to a multiple of k bits and
+    divides the pad's power of v out at the end, exactly.
+    """
+    k, u_k, v_k, S_c, s_c = table
+    pow2 = S_c[-1]
+    pad = -d % k
+    mask = (1 << k) - 1
+    S = s = m = 0
+    vt = 1  # v^t for the current prefix length t
+    for i in range(d + pad - k, -1, -k):
+        c = n >> i & mask
+        S = (m * pow2 + S_c[c]) * vt + u_k * ((S << k) + c * s)
+        s = s_c[c] * vt + u_k * s
+        m = (m << k) | c
+        vt *= v_k
+    if pad:
+        v_pad = v**pad
+        return S // v_pad, s // v_pad
     return S, s
 
 
@@ -242,13 +303,17 @@ def _summatory_split(
 
     where A is evaluated at depth d - h and B at depth h, so both
     halves come back over known powers of v and combine in integers.
-    Spans of at most _LEAF_BITS bits go to the bit-serial leaf.  steps
-    counts the bits the leaves consume, summed through the recursion;
-    each bit of the span goes through exactly one leaf, so it is d.
-    memo holds the _powers of each depth k met in this call.
+    Spans of at most _LEAF_BITS bits go to _table_leaf.  steps counts
+    the bits the leaves consume, summed through the recursion; each bit
+    of the span goes through exactly one leaf, so it is d.  memo holds
+    the _powers of each depth k met in this call and, under "table",
+    the leaf table, built on the first leaf.
     """
     if d <= _LEAF_BITS:
-        S, s = _summatory_leaf(n, d, u, v)
+        table = memo.get("table")
+        if table is None:
+            table = memo["table"] = _leaf_table(_TABLE_BITS, u, v)
+        S, s = _table_leaf(n, d, u, v, table)
         return S, s, d
     h = d // 2
     b = n & ((1 << h) - 1)
@@ -262,17 +327,22 @@ def _summatory_split(
 
 
 def partial_sum_fast_instrumented(n: int, p: QParam) -> tuple[Fraction, int]:
-    """S_q(n) plus the number of halving steps the leaves took.
+    """S_q(n) plus the number of bits of n the leaves consumed.
 
-    Every bit of n is consumed by exactly one bit-serial leaf step, so
-    the count equals n.bit_length().
+    Every bit of n goes through exactly one leaf, so the count equals
+    n.bit_length().  An n below 2^_LEAF_BITS is one bit-serial leaf;
+    a longer n goes to _summatory_split.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     u = p.q.numerator
     v = p.q.denominator
     d = n.bit_length()
-    S, _s, steps = _summatory_split(n, d, u, v, {})
+    if d <= _LEAF_BITS:
+        S, _s = _summatory_leaf(n, d, u, v)
+        steps = d
+    else:
+        S, _s, steps = _summatory_split(n, d, u, v, {})
     return Fraction(S, v**d), steps
 
 
@@ -281,9 +351,9 @@ def partial_sum_fast(n: int, p: QParam) -> Fraction:
 
     Agrees with partial_sum_bruteforce everywhere.  n may have tens of
     thousands of bits: the halves recombine with a few big-integer
-    products per level over a bit-serial leaf of at most _LEAF_BITS
-    bits, so the cost grows like big-integer multiplication rather than
-    quadratically in the bit length.
+    products per level over leaves of at most _LEAF_BITS bits, each
+    read _TABLE_BITS bits per step, so the cost grows like big-integer
+    multiplication rather than quadratically in the bit length.
     """
     value, _steps = partial_sum_fast_instrumented(n, p)
     return value

@@ -49,6 +49,8 @@ class InconsistentSystemError(ValueError):
 
 
 _HALF = Fraction(1, 2)
+# takagi_series' tolerance unless its caller names one; f_hat_float never does
+DEFAULT_SERIES_TOL = 1e-12
 
 
 def is_power_of_two(n: int) -> bool:
@@ -81,7 +83,7 @@ def _require_contraction(a: Fraction):
         )
 
 
-def takagi_series(x, a, tol: float = 1e-12) -> CertifiedValue:
+def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> CertifiedValue:
     """Partial sum of sum_n a^n tau(2^n x) with a certified tail bound.
 
     Works for any rational x and |a| < 1.  The tail after N terms is at

@@ -474,8 +474,14 @@ def test_decimal_budget(capsys, monkeypatch, tmp_path, argv, over, at, message):
         # 2^17 grid points on the default 8192-digit register, and 2^16
         (["--grid-exponent", "17"], ["--grid-exponent", "16"],
          "2^(--grid-exponent) * --register-length must be <= 536870912"),
+        # 2^17 digits times 5 bits (9/17), and times 4 bits (9/10)
+        (["--q", "9/17", "--register-length", str(2**17)],
+         ["--q", "9/10", "--register-length", str(2**17)],
+         "--register-length * 5 (the bits of q's larger term) must be <= 524288"),
+        (["--r", ",".join(map(str, range(1, 10)))], ["--r", ",".join(map(str, range(1, 9)))],
+         "--r takes at most 8 run lengths"),
     ],
-    ids=["grid", "register", "product"],
+    ids=["grid", "register", "product", "q-bits", "r-count"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -490,6 +496,71 @@ def test_experiment_bounds(capsys, monkeypatch, command, over, at, message):
     assert run(capsys, [*command, *over]) == (2, "", f"qdigits: {message}\n")
     with pytest.raises(Reached):
         main([*command, *at])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["bridge", "--q", "3/4", "--seed", "1"], ["verify", "--suite", "theorem1", "--q", "3/4"]],
+    ids=["bridge", "theorem1"],
+)
+def test_run_length_past_the_register_walks_no_level(capsys, monkeypatch, command):
+    # no register holds a run longer than itself: the experiment's own
+    # outcome, exit 1, reported before the level of r = 4 is walked
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+    code, out, err = run(capsys, [*command, "--register-length", "8", "--r", "4,9"])
+    assert (code, out) == (1, "")
+    assert err == f"qdigits {command[0]}: no run of 9 zeros in the 8-digit register\n"
+    with pytest.raises(Reached):
+        main([*command, "--register-length", "8", "--r", "4,8"])
+
+
+def test_series_budget_before_summing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "takagi_series", refuse)
+    code, out, err = run(capsys, ["eval", "takagi", "--a", "999999/1000000", "--x", "1/3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("qdigits: a = 999999/1000000 at --tol 1e-12 needs about 4075")
+    # at a = 1023/1024 and x = 1/3, 27574 terms are charged 8589521592 and
+    # 27575 terms 8590136425; each tol lies half a term inside its count
+    argv = ["eval", "takagi", "--a", "1023/1024", "--x", "1/3", "--tol"]
+    code, out, err = run(capsys, [*argv, "1.020416311944234e-09"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "qdigits: a = 1023/1024 at --tol 1.020416311944234e-09 needs about 27575"
+        " series terms; terms x (terms x bits(a) + bits(x) + 8192) must be"
+        " <= 8589934592\n"
+    )
+    with pytest.raises(Reached):
+        main([*argv, "1.0214137863449637e-09"])
+
+
+@pytest.mark.parametrize("over", ["14634", str(10**8)])
+def test_fhat_points_budget(capsys, monkeypatch, tmp_path, over):
+    # at q = 3/4 each point sums 70 terms: 70 * (70 * 2 + 53 + 8192) = 586950
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    for name in ["f_hat_float", "_zero_orbit_scaled"]:
+        monkeypatch.setattr(cli, name, refuse)
+    paths = [tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "f.csv"]
+    files = []
+    for flag, path in zip(["--out", "--svg", "--fhat-out"], paths):
+        files += [flag, str(path)]
+    argv = ["curve", "--q", "3/4", "--l", "4", *files, "--fhat-points"]
+    code, out, err = run(capsys, [*argv, over])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"qdigits: --fhat-points {over}: {int(over) + 1} points x 586950 per point"
+        " must be <= 8589934592\n"
+    )
+    assert not any(path.exists() for path in paths)
+    with pytest.raises(Reached):
+        main([*argv, "14633"])
 
 
 def test_recurrence_budget_before_the_oracle(capsys, monkeypatch):

@@ -16,8 +16,12 @@ from qdigits.digitsum import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     QParam,
+    _LEAF_BITS,
+    _TABLE_BITS,
+    _leaf_table,
     _summatory_leaf,
     _summatory_split,
+    _table_leaf,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_bruteforce_at,
@@ -297,9 +301,13 @@ def shaped_ints(draw, max_bits):
 
 
 def _check_split_kernel(n, q):
+    """The split over table leaves, and the table walk at k = 1, equal the
+    whole-n serial leaf."""
     u, v = q.numerator, q.denominator
     d = n.bit_length()
-    assert _summatory_split(n, d, u, v, {}) == (*_summatory_leaf(n, d, u, v), d)
+    serial = _summatory_leaf(n, d, u, v)
+    assert _summatory_split(n, d, u, v, {}) == (*serial, d), (q, n)
+    assert _table_leaf(n, d, u, v, _leaf_table(1, u, v)) == serial
     _value, steps = partial_sum_fast_instrumented(n, QParam(q))
     assert steps == d
 
@@ -314,7 +322,8 @@ class TestSplitKernel:
         _check_split_kernel(n, q)
 
     def test_leaf_boundaries(self):
-        for bits in (63, 64, 65, 128, 129, 4096):
+        chunk_edges = [_TABLE_BITS * j + e for j in range(1, 4) for e in (-1, 0, 1)]
+        for bits in (*chunk_edges, 63, 64, 65, 128, 129, 4096):
             for n in (1 << (bits - 1), (1 << bits) - 1, (1 << (bits - 1)) + 1):
                 _check_split_kernel(n, F(-2, 3))
 
@@ -326,6 +335,39 @@ class TestSplitKernel:
         oracle = partial_sum_bruteforce_at(ns, p)
         for n in ns:
             assert partial_sum_fast(n, p) == oracle[n], (q, n)
+
+    @pytest.mark.parametrize("q", SPLIT_WEIGHTS)
+    def test_table_entries_equal_serial_leaf(self, q):
+        u, v = q.numerator, q.denominator
+        for k in range(1, _TABLE_BITS + 1):
+            k_, u_k, v_k, S_c, s_c = _leaf_table(k, u, v)
+            assert (k_, u_k, v_k, len(S_c), len(s_c)) == (k, u**k, v**k, 2**k + 1, 2**k)
+            for c in range(2**k):
+                assert (S_c[c], s_c[c]) == _summatory_leaf(c, k, u, v), (k, c)
+            assert F(S_c[-1], v**k) == partial_sum_pow2(k, QParam(q))
+        # the bit-serial walk is the table walk's one-bit case
+        assert _leaf_table(1, u, v) == (1, u, v, [0, 0, u], [0, u])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), q=weights)
+    def test_table_walk_at_chunk_edges(self, data, q):
+        """Bit lengths next to a multiple of the table width and to
+        _LEAF_BITS, chunks of all ones, all zeros or random bits; the head
+        chunk is partial whenever the length is not a multiple of the width."""
+        k = _TABLE_BITS
+        edges = [k * j + e for j in range(1, 2 * _LEAF_BITS // k + 3) for e in (-1, 0, 1)]
+        edges += [_LEAF_BITS - 1, _LEAF_BITS + 1, 2 * _LEAF_BITS - 1, 2 * _LEAF_BITS + 1]
+        d = data.draw(st.sampled_from(edges))
+        chunks = st.sampled_from(["ones", "zeros", "random"])
+        n = 0
+        for low in range(0, d, k):
+            width = min(k, d - low)
+            kind = data.draw(chunks)
+            if kind == "ones":
+                n |= ((1 << width) - 1) << low
+            elif kind == "random":
+                n |= data.draw(st.integers(0, (1 << width) - 1)) << low
+        _check_split_kernel(n | (1 << (d - 1)), q)
 
     def test_65536_bits_against_split_identity(self):
         # An independent split point (the kernel halves at bit 32768),
