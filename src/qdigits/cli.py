@@ -109,6 +109,16 @@ _MAX_RUN_LENGTHS = 8
 # and 5.0 s at q = 51/100 (313 points); a = 2047/2048 (70767 terms, 8x
 # the bound) took 31 s
 _MAX_SERIES_WORK = 2**33
+# takagi_dyadic_exact takes one step per bit of e, the exponent of x's
+# power-of-two denominator, on Fractions of up to e (bits(a) + 1) bits,
+# each step a gcd quadratic in them; eval takagi at a dyadic x is charged
+# e^3 (bits(a) + 1)^2, bits(a) those of a's larger term, and eval td the
+# same with e the bits of --n.  At the bound (2-vCPU Xeon, Python 3.11),
+# eval takagi took 1.8 s at a = 2/3 (e = 4961), 0.94 s at a = 1023/1024
+# (e = 1969) and 0.84 s at a 64-bit a (e = 631); eval td took 3.3 s at
+# q = 3/4 (a 4961-bit n), 2.8 s at q = 9/10 (3529 bits) and 0.72 s with
+# --classical (4961 bits); a 64-bit a at e = 2000, 32x the bound, took 24 s
+_MAX_DYADIC_WORK = 2**40
 
 
 class _CliError(Exception):
@@ -186,6 +196,16 @@ def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
     return terms, terms * (terms * v.bit_length() + x_bits + 8192)
 
 
+def _require_dyadic_work(e: int, a: Fraction, what: str):
+    """Exit 2 when a dyadic Takagi walk of e steps at a is over _MAX_DYADIC_WORK."""
+    bits = max(abs(a.numerator), a.denominator).bit_length()
+    if e**3 * (bits + 1) ** 2 > _MAX_DYADIC_WORK:
+        raise _CliError(
+            f"{what} walks {e} bits at a = {a}; bits^3 x (bits(a) + 1)^2"
+            f" must be <= {_MAX_DYADIC_WORK}"
+        )
+
+
 def _write_text(path, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -220,6 +240,7 @@ def _cmd_eval(args) -> int:
         )
         x = _parse_fraction(args.x, "x")
         if is_power_of_two(x.denominator):
+            _require_dyadic_work(x.denominator.bit_length() - 1, a, "--x")
             value = takagi_dyadic_exact(x, a)
         else:
             terms, work = _series_work(a, args.tol, x.denominator.bit_length())
@@ -232,11 +253,14 @@ def _cmd_eval(args) -> int:
             value = takagi_series(x, a, tol=args.tol).value
     else:  # td
         if args.classical:
+            _require_dyadic_work(args.n.bit_length(), Fraction(1, 2), "--n")
             value = td_classical(args.n)
         else:
             if args.q is None:
                 raise _CliError("eval td needs --q or --classical")
-            value = td_generalized(args.n, _parse_qparam(args.q))
+            p = _parse_qparam(args.q)
+            _require_dyadic_work(args.n.bit_length(), p.a, "--n")
+            value = td_generalized(args.n, p)
     print(_format_value(value, args.digits))
     return 0
 

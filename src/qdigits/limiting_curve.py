@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import mul, sub
 
-from .digitsum import QParam
+from .digitsum import QParam, _lowest_terms
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
@@ -74,9 +74,10 @@ def _require_level(l: int):
 
 
 def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fraction]:
-    """Chord deviations of D(t) = S_q(x + t 2^h) - S_q(x), t = 0..2^g, h = n - g.
+    """Chord deviations of D(t) = S_q(x + t 2^h) - S_q(x), t = 0..2^g, h = n - g,
+    over the normalizer (2q)^(n-1).
 
-    Returns (devs, scale) with D(t) - (t/2^g) D(2^g) = devs[t] * scale.
+    Returns (devs, factor) with D(t) - (t/2^g) D(2^g) = devs[t] factor (2q)^(n-1).
     With x = A 2^h + B, B < 2^h, the split identity
 
         S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A)
@@ -87,6 +88,16 @@ def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fra
     those bits add a constant to s_q(A + t), linear again; so the walk
     runs on c = A mod 2^m, keeping s_q(c + t) v^m (q = u/v) as an integer
     that each step moves by one carry.
+
+    Each of devs is then worth q^h / (v^m 2^g) = u^h / (v^(m+h) 2^g), so
+    over (2q)^(n-1) = (2u)^(n-1) / v^(n-1), with n = g + h,
+
+        factor = u^(1-g) v^(g-1-m) / 2^(g+n-1),
+
+    built from its exponents rather than by dividing two Fractions of
+    thousands of bits.  The carries flip bit g of A, so m >= g + 1.  For
+    g >= 1 the factor is 1 / (u^(g-1) v^(m+1-g) 2^(g+n-1)), numerator 1;
+    for g = 0 it is 2u / (v^(m+1) 2^n), whose terms share only twos.
     """
     u, v = p.q.numerator, p.q.denominator
     h = n - g
@@ -112,7 +123,9 @@ def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fra
         nums.append((running << h) + b * digit)
     total = nums[-1] - nums[0]
     devs = [(s - nums[0]) * points - t * total for t, s in enumerate(nums)]
-    return devs, Fraction(u**h, v ** (m + h) << g)
+    if g:
+        return devs, Fraction(1, u ** (g - 1) * v ** (m + 1 - g) << (g + n - 1))
+    return devs, Fraction(2 * u, v ** (m + 1) << n)
 
 
 def _polygon(devs: list[int], factor: Fraction) -> CurveSamples:
@@ -192,9 +205,9 @@ def _zero_orbit_scaled(l: int, p: QParam, norm: str) -> tuple[list[int], Fractio
     """zero_orbit_curve as (devs, factor): its value at j/l is devs[j] * factor."""
     _require_level(l)
     g = l.bit_length() - 1
-    devs, scale = _orbit_deviations(0, g, g, p)
+    devs, factor = _orbit_deviations(0, g, g, p)
     if norm == "analytic":
-        return devs, scale / analytic_normalizer(l, p)
+        return devs, factor
     if norm != "canonical":
         raise ValueError(f"unknown norm {norm!r}")
     peak = max(abs(d) for d in devs)
@@ -237,20 +250,21 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
 
     One walk and one grid at lmax serve all levels: a prefix's chord
     deviations are those of the prefix y of the walk's (linear terms
-    cancel), so level l has y[t] l - t y[l] worth scale / l / (2q)^(log2(l)-1)
-    against every (lmax/l)-th grid value.  rep.scan gets one repeated
-    passing triple and at most one mismatch.
+    cancel), so level l = 2^g has y[t] l - t y[l] worth top_factor (2q)^(top-g) / l
+    over its normalizer (2q)^(g-1), top_factor being the walk's own at
+    lmax = 2^top, against every (lmax/l)-th grid value.  rep.scan gets one
+    repeated passing triple and at most one mismatch.
     """
     p.require_curve_regime()
     _require_level(lmax)
     top = lmax.bit_length() - 1
-    devs, scale = _orbit_deviations(0, top, top, p)
+    devs, top_factor = _orbit_deviations(0, top, top, p)
     tak, tak_factor = _target_scaled(top, p)
     statement = "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)"
     for g in range(lmin.bit_length() - 1, top + 1):
         l, y, target = 1 << g, devs[: (1 << g) + 1], tak[:: 1 << (top - g)]
         level = list(map(sub, map(mul, y, repeat(l)), map(mul, count(), repeat(y[l]))))
-        factor = scale / l / analytic_normalizer(l, p)
+        factor = top_factor * (2 * p.q) ** (top - g) / l
         gaps, _ = _gaps(level, factor, target, tak_factor)
         j = next(compress(count(), gaps), l + 1)  # l + 1: no gap is nonzero
         points = repeat((None, 0, 0), j)
@@ -361,6 +375,7 @@ def theorem1_experiment(
         if seed is None:
             seed = state.seed
     big_x = state.value
+    gap_primes = 2 * abs(p.q.numerator) * p.q.denominator  # all of gap_den's
     notes: list[str] = []
     levels: list[BridgeLevel] = []
     for r in r_list:
@@ -371,9 +386,7 @@ def theorem1_experiment(
                 f"orbit of length 2^{n} carries out of the register"
             )
         g = min(grid_exponent, n)
-        devs, scale = _orbit_deviations(big_x, n, g, p)
-        normalizer = (2 * p.q) ** (n - 1)
-        factor = scale / normalizer
+        devs, factor = _orbit_deviations(big_x, n, g, p)
         gaps, gap_den = _gaps(devs, factor, *_target_scaled(g, p))
         levels.append(
             BridgeLevel(
@@ -381,9 +394,9 @@ def theorem1_experiment(
                 position=n,
                 prefix_end=level.prefix_end,
                 ratio=level.ratio,
-                normalizer=normalizer,
+                normalizer=(2 * p.q) ** (n - 1),
                 grid_exponent=g,
-                sup_distance=Fraction(max(map(abs, gaps)), gap_den),
+                sup_distance=_lowest_terms(max(map(abs, gaps)), gap_den, gap_primes),
                 devs=tuple(devs),
                 factor=factor,
             )

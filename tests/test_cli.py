@@ -539,6 +539,37 @@ def test_series_budget_before_summing(capsys, monkeypatch):
         main([*argv, "1.0214137863449637e-09"])
 
 
+@pytest.mark.parametrize(
+    "argv, evaluator, over, at, message",
+    [
+        # e^3 (bits(a) + 1)^2 at a = 2/3: e = 4961 within 2^40, 4962 past it
+        (["eval", "takagi", "--a", "2/3", "--x"], "takagi_dyadic_exact",
+         f"1/{2**4962}", f"3/{2**4961}", "--x walks 4962 bits at a = 2/3"),
+        # a 64-bit a: e = 631 within, 632 past
+        (["eval", "takagi", "--a", f"{2**64 - 1}/{2**64}", "--x"], "takagi_dyadic_exact",
+         f"1/{2**632}", f"1/{2**631}", f"--x walks 632 bits at a = {2**64 - 1}/{2**64}"),
+        # a = 1/(2q) = 2/3, over the bits of --n
+        (["eval", "td", "--q", "3/4", "--n"], "td_generalized",
+         str(2**4961), str(2**4961 - 1), "--n walks 4962 bits at a = 2/3"),
+        (["eval", "td", "--classical", "--n"], "td_classical",
+         str(2**4961), str(2**4961 - 1), "--n walks 4962 bits at a = 1/2"),
+    ],
+    ids=["takagi", "takagi-64-bit-a", "td", "td-classical"],
+)
+def test_dyadic_budget(capsys, monkeypatch, argv, evaluator, over, at, message):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, evaluator, refuse)
+    assert run(capsys, [*argv, over]) == (
+        2,
+        "",
+        f"qdigits: {message}; bits^3 x (bits(a) + 1)^2 must be <= 1099511627776\n",
+    )
+    with pytest.raises(Reached):
+        main([*argv, at])
+
+
 @pytest.mark.parametrize("over", ["14634", str(10**8)])
 def test_fhat_points_budget(capsys, monkeypatch, tmp_path, over):
     # at q = 3/4 each point sums 70 terms: 70 * (70 * 2 + 53 + 8192) = 586950
@@ -728,6 +759,14 @@ GOLDEN = {
     "curve--3/4-64-canonical.svg": "29fc3a047f55ce8ef0b27b0996e2148d2b42a551460411e196cc8e0f39ece9a4",
     "curve-1/2-64-explore.svg": "fb0e205f625162999642a2809c87a8ab696c23f3f743902acc45e98097a7f984",
     "verify-prop1--2/3.json": "3a16ffd893df444c333ae7b32210862329d77c6f3ecdd0fe8f38532fad752eca",
+    # levels whose factor comes from its exponents, +-1 / (|u|^(g-1) ...)
+    # at both signs of u^(g-1), and at grid exponent 0 (two points, so
+    # every sup distance is 0); and S_q in lowest terms at a 16607-bit n
+    "bridge--3/4-seed-5-grid-7.json": "954d528e1ca53cfc86c6e1ffae68c30bb841c33788ba40b2d4b5397b6b4cd18e",
+    "bridge--3/4-seed-5-grid-8.json": "c41c05fbcc23b4ce3098cd9d9411f57ea74a4e84e763510aea5f0c0b1972144d",
+    "bridge-9/10-seed-1.json": "875219f1d85238e7cf2557ea50b576539e0386d6c255f0541d2d394db2f374fe",
+    "bridge-3/4-seed-1-grid-0.json": "ff7b9e180e4a53b1a2e6d6e8fec513b219f8c9841bcbb08bef6e10c588627230",
+    "eval-S-9/10-5000-digits": "01cf7ecbeaef10288224a6f783dc94772a701f0bcddc574b3b9d4410169e5e4f",
 }
 
 
@@ -776,6 +815,30 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["bridge", "--q", "2/3", "--seed", "9"])
         assert code == 0
         assert sha256(out) == GOLDEN["bridge-2/3-seed-9.json"]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, key",
+        [
+            (["--q=-3/4", "--seed", "5", "--grid-exponent", "7"], 0,
+             "bridge--3/4-seed-5-grid-7.json"),
+            (["--q=-3/4", "--seed", "5", "--grid-exponent", "8"], 0,
+             "bridge--3/4-seed-5-grid-8.json"),
+            (["--q", "9/10", "--seed", "1"], 0, "bridge-9/10-seed-1.json"),
+            # exit 1: sup distances 0, 0, 0 do not decrease
+            (["--q", "3/4", "--seed", "1", "--grid-exponent", "0"], 1,
+             "bridge-3/4-seed-1-grid-0.json"),
+        ],
+    )
+    def test_bridge_factor_from_exponents(self, capsys, argv, exit_code, key):
+        code, out, _ = run(capsys, ["bridge", *argv])
+        assert code == exit_code
+        assert sha256(out) == GOLDEN[key]
+
+    def test_summatory_in_lowest_terms(self, capsys):
+        n_text = "1" + "0" * 4994 + "12345"  # 10^4999 + 12345
+        code, out, _ = run(capsys, ["eval", "S", "--q", "9/10", "--n", n_text])
+        assert code == 0
+        assert sha256(out) == GOLDEN["eval-S-9/10-5000-digits"]
 
     def test_verify_theorem1_negative_weight_json(self, capsys):
         code, out, _ = run(

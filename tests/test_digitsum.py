@@ -5,6 +5,7 @@ asserted; the brute-force summatory evaluator is the oracle every fast
 path is measured against.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,13 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qdigits.digitsum as digitsum
 from qdigits.digitsum import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     QParam,
     _LEAF_BITS,
+    _SHARED_BITS,
     _TABLE_BITS,
     _leaf_table,
+    _lowest_terms,
     _summatory_leaf,
     _summatory_split,
     _table_leaf,
@@ -394,3 +398,87 @@ class TestSplitKernel:
         value, steps = partial_sum_fast_instrumented(n, p)
         assert steps == 65536
         assert value == want
+
+
+def assert_same_fraction(got, want):
+    """Equal as the same object would be: type, terms and hash."""
+    assert type(got) is type(want) is F
+    assert (got.numerator, got.denominator, hash(got)) == (
+        want.numerator,
+        want.denominator,
+        hash(want),
+    )
+
+
+# each base with the primes it is made of
+BASE_PRIMES = {1: [], 3: [3], 4: [2], 10: [2, 5], 12: [2, 3], 60: [2, 3, 5]}
+
+
+@st.composite
+def planted_pairs(draw):
+    """(num, den, base): coprime cofactors times powers of base's primes on
+    each side, so that every prime both share divides base.  The shared
+    valuations run well past the _SHARED_BITS at which the walk stops
+    squaring, and num takes either sign or zero."""
+    base = draw(st.sampled_from(sorted(BASE_PRIMES)))
+    a = draw(st.integers(-(1 << 300), 1 << 300))
+    b = draw(st.integers(1, 1 << 300))
+    common = math.gcd(a, b)
+    a, b = a // common, b // common
+    for p in BASE_PRIMES[base]:
+        both = p ** draw(st.integers(0, 2 * _SHARED_BITS))
+        a *= both * p ** draw(st.integers(0, 40))
+        b *= both * p ** draw(st.integers(0, 40))
+    return a, b, base
+
+
+class CountingMath:
+    """Stands in for digitsum's math module and counts two-argument gcds,
+    the full gcd of the pair that _lowest_terms falls back to."""
+
+    def __init__(self):
+        self.full = 0
+
+    def gcd(self, *args):
+        self.full += len(args) == 2
+        return math.gcd(*args)
+
+
+class TestLowestTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=planted_pairs())
+    @example(pair=(0, 3**500, 3))
+    @example(pair=(-(2**700) * 7, 2**690 * 5**3, 10))
+    @example(pair=(-(15**300) * 11, 15**290 * 2**9, 60))
+    def test_equals_fraction(self, pair):
+        num, den, base = pair
+        assert_same_fraction(_lowest_terms(num, den, base), F(num, den))
+
+    def test_squaring_stops_at_the_cap(self, monkeypatch):
+        # a shared 3^e is found by squaring 3^k up to the first k >= e, as
+        # long as 3^k stays within _SHARED_BITS; one more and it takes the
+        # full gcd
+        k = 1
+        while (3 ** (2 * k)).bit_length() <= _SHARED_BITS:
+            k *= 2
+        for e, full in [(0, 0), (1, 0), (k, 0), (k + 1, 1), (4 * k, 1)]:
+            counting = CountingMath()
+            monkeypatch.setattr(digitsum, "math", counting)
+            num, den = 3**e * 2**100 * 7**200, 3**e * 2**50 * 11**200
+            got = _lowest_terms(num, den, 12)
+            monkeypatch.undo()
+            assert counting.full == full, e
+            assert_same_fraction(got, F(num, den))
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(2, 3), F(9, 10), F(-3, 4), F(1)])
+    def test_fast_at_structured_n(self, q):
+        # n = 2^k and 3 2^k share long runs of twos with v^d; 2^k - 1 none
+        u, v = q.numerator, q.denominator
+        p = QParam(q)
+        for k in [_LEAF_BITS, 100, 1000, 4096, 16384]:
+            for n in [1 << k, 3 << k, (1 << k) - 1]:
+                d = n.bit_length()
+                if d <= _LEAF_BITS:
+                    continue
+                S, _s, _steps = _summatory_split(n, d, u, v, {})
+                assert_same_fraction(partial_sum_fast(n, p), F(S, v**d))

@@ -4,6 +4,7 @@ register experiment."""
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -372,9 +373,10 @@ class TestOrbitDeviations:
     @example(x=0xDEADBEEF << 64, h=64, g=6, q=F(5, 2))
     def test_matches_fast_differences(self, x, h, g, q):
         p = QParam(q)
-        devs, scale = limiting_curve._orbit_deviations(x, h + g, g, p)
+        devs, factor = limiting_curve._orbit_deviations(x, h + g, g, p)
         orbit = range(x, x + (1 << (h + g)) + 1, 1 << h)
         sums = [partial_sum_fast(m, p) if m else F(0) for m in orbit]
+        scale = factor * (2 * q) ** (h + g - 1)
         assert [d * scale for d in devs] == chord_deviations(sums)
 
     @pytest.mark.parametrize("q", ORBIT_WEIGHTS + [F(-2, 3), F(9, 10), F(-9, 10), F(51, 100)])
@@ -383,7 +385,8 @@ class TestOrbitDeviations:
         for n in range(9):
             table = partial_sum_prefix(1 << n, p)
             for g in range(min(n, 6) + 1):
-                devs, scale = limiting_curve._orbit_deviations(0, n, g, p)
+                devs, factor = limiting_curve._orbit_deviations(0, n, g, p)
+                scale = factor * (2 * q) ** (n - 1)
                 assert [d * scale for d in devs] == chord_deviations(table[:: 1 << (n - g)])
         if not p.is_curve_regime:
             return
@@ -393,6 +396,49 @@ class TestOrbitDeviations:
         for j in range(1, 11):
             assert main_prop1_checks(p, 1 << j) == want[:j]
             assert verify_identity_8(1 << j, p).checks == want[j - 1 : j]
+
+
+class TestExponentFactor:
+    """_orbit_deviations writes its factor from exponents: the walk's scale
+    u^h / (v^(m+h) 2^g) over the normalizer (2q)^(n-1), q = u/v, without
+    dividing the two."""
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(2, 3), F(9, 10)])
+    @pytest.mark.parametrize("g", [0, 1, 8])
+    def test_equals_scale_over_normalizer(self, q, g):
+        p = QParam(q)
+        u, v = q.numerator, q.denominator
+        orbits = [
+            (0, g),  # the zero orbit
+            (random.Random(g).getrandbits(600), 300),
+            # A = x >> h has ones at bits 0..97, so A + 2^g carries to bit 98
+            (((1 << 100) - 1) << 200, 210),
+        ]
+        for x, n in orbits:
+            h = n - g
+            a = x >> h
+            m = (a ^ (a + (1 << g))).bit_length()
+            want = F(u**h, v ** (m + h) << g) / (2 * q) ** (n - 1)
+            _devs, factor = limiting_curve._orbit_deviations(x, n, g, p)
+            assert type(factor) is F
+            assert (factor.numerator, factor.denominator, hash(factor)) == (
+                want.numerator,
+                want.denominator,
+                hash(want),
+            ), (x, n)
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(2, 3), F(9, 10)])
+    def test_sup_distances_in_lowest_terms(self, q):
+        bridge = theorem1_experiment(5, QParam(q), [4, 8, 12], grid_exponent=6)
+        for lvl in bridge.levels:
+            d = lvl.sup_distance
+            want = F(d.numerator, d.denominator)  # reduced again
+            assert (type(d), d.numerator, d.denominator, hash(d)) == (
+                F,
+                want.numerator,
+                want.denominator,
+                hash(want),
+            )
 
 
 class TestTheoremExperiment:
