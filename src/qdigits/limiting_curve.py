@@ -14,16 +14,22 @@ measures those sup distances exactly, at astronomically large l, without
 stepping the orbit: partial sums along it are differences
 S_q(X + i) - S_q(X) of the summatory function, and their chord
 deviations need only the digit sums of the few register bits that the
-orbit's carries reach (_orbit_deviations).  The zero orbit is the case
-X = 0 of the same walk, and one walk to length L serves every l = 2^j
-<= L: the chord deviations of a prefix are those of the prefix of the
-chord deviations (_scan_identity_8).
+orbit's carries reach, read from a table built by doubling
+(_orbit_deviations).  A level's deviations come in split form,
+(alpha[t] << h) + b beta[t], with alpha and beta small and b the
+register's bits below the grid step; each sup distance is found from
+that form, building in full only the gaps that can be the largest
+(_sup_gap).  The zero orbit is the case X = 0 of the same walk (b = 0),
+and one walk to length L serves every l = 2^j <= L: the chord
+deviations of a prefix are those of the prefix of the chord deviations
+(_scan_identity_8).
 
 All of it runs on one exact representation: integer deviations times
 one rational factor per grid, against takagi_dyadic_grid's integers over
 one denominator, compared by cross-multiplication.  Fractions are built
-only for values handed back to the caller (BridgeLevel.curve builds them
-on first access); qdigits curve writes its CSV and SVG from the same
+only for values handed back to the caller (BridgeLevel.devs joins the
+split form, and BridgeLevel.curve builds the Fractions, each on first
+access); qdigits curve writes its CSV and SVG from the same
 (integers, factor) form, and formats the target once where identity (8)
 makes it the polygon.
 
@@ -35,8 +41,8 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import mul, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, ge, lshift, mul, sub
 
 from .digitsum import QParam, _lowest_terms
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
@@ -73,21 +79,33 @@ def _require_level(l: int):
         raise ValueError(f"l must be a power of two >= 2, got {l}")
 
 
-def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fraction]:
+def _orbit_deviations(
+    x: int, n: int, g: int, p: QParam
+) -> tuple[list[int], list[int] | None, int, Fraction]:
     """Chord deviations of D(t) = S_q(x + t 2^h) - S_q(x), t = 0..2^g, h = n - g,
-    over the normalizer (2q)^(n-1).
+    over the normalizer (2q)^(n-1), in split form.
 
-    Returns (devs, factor) with D(t) - (t/2^g) D(2^g) = devs[t] factor (2q)^(n-1).
-    With x = A 2^h + B, B < 2^h, the split identity
+    Returns (alpha, beta, b, factor) with b = x mod 2^h and
+    D(t) - (t/2^g) D(2^g) = devs[t] factor (2q)^(n-1), where
+    devs[t] = (alpha[t] << h) + b beta[t] (_join); beta is None when
+    b = 0, which spares the zero orbit's walk its second pass.  With
+    x = A 2^h + b, the split identity
 
-        S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A)
+        S_q(A 2^h + b) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(b) + b q^h s_q(A)
 
-    leaves q^h [2^h sum_{i<t} s_q(A + i) + B s_q(A + t)] once the terms
+    leaves q^h [2^h sum_{i<t} s_q(A + i) + b s_q(A + t)] once the terms
     linear in t, which the chord cancels, are dropped.  Every A + t,
     t <= 2^g, agrees with A above bit m = bitlen(A xor (A + 2^g)), and
-    those bits add a constant to s_q(A + t), linear again; so the walk
-    runs on c = A mod 2^m, keeping s_q(c + t) v^m (q = u/v) as an integer
-    that each step moves by one carry.
+    those bits add a constant to s_q(A + t), linear again; so only
+    c = A mod 2^m counts, through d[t] = s_q(c + t) v^m (q = u/v).  The
+    carries of A + 2^g flip bits g..m-1 of A, so c has ones at bits
+    g..m-2 and a zero at bit m-1.  With c_lo = c mod 2^g, c + t keeps
+    those bits while c_lo + t < 2^g and has bit m-1 alone above bit g
+    after, so d[t] is an entry of a table of s_q(j) v^m, j < 2^g (built
+    by doubling), plus one of two constants.  alpha and beta are the
+    chord deviations of the running sums of d and of d itself, from one
+    pass of additions and one of itertools.accumulate: integers of about
+    m log2(v) + 2g bits, however long b is.
 
     Each of devs is then worth q^h / (v^m 2^g) = u^h / (v^(m+h) 2^g), so
     over (2q)^(n-1) = (2u)^(n-1) / v^(n-1), with n = g + h,
@@ -95,37 +113,53 @@ def _orbit_deviations(x: int, n: int, g: int, p: QParam) -> tuple[list[int], Fra
         factor = u^(1-g) v^(g-1-m) / 2^(g+n-1),
 
     built from its exponents rather than by dividing two Fractions of
-    thousands of bits.  The carries flip bit g of A, so m >= g + 1.  For
-    g >= 1 the factor is 1 / (u^(g-1) v^(m+1-g) 2^(g+n-1)), numerator 1;
-    for g = 0 it is 2u / (v^(m+1) 2^n), whose terms share only twos.
+    thousands of bits.  Since m >= g + 1, for g >= 1 the factor is
+    1 / (u^(g-1) v^(m+1-g) 2^(g+n-1)), numerator 1; for g = 0 it is
+    2u / (v^(m+1) 2^n), whose terms share only twos.
     """
     u, v = p.q.numerator, p.q.denominator
     h = n - g
     points = 1 << g
     a, b = x >> h, x & ((1 << h) - 1)
     m = (a ^ (a + points)).bit_length()
-    c = a & ((1 << m) - 1)
-    # weights[i] = q^(i+1) v^m, by exact shifts of v-factors into u-factors
-    weights = [u * v ** (m - 1)]
-    for _ in range(m - 1):
-        weights.append(weights[-1] * u // v)
-    digit = sum(w for i, w in enumerate(weights) if c >> i & 1)
-    nums = [b * digit]
-    running = 0
-    for _ in range(points):
-        running += digit
-        i = 0
-        while c >> i & 1:
-            digit -= weights[i]
-            i += 1
-        digit += weights[i]
-        c += 1
-        nums.append((running << h) + b * digit)
-    total = nums[-1] - nums[0]
-    devs = [(s - nums[0]) * points - t * total for t, s in enumerate(nums)]
+    c_lo = a & (points - 1)
+    # weights[i] = q^(i+1) v^m 2^g, the weight of bit i < g
+    weights = [u ** (i + 1) * v ** (m - 1 - i) << g for i in range(g)]
+    # table[j] = s_q(j) v^m 2^g, j < 2^g: the j below 2^(i+1) with bit i
+    # set are those below 2^i plus weights[i]
+    table = [0]
+    for w in weights:
+        table += [s + w for s in table]
+    # above bit g, c + t has ones at bits g..m-2 until c_lo + t reaches
+    # 2^g, and bit m-1 alone after: weights below, a geometric sum
+    # u^(g+1) v sum_{j<k} u^j v^(k-1-j) 2^g with k = m-g-1 (u = v only at
+    # q = 1), and above
+    k = m - g - 1
+    ones = (v**k - u**k) // (v - u) if u != v else k
+    below, above = u ** (g + 1) * v * ones << g, u**m << g
+    # total = sum_{t<2^g} d[t]; each bit below g is set in half the j < 2^g
+    total = (sum(weights) >> 1) + ((points - c_lo) * below + c_lo * above >> g)
+    # centred[t] = d[t] 2^g - total, whose running sums are alpha
+    centred = [s + (below - total) for s in table[c_lo:]]
+    centred += [s + (above - total) for s in table[: c_lo + 1]]
+    alpha = list(accumulate(centred, initial=0))
+    alpha.pop()
+    beta = None
+    if b:
+        first = centred[0]
+        rise = centred[-1] - first >> g
+        beta = list(map(sub, centred, accumulate(repeat(rise, points), initial=first)))
     if g:
-        return devs, Fraction(1, u ** (g - 1) * v ** (m + 1 - g) << (g + n - 1))
-    return devs, Fraction(2 * u, v ** (m + 1) << n)
+        return alpha, beta, b, Fraction(1, u ** (g - 1) * v ** (m + 1 - g) << (g + n - 1))
+    return alpha, beta, b, Fraction(2 * u, v ** (m + 1) << n)
+
+
+def _join(alpha, beta, b: int, h: int) -> list[int]:
+    """The deviations (alpha[t] << h) + b beta[t] of _orbit_deviations' split form."""
+    shifted = map(lshift, alpha, repeat(h))
+    if beta is None:
+        return list(shifted)
+    return list(map(add, shifted, map(mul, beta, repeat(b))))
 
 
 def _polygon(devs: list[int], factor: Fraction) -> CurveSamples:
@@ -144,8 +178,64 @@ def _gaps(devs, factor: Fraction, tak, tak_factor: Fraction):
     """devs[j] * factor - tak[j] * tak_factor as (gaps, den): gaps[j] / den, den > 0."""
     dev_scale = factor.numerator * tak_factor.denominator
     tak_scale = tak_factor.numerator * factor.denominator
-    gaps = map(sub, map(mul, devs, repeat(dev_scale)), map(mul, tak, repeat(tak_scale)))
-    return list(gaps), factor.denominator * tak_factor.denominator
+    den = factor.denominator * tak_factor.denominator
+    return _cross(devs, dev_scale, tak, tak_scale), den
+
+
+def _cross(xs, x_scale: int, ys, y_scale: int) -> list[int]:
+    """xs[j] * x_scale - ys[j] * y_scale for each j."""
+    return list(map(sub, map(mul, xs, repeat(x_scale)), map(mul, ys, repeat(y_scale))))
+
+
+# _sup_gap keeps the top _TOP_BITS bits of b to bound each gap, and builds
+# every gap in full when h is at most _SPLIT_MIN_H
+_TOP_BITS = 64
+_SPLIT_MIN_H = 2 * _TOP_BITS
+
+
+def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fraction):
+    """max_t |devs[t] factor - tak[t] tak_factor| as (num, den), num >= 0, den > 0,
+    with _gaps' den, for devs in _orbit_deviations' split form.
+
+    Over den the gaps are devs[t] ds - tak[t] ts, with _gaps' cross
+    scales ds and ts.  When 2^h divides ts, each is
+
+        gap[t] = (gamma[t] << h) + b delta[t],
+        gamma[t] = alpha[t] ds - tak[t] (ts >> h),  delta[t] = beta[t] ds,
+
+    with gamma and delta small.  For g >= 1 it does: factor's den carries
+    2^(g+n-1) = 2^(h+2g-1), and so does ts.  Let k = _TOP_BITS,
+    U = 2^(h-k) and b = top U + rest, 0 <= rest < U, and let
+    S = max |delta[t]|.  Then gap[t] = U (A[t] + e[t]) with
+    A[t] = (gamma[t] << k) + top delta[t] and e[t] = rest delta[t] / U,
+    so |e[t]| <= S and
+
+        |A[t]| - S <= |gap[t]| / U <= |A[t]| + S.
+
+    Let M = max |gap[t]|; the point where |A| is largest gives
+    max |A| - S <= M / U.  A point with |A[t]| < max |A| - 2S has
+    |gap[t]| / U < max |A| - S <= M / U, so M is not reached there.  The
+    max of |gap[t]| over the other points, each built in full, is
+    therefore M exactly.  On seeded registers one point is left, the
+    only gap of h bits built.  When h <= _SPLIT_MIN_H, or 2^h does not
+    divide ts (g = 0), every gap is built.
+    """
+    dev_scale = factor.numerator * tak_factor.denominator
+    tak_scale = tak_factor.numerator * factor.denominator
+    den = factor.denominator * tak_factor.denominator
+    if h <= _SPLIT_MIN_H or tak_scale & ((1 << h) - 1):
+        gaps = _cross(_join(alpha, beta, b, h), dev_scale, tak, tak_scale)
+        return max(map(abs, gaps)), den
+    gamma = _cross(alpha, dev_scale, tak, tak_scale >> h)
+    if beta is None:
+        return max(map(abs, gamma)) << h, den
+    slack = abs(dev_scale) * max(map(abs, beta))
+    top = (b >> (h - _TOP_BITS)) * dev_scale
+    shifted = map(lshift, gamma, repeat(_TOP_BITS))
+    approx = list(map(abs, map(add, shifted, map(mul, beta, repeat(top)))))
+    near = compress(count(), map(ge, approx, repeat(max(approx) - 2 * slack)))
+    b_ds = b * dev_scale
+    return max(abs((gamma[t] << h) + b_ds * beta[t]) for t in near), den
 
 
 def build_fluctuation_curve(partial_sums, l: int, normalizer) -> CurveSamples:
@@ -205,7 +295,7 @@ def _zero_orbit_scaled(l: int, p: QParam, norm: str) -> tuple[list[int], Fractio
     """zero_orbit_curve as (devs, factor): its value at j/l is devs[j] * factor."""
     _require_level(l)
     g = l.bit_length() - 1
-    devs, factor = _orbit_deviations(0, g, g, p)
+    devs, _beta, _b, factor = _orbit_deviations(0, g, g, p)
     if norm == "analytic":
         return devs, factor
     if norm != "canonical":
@@ -258,7 +348,7 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
     p.require_curve_regime()
     _require_level(lmax)
     top = lmax.bit_length() - 1
-    devs, top_factor = _orbit_deviations(0, top, top, p)
+    devs, _beta, _b, top_factor = _orbit_deviations(0, top, top, p)
     tak, tak_factor = _target_scaled(top, p)
     statement = "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)"
     for g in range(lmin.bit_length() - 1, top + 1):
@@ -292,9 +382,11 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 class BridgeLevel:
     """One stabilising level of the experiment with its measured curve.
 
-    The polygon is held as integer deviations devs, each worth
-    devs[j] * factor (the normalizer is already in factor); curve turns
-    them into Fractions on first access and keeps the result.
+    The polygon is held in _orbit_deviations' split form: integer
+    deviations devs[j] = (alpha[j] << h) + low beta[j], h = position -
+    grid_exponent, each worth devs[j] * factor (the normalizer is already
+    in factor); beta is None when low = 0.  devs joins them and curve
+    turns them into Fractions, each on first access, keeping the result.
     """
 
     run_length: int
@@ -304,8 +396,15 @@ class BridgeLevel:
     normalizer: Fraction
     grid_exponent: int
     sup_distance: Fraction
-    devs: tuple[int, ...] = field(repr=False, compare=False)
+    alpha: tuple[int, ...] = field(repr=False, compare=False)
+    beta: tuple[int, ...] | None = field(repr=False, compare=False)
+    low: int = field(repr=False, compare=False)
     factor: Fraction = field(repr=False, compare=False)
+
+    @cached_property
+    def devs(self) -> tuple[int, ...]:
+        h = self.position - self.grid_exponent
+        return tuple(_join(self.alpha, self.beta, self.low, h))
 
     @cached_property
     def curve(self) -> CurveSamples:
@@ -350,10 +449,12 @@ def theorem1_experiment(
     segment whenever the low n digits of X are nonzero) are handled
     exactly.  Only the bits of X below its carry reach, the bit length of
     X xor (X + 2^n), change along the segment; the bits above add a term
-    linear in i that the deviations cancel, so each level walks only the
+    linear in i that the deviations cancel, so each level reads only the
     reached bits above its grid step (_orbit_deviations).  The polygon is
     sampled at min(2^grid_exponent, l) + 1 dyadic points, rescaled by
-    (2q)^(n-1) and compared with the exact limit curve on the same grid.
+    (2q)^(n-1) and compared with the exact limit curve on the same grid,
+    which is built once per distinct grid exponent; the sup distance
+    comes from the deviations' split form (_sup_gap).
 
     Requires 1/2 < |q| < 1 and grid_exponent >= 0.  Supply either a seed
     (register drawn with OdometerState.random_state) or an explicit state.
@@ -376,6 +477,7 @@ def theorem1_experiment(
             seed = state.seed
     big_x = state.value
     gap_primes = 2 * abs(p.q.numerator) * p.q.denominator  # all of gap_den's
+    targets: dict[int, tuple] = {}  # one Takagi grid per distinct g
     notes: list[str] = []
     levels: list[BridgeLevel] = []
     for r in r_list:
@@ -386,8 +488,10 @@ def theorem1_experiment(
                 f"orbit of length 2^{n} carries out of the register"
             )
         g = min(grid_exponent, n)
-        devs, factor = _orbit_deviations(big_x, n, g, p)
-        gaps, gap_den = _gaps(devs, factor, *_target_scaled(g, p))
+        alpha, beta, low, factor = _orbit_deviations(big_x, n, g, p)
+        if g not in targets:
+            targets[g] = _target_scaled(g, p)
+        sup, gap_den = _sup_gap(alpha, beta, low, n - g, factor, *targets[g])
         levels.append(
             BridgeLevel(
                 run_length=r,
@@ -396,8 +500,10 @@ def theorem1_experiment(
                 ratio=level.ratio,
                 normalizer=(2 * p.q) ** (n - 1),
                 grid_exponent=g,
-                sup_distance=_lowest_terms(max(map(abs, gaps)), gap_den, gap_primes),
-                devs=tuple(devs),
+                sup_distance=_lowest_terms(sup, gap_den, gap_primes),
+                alpha=tuple(alpha),
+                beta=None if beta is None else tuple(beta),
+                low=low,
                 factor=factor,
             )
         )

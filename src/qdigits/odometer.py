@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digitsum import QParam, weighted_digit_sum
+from .digitsum import QParam, _lowest_terms, weighted_digit_sum
 
 
 class RegisterOverflowError(OverflowError):
@@ -156,7 +156,8 @@ def find_stabilizing_levels(
     levels: list[StabilizingLevel] = []
     while runs and len(levels) < max_levels:
         n = (runs & -runs).bit_length() - 1 + r
-        ratio = Fraction(s.value & ((1 << n) - 1), 1 << n)
+        # a dyadic pair shares only twos, so no gcd is needed
+        ratio = _lowest_terms(s.value & ((1 << n) - 1), 1 << n, 2)
         assert ratio < Fraction(1, 1 << r)
         levels.append(StabilizingLevel(n, n - r, r, ratio))
         runs &= runs - 1

@@ -357,6 +357,44 @@ def chord_deviations(sums):
     return [s - sums[0] - F(t, points) * total for t, s in enumerate(sums)]
 
 
+def carry_walk(x, n, g, p):
+    """_orbit_deviations' deviations, joined, and factor, by the per-step
+    carry walk its table replaced: s_q(c + t) v^m moves by one carry per
+    step, and each deviation is built as an integer of about h bits."""
+    u, v = p.q.numerator, p.q.denominator
+    h = n - g
+    points = 1 << g
+    a, b = x >> h, x & ((1 << h) - 1)
+    m = (a ^ (a + points)).bit_length()
+    c = a & ((1 << m) - 1)
+    weights = [u * v ** (m - 1)]  # weights[i] = q^(i+1) v^m
+    for _ in range(m - 1):
+        weights.append(weights[-1] * u // v)
+    digit = sum(w for i, w in enumerate(weights) if c >> i & 1)
+    nums = [b * digit]
+    running = 0
+    for _ in range(points):
+        running += digit
+        i = 0
+        while c >> i & 1:
+            digit -= weights[i]
+            i += 1
+        digit += weights[i]
+        c += 1
+        nums.append((running << h) + b * digit)
+    total = nums[-1] - nums[0]
+    devs = [(s - nums[0]) * points - t * total for t, s in enumerate(nums)]
+    if g:
+        return devs, F(1, u ** (g - 1) * v ** (m + 1 - g) << (g + n - 1))
+    return devs, F(2 * u, v ** (m + 1) << n)
+
+
+def joined_walk(x, n, g, p):
+    """_orbit_deviations with its split form joined: (devs, factor)."""
+    alpha, beta, b, factor = limiting_curve._orbit_deviations(x, n, g, p)
+    return limiting_curve._join(alpha, beta, b, n - g), factor
+
+
 class TestOrbitDeviations:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -373,7 +411,7 @@ class TestOrbitDeviations:
     @example(x=0xDEADBEEF << 64, h=64, g=6, q=F(5, 2))
     def test_matches_fast_differences(self, x, h, g, q):
         p = QParam(q)
-        devs, factor = limiting_curve._orbit_deviations(x, h + g, g, p)
+        devs, factor = joined_walk(x, h + g, g, p)
         orbit = range(x, x + (1 << (h + g)) + 1, 1 << h)
         sums = [partial_sum_fast(m, p) if m else F(0) for m in orbit]
         scale = factor * (2 * q) ** (h + g - 1)
@@ -385,7 +423,7 @@ class TestOrbitDeviations:
         for n in range(9):
             table = partial_sum_prefix(1 << n, p)
             for g in range(min(n, 6) + 1):
-                devs, factor = limiting_curve._orbit_deviations(0, n, g, p)
+                devs, factor = joined_walk(0, n, g, p)
                 scale = factor * (2 * q) ** (n - 1)
                 assert [d * scale for d in devs] == chord_deviations(table[:: 1 << (n - g)])
         if not p.is_curve_regime:
@@ -396,6 +434,190 @@ class TestOrbitDeviations:
         for j in range(1, 11):
             assert main_prop1_checks(p, 1 << j) == want[:j]
             assert verify_identity_8(1 << j, p).checks == want[j - 1 : j]
+
+
+# the experiment's weights, 1/2 < |q| < 1, and for the walk, which takes
+# any q, two outside that window
+SPLIT_WEIGHTS = [F(3, 4), F(-3, 4), F(2, 3), F(-2, 3), F(9, 10), F(5, 9), F(-5, 7)]
+WALK_WEIGHTS = [*SPLIT_WEIGHTS, F(1), F(5, 2)]
+
+
+class TestTableWalk:
+    """_orbit_deviations reads s_q(c + t) from a table built by doubling and
+    returns its deviations in split form; joined, they are the carry walk's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.one_of(st.just(0), st.integers(0, (1 << 400) - 1)),
+        h=st.integers(0, 300),
+        g=st.integers(0, 8),
+        q=st.sampled_from(WALK_WEIGHTS),
+    )
+    # A = x >> h has ones at bits 4..39, so A + 2^4 carries through 36 of them
+    @example(x=(((1 << 36) - 1) << 104) + 777, h=100, g=4, q=F(-5, 7))
+    # c mod 2^g = 2^g - 1: the first step already carries past bit g
+    @example(x=(0xABC << 208) + (0xFF << 200) + 12345, h=200, g=8, q=F(2, 3))
+    # B = x mod 2^h is zero
+    @example(x=0xDEADBEEF << 64, h=64, g=6, q=F(5, 2))
+    # g = 0: a single grid step
+    @example(x=(1 << 150) - 12345, h=100, g=0, q=F(3, 4))
+    # the zero orbit
+    @example(x=0, h=0, g=8, q=F(-3, 4))
+    def test_matches_carry_walk(self, x, h, g, q):
+        p = QParam(q)
+        alpha, beta, b, factor = limiting_curve._orbit_deviations(x, h + g, g, p)
+        devs, want_factor = carry_walk(x, h + g, g, p)
+        assert b == x % (1 << h)
+        assert (beta is None) == (b == 0)
+        assert limiting_curve._join(alpha, beta, b, h) == devs
+        assert (factor.numerator, factor.denominator) == (
+            want_factor.numerator,
+            want_factor.denominator,
+        )
+        # alpha and beta are small: their size depends on the m bits the
+        # carries reach, not on b
+        a = x >> h
+        m = (a ^ (a + (1 << g))).bit_length()
+        bits = m * max(abs(q.numerator), q.denominator).bit_length() + 2 * g + 8
+        assert all(abs(d).bit_length() <= bits for d in [*alpha, *(beta or [])])
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(1), F(5, 2)])
+    def test_carry_through_thousands_of_ones(self, q):
+        # A + 2^8 carries through 6000 ones: the constant for bits g..m-2
+        # is one geometric sum, not a weight per bit
+        x = ((1 << 6000) - 1) << 12
+        p = QParam(q)
+        assert joined_walk(x, 12, 8, p) == carry_walk(x, 12, 8, p)
+
+
+
+def reference_gaps(x, lvl, p):
+    """The level's deviations and factor from the carry walk, with its gaps
+    to the target as (gaps, den), gaps[j] / den, all built in full."""
+    n, g = lvl.position, lvl.grid_exponent
+    devs, factor = carry_walk(x, n, g, p)
+    tak, tak_factor = limiting_curve._target_scaled(g, p)
+    return devs, factor, limiting_curve._gaps(devs, factor, tak, tak_factor)
+
+
+class TestSplitSup:
+    """theorem1_experiment's sup distance from the split form is the max of
+    |gaps| over deviations built in full, and BridgeLevel.devs joins that
+    form only when it is read."""
+
+    def check(self, state, p, r_list, grid_exponent):
+        bridge = theorem1_experiment(
+            None, p, r_list, state=state, grid_exponent=grid_exponent
+        )
+        for lvl in bridge.levels:
+            devs, factor, (gaps, den) = reference_gaps(state.value, lvl, p)
+            assert lvl.sup_distance == F(max(map(abs, gaps)), den)
+            assert "devs" not in vars(lvl)
+            assert lvl.devs == tuple(devs)
+            assert "devs" in vars(lvl)
+            assert lvl.factor == factor
+        return bridge
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.sampled_from(SPLIT_WEIGHTS),
+        r=st.integers(1, 10),
+        prefix=st.integers(0, (1 << 400) - 1),
+        prefix_len=st.integers(0, 400),
+        high=st.integers(0, (1 << 100) - 1),
+        grid_exponent=st.integers(0, 8),
+    )
+    def test_matches_full_gaps(self, q, r, prefix, prefix_len, high, grid_exponent):
+        # register: a prefix with no run of r zeros (a one at every r-th
+        # bit and at its top), the run of r zeros that makes level n, and
+        # random bits above; h = n - g runs from 0 past _SPLIT_MIN_H
+        n = prefix_len + r
+        if prefix_len:
+            prefix |= sum(1 << i for i in range(r - 1, prefix_len, r)) | 1 << (prefix_len - 1)
+            prefix &= (1 << prefix_len) - 1
+        else:
+            prefix = 0
+        state = OdometerState(prefix | high << n, n + 101)
+        (lvl,) = self.check(state, QParam(q), [r], grid_exponent).levels
+        assert lvl.position == n
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(-2, 3), F(9, 10)])
+    def test_short_and_deep_levels(self, q):
+        # seed 9 at r = 2, 4, 8, 12 gives levels n = 9, 23, 289 and 4369:
+        # h <= 128 at the first two, far past it at the last two
+        state = OdometerState.random_state(9, 8192)
+        bridge = self.check(state, QParam(q), [2, 4, 8, 12], 8)
+        assert [lvl.position for lvl in bridge.levels] == [9, 23, 289, 4369]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.integers(0, (1 << 400) - 1),
+        h=st.integers(0, 300),
+        g=st.integers(0, 8),
+        clear_low=st.booleans(),
+        q=st.sampled_from(SPLIT_WEIGHTS),
+    )
+    # b = 0 past _SPLIT_MIN_H, with c mod 2^g = 0x5A: no beta, nonzero gaps
+    @example(x=0xDEADBE5A << 192, h=192, g=8, clear_low=True, q=F(3, 4))
+    def test_sup_gap_matches_full_max(self, x, h, g, clear_low, q):
+        # the sup of any orbit segment, not only those at a stabilising level
+        if clear_low:
+            x = x >> h << h
+        p = QParam(q)
+        alpha, beta, b, factor = limiting_curve._orbit_deviations(x, h + g, g, p)
+        tak, tak_factor = limiting_curve._target_scaled(g, p)
+        devs, _factor = carry_walk(x, h + g, g, p)
+        gaps, den = limiting_curve._gaps(devs, factor, tak, tak_factor)
+        got = limiting_curve._sup_gap(alpha, beta, b, h, factor, tak, tak_factor)
+        assert got == (max(map(abs, gaps)), den)
+
+    def test_grid_exponent_zero(self):
+        # one grid step: the scale's twos do not cover h, so every gap is built
+        state = OdometerState.random_state(9, 8192)
+        bridge = self.check(state, QParam(F(2, 3)), [4, 8, 12], 0)
+        assert {lvl.grid_exponent for lvl in bridge.levels} == {0}
+
+    @pytest.mark.parametrize(
+        "q, a, b, winner, runner_up",
+        [
+            (
+                F(2, 3),
+                0xDE11403,
+                0x90735A93FF279218304884D37360970CB473A2B8A1C2249695,
+                1020,
+                1021,
+            ),
+            (
+                F(-2, 3),
+                0x15C403,
+                0x8E324FE852DDF71F133CABA736C05EB4882383B30D516324FF,
+                340,
+                339,
+            ),
+        ],
+        ids=["2/3", "-2/3"],
+    )
+    def test_two_gaps_agree_past_the_truncation(self, q, a, b, winner, runner_up):
+        # x = a 2^200 + b at r = 8 and grid exponent 10 has its level at
+        # n = 210, h = 200.  Each gap is linear in b, and b is the integer
+        # just past where the gaps at the two points have equal size: they
+        # agree far below the top 64 of b's 200 bits, and b cut to those
+        # bits ranks them the other way, so only the exact gaps of the
+        # points the filter keeps give the sup
+        x = (a << 200) + b
+        p = QParam(q)
+        (lvl,) = self.check(OdometerState(x, x.bit_length() + 1), p, [8], 10).levels
+        assert (lvl.position, lvl.grid_exponent) == (210, 10)
+
+        def largest(register):
+            _devs, _factor, (gaps, _den) = reference_gaps(register, lvl, p)
+            return sorted(((abs(d), t) for t, d in enumerate(gaps)), reverse=True)[:2]
+
+        cut = 200 - limiting_curve._TOP_BITS
+        (first, t1), (second, t2) = largest(x)
+        assert (t1, t2) == (winner, runner_up)
+        assert 0 < first - second < 1 << cut
+        assert [t for _size, t in largest(x >> cut << cut)] == [runner_up, winner]
 
 
 class TestExponentFactor:
@@ -419,7 +641,7 @@ class TestExponentFactor:
             a = x >> h
             m = (a ^ (a + (1 << g))).bit_length()
             want = F(u**h, v ** (m + h) << g) / (2 * q) ** (n - 1)
-            _devs, factor = limiting_curve._orbit_deviations(x, n, g, p)
+            *_split, factor = limiting_curve._orbit_deviations(x, n, g, p)
             assert type(factor) is F
             assert (factor.numerator, factor.denominator, hash(factor)) == (
                 want.numerator,
