@@ -25,10 +25,10 @@ from itertools import repeat
 from .digitsum import (
     DEFAULT_ORACLE_BUDGET,
     QParam,
+    _digit_sum_fast,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_fast,
-    weighted_digit_sum,
 )
 from .limiting_curve import (
     _gaps,
@@ -94,7 +94,12 @@ _MAX_GRID_BITS = 2**29
 # register took 1.2 s at q = 9/10 and 2^17 digits (seed 190, r = 16,
 # n = 130026), 1.5 s at a 32-bit q and 2^14 digits (seed 272, r = 14,
 # n = 16377) and 1.7 s at a 128-bit q and 2^12 digits (seed 136, r = 14);
-# at twice the bound, 5.2 s, and q = 500001/1000000 at 2^17 digits 35.8 s
+# at twice the bound, 5.2 s, and q = 500001/1000000 at 2^17 digits 35.8 s.
+# eval s and eval S charge bits(--n) the same way: at the bound (same
+# machine, parsing and printing included, two batches) eval S took
+# 0.55-1.56 s at q = 1, 2/3, 1/3, +-3/4, 5/2, 9/10, 51/100 and 64- to
+# 1585-bit q, and 1.14 s with --digits 100000, eval s 0.16-1.23 s; at
+# twice the bound, eval S at q = 2/3 took 4.9 s
 _MAX_REGISTER_Q_BITS = 2**19
 # each --r entry walks a level of its own, even a repeated one: eight
 # copies of the first level above took 9.4 s and 63 MB
@@ -222,13 +227,25 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 
+def _require_q_work(bits: int, p: QParam, what: str):
+    """Exit 2 when bits x bits(q's larger term) is over _MAX_REGISTER_Q_BITS;
+    what names bits in the message."""
+    q_bits = max(abs(p.q.numerator), p.q.denominator).bit_length()
+    if bits * q_bits > _MAX_REGISTER_Q_BITS:
+        raise _CliError(
+            f"{what} * {q_bits} (the bits of q's larger term)"
+            f" must be <= {_MAX_REGISTER_Q_BITS}"
+        )
+
+
 def _cmd_eval(args) -> int:
-    if args.target == "s":
+    if args.target in ("s", "S"):
         p = _parse_qparam(args.q)
-        value = weighted_digit_sum(args.n, p)
-    elif args.target == "S":
-        p = _parse_qparam(args.q)
-        if args.method == "oracle":
+        bits = args.n.bit_length()
+        _require_q_work(bits, p, f"--n has {bits} bits; bits(--n)")
+        if args.target == "s":
+            value = _digit_sum_fast(args.n, p)
+        elif args.method == "oracle":
             value = partial_sum_bruteforce(args.n, p, budget=args.budget)
         else:
             value = partial_sum_fast(args.n, p)
@@ -345,12 +362,7 @@ def _experiment(args, p: QParam):
         raise _CliError(
             f"2^(--grid-exponent) * --register-length must be <= {_MAX_GRID_BITS}"
         )
-    q_bits = max(abs(p.q.numerator), p.q.denominator).bit_length()
-    if length * q_bits > _MAX_REGISTER_Q_BITS:
-        raise _CliError(
-            f"--register-length * {q_bits} (the bits of q's larger term)"
-            f" must be <= {_MAX_REGISTER_Q_BITS}"
-        )
+    _require_q_work(length, p, "--register-length")
     r_list = _parse_run_lengths(args.r)
     if len(r_list) > _MAX_RUN_LENGTHS:
         raise _CliError(f"--r takes at most {_MAX_RUN_LENGTHS} run lengths")

@@ -20,7 +20,7 @@ recursing on both halves down to spans of at most _LEAF_BITS bits.  A
 leaf walks its bits from the top, k = _TABLE_BITS of them per step: each
 step is the same identity at h = k, with S_q(c), s_q(c) and S_q(2^k)
 for the k-bit chunk c read from a table of 2^k entries built once per
-call.  At k = 1 the step is the halving step
+weight per process (per call when v is wide).  At k = 1 the step is the halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
@@ -28,8 +28,10 @@ call.  At k = 1 the step is the halving step
 and an n below 2^_LEAF_BITS takes it once per bit, with no table to
 build.  Each bit of n goes through exactly one leaf, and the halves
 recombine with a few big-integer products per level instead of one
-growing product per bit.  Only primes of v (q = u/v) can divide both
-S and v^d in the result S / v^d, so _lowest_terms reduces it by trailing
+growing product per bit.  With q = u/v and v = w 2^e, w odd, every
+power of v the recombination needs is a power of w shifted left, so at
+q = 3/4 none of them is a product.  Only primes of v can divide both S
+and v^d in the result S / v^d, so _lowest_terms reduces it by trailing
 zeros and a few gcds with small powers of v, each linear in the length
 of S, where Fraction(S, v^d) would run one gcd quadratic in it.
 
@@ -39,6 +41,7 @@ arithmetic progression; the deviation polygons of limiting_curve walk
 their own carries and call neither.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -213,6 +216,11 @@ numbers.Rational.register(_Reduced)
 _SHARED_BITS = 1 << 8
 
 
+def _twos(x: int) -> int:
+    """The exponent of 2 in x != 0: its count of trailing zero bits."""
+    return (x & -x).bit_length() - 1
+
+
 def _lowest_terms(num: int, den: int, base: int) -> Fraction:
     """Fraction(num, den), den > 0, when every prime that divides both
     num and den divides base.
@@ -229,10 +237,10 @@ def _lowest_terms(num: int, den: int, base: int) -> Fraction:
     """
     if num == 0 or den.bit_length() <= _SHARED_BITS:
         return Fraction(num, den)
-    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    twos = min(_twos(num), _twos(den))
     num >>= twos
     den >>= twos
-    shared, power = 1, base >> (base & -base).bit_length() - 1
+    shared, power = 1, base >> _twos(base)
     while (wider := math.gcd(power, num, den)) != shared:
         shared = wider
         if power.bit_length() > _SHARED_BITS:
@@ -248,19 +256,30 @@ def _lowest_terms(num: int, den: int, base: int) -> Fraction:
 
 
 # Spans of at most this many bits are leaves, and an n below 2^_LEAF_BITS
-# is one bit-serial leaf with no table to build.  Timing 65- to 65536-bit
+# is one bit-serial leaf with no table to read.  Timing 65- to 65536-bit
 # n on a 2-vCPU Xeon (Python 3.11) put table leaves of 48 to 128 bits
 # within the noise of each other at 16384 bits or more.  At 65 bits, 64
 # ran 1.13x as fast as the old bit-serial split, 48 1.00x, and 80 (one
 # whole-n serial leaf) 0.85x.
 _LEAF_BITS = 64
 # Each leaf of a longer n reads this many bits per step from a table of
-# 2^_TABLE_BITS entries, built once per call (same machine).  The table
-# took 9 us at 6 bits and 25 us at 8, more than all of a 65-bit n through
-# bit-serial leaves (20-22 us): 8 bits made 65- to 96-bit n 0.6-0.9x as
-# fast as before, where 6 bits was faster at every length timed.  On the
-# 16384-bit n of bench big_s, 8 bits ran about 6% faster than 6.
+# 2^_TABLE_BITS entries, built once per weight per process (_weight_table).
+# A call that finds its table cached (as every big_s op after the first,
+# all at one weight) is faster at 8 bits, but a call that builds it (each
+# CLI command, one evaluation per process) is not: the build takes 7 us
+# at 6 bits and 20 us at 8.  Interleaved, best of 41 rounds (2-vCPU Xeon,
+# Python 3.11), a 65- to 96-bit n at q = 3/4, 2/3 and 9/10 took 18-31 us
+# a call when every call built its own 6-bit table, 18-24 us building a
+# cached 6-bit table and 27-40 us building an 8-bit one; with the table
+# already cached, 11-16 us at 6 bits and 11-19 us at 8.  A 16384-bit n at
+# q = 3/4 took 4.63 ms with a per-call table, 3.35 ms at 6 bits and 2.99
+# ms at 8, built or cached alike.  At 6 bits a call that builds its table
+# costs what it did when every call built one, and the cache carries the
+# gain.
 _TABLE_BITS = 6
+# A table at k = 6 holds about 100 bits(v) bytes, 30 KB at a 256-bit v.
+# A wider v builds its table once per call and does not keep it.
+_CACHED_TABLE_V_BITS = 256
 
 
 def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
@@ -293,12 +312,28 @@ def _leaf_table(k: int, u: int, v: int) -> tuple:
     s covers c < 2^k and S covers c <= 2^k, so S[2^k] is S_q(2^k) v^k.
     s comes by doubling: the c below 2^(i+1) with bit i set are the c
     below 2^i plus the digit weight q^(i+1).  S is its running sum.
+    Both are tuples: _cached_leaf_table hands the same table to every
+    caller.
     """
     s = [0]
     for i in range(k):
         w = u ** (i + 1) * v ** (k - 1 - i)
         s += [t + w for t in s]
-    return k, u**k, v**k, [0, *accumulate(s)], s
+    return k, u**k, v**k, (0, *accumulate(s)), tuple(s)
+
+
+# a table is read-only and depends only on its key, so one build serves
+# every call at that weight; the bound keeps a process that runs through
+# many weights from holding a table for each
+_cached_leaf_table = functools.lru_cache(maxsize=16)(_leaf_table)
+
+
+def _weight_table(u: int, v: int) -> tuple:
+    """The _TABLE_BITS leaf table at q = u/v: from the process cache when v
+    has at most _CACHED_TABLE_V_BITS bits, else built for this call."""
+    if v.bit_length() <= _CACHED_TABLE_V_BITS:
+        return _cached_leaf_table(_TABLE_BITS, u, v)
+    return _leaf_table(_TABLE_BITS, u, v)
 
 
 def _table_leaf(n: int, d: int, u: int, v: int, table: tuple) -> tuple[int, int]:
@@ -332,31 +367,31 @@ def _table_leaf(n: int, d: int, u: int, v: int, table: tuple) -> tuple[int, int]
     return S, s
 
 
-def _pow2_scaled(h: int, u: int, v: int, u_h: int, v_h: int) -> int:
-    """S_q(2^h) * v^h = u (v^h - u^h)/(v - u) 2^(h-1), an exact integer.
+def _geometric(h: int, u: int, v: int, u_h: int, v_h: int) -> int:
+    """u (v^h - u^h)/(v - u), an exact integer: S_q(2^h) v^h is this
+    times 2^(h-1) for h >= 1.
 
     u_h and v_h are u^h and v^h.  At q = 1 (u = v = 1) the geometric
     ratio collapses to h.
     """
-    if h == 0:
-        return 0
-    geom = h if u == v else (v_h - u_h) // (v - u)
-    return (u * geom) << (h - 1)
+    return u * (h if u == v else (v_h - u_h) // (v - u))
 
 
-def _powers(h: int, u: int, v: int, memo: dict) -> tuple[int, int, int]:
-    """(u^h, v^h, S_q(2^h) v^h), computed once per h for the lifetime of memo."""
+def _powers(h: int, u: int, w: int, e: int, memo: dict) -> tuple[int, int, int]:
+    """(u^h, w^h, _geometric at h) for v = w 2^e, once per h for the lifetime
+    of memo.  v^h is w^h << e h, and S_q(2^h) v^h the last entry << (h - 1)."""
     got = memo.get(h)
     if got is None:
-        u_h, v_h = u**h, v**h
-        got = memo[h] = (u_h, v_h, _pow2_scaled(h, u, v, u_h, v_h))
+        u_h, w_h = u**h, w**h
+        got = memo[h] = (u_h, w_h, _geometric(h, u, w << e, u_h, w_h << e * h))
     return got
 
 
 def _summatory_split(
-    n: int, d: int, u: int, v: int, memo: dict
+    n: int, d: int, u: int, w: int, e: int, table: tuple, memo: dict
 ) -> tuple[int, int, int]:
-    """(S, s, steps) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d.
+    """(S, s, steps) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
+    q = u/v and v = w 2^e with w odd.
 
     Binary splitting on bit halves: with h = d // 2 and n = A 2^h + B,
 
@@ -365,46 +400,71 @@ def _summatory_split(
 
     where A is evaluated at depth d - h and B at depth h, so both
     halves come back over known powers of v and combine in integers.
-    Spans of at most _LEAF_BITS bits go to _table_leaf.  steps counts
-    the bits the leaves consume, summed through the recursion; each bit
-    of the span goes through exactly one leaf, so it is d.  memo holds
-    the _powers of each depth k met in this call and, under "table",
-    the leaf table, built on the first leaf.
+    Every power of v is a power of w shifted by e bits per factor, so at
+    a v that is a power of two (w = 1) the combine multiplies by no power
+    of v at all.  Spans of at most _LEAF_BITS bits go to _table_leaf,
+    which reads table, the weight's leaf table.  steps counts the bits
+    the leaves consume, summed through the recursion; each bit of the
+    span goes through exactly one leaf, so it is d.  memo holds the
+    _powers of each depth met in this call.
     """
     if d <= _LEAF_BITS:
-        table = memo.get("table")
-        if table is None:
-            table = memo["table"] = _leaf_table(_TABLE_BITS, u, v)
-        S, s = _table_leaf(n, d, u, v, table)
+        S, s = _table_leaf(n, d, u, w << e, table)
         return S, s, d
     h = d // 2
+    rest = d - h
+    a = n >> h
     b = n & ((1 << h) - 1)
-    S_a, s_a, steps_a = _summatory_split(n >> h, d - h, u, v, memo)
-    S_b, s_b, steps_b = _summatory_split(b, h, u, v, memo)
-    u_h, _v_h, pow2 = _powers(h, u, v, memo)
-    _u_rest, v_rest, _pow2_rest = _powers(d - h, u, v, memo)
-    S = ((n >> h) * pow2 + S_b) * v_rest + u_h * ((S_a << h) + b * s_a)
-    s = s_b * v_rest + u_h * s_a
+    S_a, s_a, steps_a = _summatory_split(a, rest, u, w, e, table, memo)
+    S_b, s_b, steps_b = _summatory_split(b, h, u, w, e, table, memo)
+    u_h, _w_h, geom = _powers(h, u, w, e, memo)
+    _u_rest, w_rest, _geom_rest = _powers(rest, u, w, e, memo)
+    # S_q(2^h) v^h is geom << (h - 1), and v^rest is w_rest << e rest
+    S = (((a * geom << h - 1) + S_b) * w_rest << e * rest) + u_h * (
+        (S_a << h) + b * s_a
+    )
+    s = (s_b * w_rest << e * rest) + u_h * s_a
     return S, s, steps_a + steps_b
 
 
-def partial_sum_fast_instrumented(n: int, p: QParam) -> tuple[Fraction, int]:
-    """S_q(n) plus the number of bits of n the leaves consumed.
+def _summatory_root(n: int, u: int, v: int) -> tuple[int, int, int, int]:
+    """(S, s, den, steps) with S_q(n) = S / den and s_q(n) = s / den,
+    den = v^d, d = n.bit_length() >= 1, q = u/v.
 
-    Every bit of n goes through exactly one leaf, so the count equals
-    n.bit_length().  An n below 2^_LEAF_BITS is one bit-serial leaf;
-    a longer n goes to _summatory_split.
+    An n below 2^_LEAF_BITS is one bit-serial leaf; a longer n goes to
+    _summatory_split.  steps is the number of bits of n the leaves
+    consumed: every bit goes through exactly one leaf, so it is d.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = p.q.numerator
-    v = p.q.denominator
     d = n.bit_length()
     if d <= _LEAF_BITS:
-        S, _s = _summatory_leaf(n, d, u, v)
-        return Fraction(S, v**d), d
-    S, _s, steps = _summatory_split(n, d, u, v, {})
-    return _lowest_terms(S, v**d, v), steps
+        S, s = _summatory_leaf(n, d, u, v)
+        return S, s, v**d, d
+    e = _twos(v)
+    w = v >> e
+    S, s, steps = _summatory_split(n, d, u, w, e, _weight_table(u, v), {})
+    return S, s, w**d << e * d, steps
+
+
+def partial_sum_fast_instrumented(n: int, p: QParam) -> tuple[Fraction, int]:
+    """S_q(n) plus the number of bits of n the leaves consumed, which
+    equals n.bit_length()."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    v = p.q.denominator
+    S, _s, den, steps = _summatory_root(n, p.q.numerator, v)
+    return _lowest_terms(S, den, v), steps
+
+
+def _digit_sum_fast(j: int, p: QParam) -> Fraction:
+    """s_q(j), read off the root of the summatory kernel, which computes it
+    alongside S_q(j); weighted_digit_sum is its oracle."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    if j == 0:
+        return Fraction(0)
+    v = p.q.denominator
+    _S, s, den, _steps = _summatory_root(j, p.q.numerator, v)
+    return _lowest_terms(s, den, v)
 
 
 def partial_sum_fast(n: int, p: QParam) -> Fraction:
@@ -428,14 +488,16 @@ def partial_sum_pow2(k: int, p: QParam) -> Fraction:
         S_q(2^k) = q (1 - q^k) / (1 - q) * 2^(k-1),    k >= 1,
 
     with S_q(1) = 0 and the q = 1 limit k * 2^(k-1); evaluated in
-    integers by _pow2_scaled, the same helper the split steps use.
+    integers by _geometric, the same helper the split steps use.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k == 0:
+        return Fraction(0)
     u = p.q.numerator
     v = p.q.denominator
     v_k = v**k
-    return Fraction(_pow2_scaled(k, u, v, u**k, v_k), v_k)
+    return Fraction(_geometric(k, u, v, u**k, v_k) << k - 1, v_k)
 
 
 def partial_sum_progression(

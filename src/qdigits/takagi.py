@@ -41,6 +41,7 @@ the solution of f(x/2) = f(x)/4 + x/4, f((x+1)/2) = f(x)/4 + (1-x)/4.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -234,6 +235,23 @@ class DeRhamSystem:
         """f(1), forced by the right branch fixed point."""
         return self.g1(1) / (1 - self.a1)
 
+    @cached_property
+    def _seam_residual(self) -> Fraction:
+        """The left branch's f(1/2) minus the right's; zero when consistent."""
+        left = self.a0 * self.g1(1) / (1 - self.a1) + self.g0(1)
+        right = self.a1 * self.g0(0) / (1 - self.a0) + self.g1(0)
+        return left - right
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple]:
+        """(D, ((A0, P0, Q0), (A1, P1, Q1))) with a_i = A_i / D and
+        g_i(t) = (P_i t + Q_i) / D: every coefficient over one denominator."""
+        coeffs = [self.a0, self.g0.slope, self.g0.intercept]
+        coeffs += [self.a1, self.g1.slope, self.g1.intercept]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        return den, (tuple(ints[:3]), tuple(ints[3:]))
+
 
 class ConsistencyResult(NamedTuple):
     consistent: bool
@@ -242,32 +260,43 @@ class ConsistencyResult(NamedTuple):
 
 def derham_consistency(sys: DeRhamSystem) -> ConsistencyResult:
     """Check the seam condition; residual is (left expression - right)."""
-    left = sys.a0 * sys.g1(1) / (1 - sys.a1) + sys.g0(1)
-    right = sys.a1 * sys.g0(0) / (1 - sys.a0) + sys.g1(0)
-    residual = left - right
+    residual = sys._seam_residual
     return ConsistencyResult(residual == 0, residual)
 
 
 def derham_eval(sys: DeRhamSystem, x) -> Fraction:
     """The solution of a consistent system at a dyadic x in [0, 1], exactly.
 
-    Unwinds f(x) = add + mult f(t) one branch at a time; each step
-    doubles t (mod the branch map) and reduces its dyadic exponent by
-    one, so the walk ends at 0 or 1, where f is the branch fixed point.
+    Unwinds f(t) = g_b(t') + a_b f(t') one branch b at a time, where t'
+    is 2t or 2t - 1: for x = k/2^g with k odd, the branches are the bits
+    of k from the top, each t' is what is left of k over the bits still
+    to read, and the walk ends at f(0), the left branch fixed point (at
+    t = 1/2 the last step takes the right branch, which the seam
+    condition makes equal to the left).  With every coefficient over one
+    denominator D (DeRhamSystem._integer_form), the slopes' running
+    product is an integer and the branch terms sum by Horner over
+    D^g 2^g, so the walk makes one Fraction, at the end.
     """
-    ok, residual = derham_consistency(sys)
-    if not ok:
+    residual = sys._seam_residual
+    if residual:
         raise InconsistentSystemError(
             f"branches disagree at the seam (residual {residual})"
         )
-    t, mult, add = as_dyadic(x), Fraction(1), Fraction(0)
-    while t != 0 and t != 1:
-        if t <= _HALF:
-            t = 2 * t
-            add += mult * sys.g0(t)
-            mult *= sys.a0
-        else:
-            t = 2 * t - 1
-            add += mult * sys.g1(t)
-            mult *= sys.a1
-    return add + mult * (sys.left_value if t == 0 else sys.right_value)
+    t = as_dyadic(x)
+    k, g = t.numerator, t.denominator.bit_length() - 1
+    if g == 0:
+        return sys.left_value if k == 0 else sys.right_value
+    den, branches = sys._integer_form
+    mult, add = 1, 0
+    for i in range(g - 1, -1, -1):
+        slope, g_slope, g_const = branches[k >> i & 1]
+        # the branch term g_b(r / 2^i), r the low i bits of k, is
+        # (g_slope r + g_const 2^i) / (D 2^i), here put over D^g 2^g
+        r = k & ((1 << i) - 1)
+        add = add * den + (mult * (g_slope * r + (g_const << i)) << g - i)
+        mult *= slope
+    # f(0) = g0(0) / (1 - a0) = Q0 / (D - A0)
+    fixed_den = den - branches[0][0]
+    return Fraction(
+        add * fixed_den + (mult * branches[0][2] << g), (den**g << g) * fixed_den
+    )

@@ -1,6 +1,8 @@
 """End-to-end CLI contract: outputs, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -9,11 +11,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdigits.cli as cli
 import qdigits.digitsum as digitsum
 from qdigits.cli import main
-from qdigits.digitsum import QParam, partial_sum_fast
+from qdigits.digitsum import QParam, partial_sum_fast, weighted_digit_sum
 from qdigits.limiting_curve import target_curve, theorem1_experiment, zero_orbit_curve
 from qdigits.odometer import OdometerState
 
@@ -568,6 +572,61 @@ def test_dyadic_budget(capsys, monkeypatch, argv, evaluator, over, at, message):
     )
     with pytest.raises(Reached):
         main([*argv, at])
+
+
+@pytest.mark.parametrize(
+    "argv, evaluator",
+    [
+        (["eval", "s"], "_digit_sum_fast"),
+        (["eval", "S"], "partial_sum_fast"),
+        (["eval", "S", "--method", "oracle"], "partial_sum_bruteforce"),
+    ],
+    ids=["s", "S", "S-oracle"],
+)
+@pytest.mark.parametrize(
+    "q, at_bits, q_bits",
+    # 131072 bits x 4 is the bound itself; 330 x 1585 is 523050, 331 x 1585
+    # is 524635
+    [("9/10", 131072, 4), (f"1/{3**1000}", 330, 1585)],
+    ids=["9/10", "1585-bit-q"],
+)
+def test_sum_size_bound(capsys, monkeypatch, argv, evaluator, q, at_bits, q_bits):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, evaluator, refuse)
+    # n's decimal text passes the interpreter's 4300-digit default limit
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        over, at = str(1 << at_bits), str((1 << at_bits) - 1)
+    finally:
+        set_limit(previous)
+    assert run(capsys, [*argv, f"--q={q}", "--n", over]) == (
+        2,
+        "",
+        f"qdigits: --n has {at_bits + 1} bits; bits(--n) * {q_bits} (the bits of"
+        " q's larger term) must be <= 524288\n",
+    )
+    with pytest.raises(Reached):
+        main([*argv, f"--q={q}", "--n", at])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 1 << 20), st.integers(0, 1 << 300)),
+    q=st.sampled_from([F(3, 4), F(-3, 4), F(5, 8), F(9, 10), F(7, 12), F(2, 3), F(1), F(5, 2)]),
+)
+@example(n=(1 << 64) - 1, q=F(3, 4))
+@example(n=1 << 64, q=F(9, 10))
+def test_eval_digit_sum_matches_oracle(n, q):
+    # eval s reads s_q(n) off the summatory kernel; weighted_digit_sum adds
+    # one Fraction per bit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "s", f"--q={q}", "--n", str(n)])
+    assert (code, out.getvalue()) == (0, f"{weighted_digit_sum(n, QParam(q))}\n")
 
 
 @pytest.mark.parametrize("over", ["14634", str(10**8)])

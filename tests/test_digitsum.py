@@ -20,12 +20,18 @@ from qdigits.digitsum import (
     QParam,
     _LEAF_BITS,
     _SHARED_BITS,
+    _CACHED_TABLE_V_BITS,
     _TABLE_BITS,
+    _cached_leaf_table,
+    _digit_sum_fast,
     _leaf_table,
     _lowest_terms,
     _summatory_leaf,
+    _summatory_root,
     _summatory_split,
     _table_leaf,
+    _twos,
+    _weight_table,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_bruteforce_at,
@@ -304,16 +310,26 @@ def shaped_ints(draw, max_bits):
     return draw(st.integers(top, 2 * top - 1))
 
 
+def split(n, d, u, v):
+    """_summatory_split on a fresh memo, v passed as its odd part and twos."""
+    e = _twos(v)
+    return _summatory_split(n, d, u, v >> e, e, _leaf_table(_TABLE_BITS, u, v), {})
+
+
 def _check_split_kernel(n, q):
     """The split over table leaves, and the table walk at k = 1, equal the
     whole-n serial leaf."""
     u, v = q.numerator, q.denominator
     d = n.bit_length()
     serial = _summatory_leaf(n, d, u, v)
-    assert _summatory_split(n, d, u, v, {}) == (*serial, d), (q, n)
+    assert split(n, d, u, v) == (*serial, d), (q, n)
     assert _table_leaf(n, d, u, v, _leaf_table(1, u, v)) == serial
     _value, steps = partial_sum_fast_instrumented(n, QParam(q))
     assert steps == d
+
+
+# v all twos, v with twos and an odd part, v odd, and q = 1
+KERNEL_WEIGHTS = [F(3, 4), F(-3, 4), F(5, 8), F(9, 10), F(7, 12), F(2, 3), F(5, 9), F(1)]
 
 
 class TestSplitKernel:
@@ -350,7 +366,7 @@ class TestSplitKernel:
                 assert (S_c[c], s_c[c]) == _summatory_leaf(c, k, u, v), (k, c)
             assert F(S_c[-1], v**k) == partial_sum_pow2(k, QParam(q))
         # the bit-serial walk is the table walk's one-bit case
-        assert _leaf_table(1, u, v) == (1, u, v, [0, 0, u], [0, u])
+        assert _leaf_table(1, u, v) == (1, u, v, (0, 0, u), (0, u))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), q=weights)
@@ -398,6 +414,77 @@ class TestSplitKernel:
         value, steps = partial_sum_fast_instrumented(n, p)
         assert steps == 65536
         assert value == want
+
+    @pytest.mark.parametrize("q", KERNEL_WEIGHTS)
+    def test_every_length_equals_serial_leaf(self, q):
+        rng = random.Random(str(q))
+        for bits in (65, 72, 127, 128, 129, 4096):
+            top = 1 << (bits - 1)
+            for n in (rng.getrandbits(bits) | top, 2 * top - 1, top):
+                _check_split_kernel(n, q)
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(1)])
+    def test_16385_bits_equals_serial_leaf(self, q):
+        u, v = q.numerator, q.denominator
+        n = random.Random(16385).getrandbits(16385) | (1 << 16384)
+        S, s, den, steps = _summatory_root(n, u, v)
+        assert (S, s) == _summatory_leaf(n, 16385, u, v)
+        assert (den, steps) == (v**16385, 16385)
+
+    @pytest.mark.parametrize("q", KERNEL_WEIGHTS)
+    def test_equals_oracle(self, q):
+        # S_q at n and n + 1 from one definitional pass: s_q(n) is their gap
+        p = QParam(q)
+        ns = [1, 2, 3, 255, 256, 257, 40000, (1 << 16) - 1, 1 << 16]
+        oracle = partial_sum_bruteforce_at(ns + [n + 1 for n in ns], p)
+        for n in ns:
+            assert partial_sum_fast(n, p) == oracle[n], n
+            assert _digit_sum_fast(n, p) == oracle[n + 1] - oracle[n], n
+
+    @pytest.mark.parametrize("q", KERNEL_WEIGHTS)
+    def test_digit_sum_at_the_root(self, q):
+        p = QParam(q)
+        rng = random.Random(str(q))
+        for bits in (1, 5, 64, 65, 72, 127, 128, 129, 300):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert_same_fraction(_digit_sum_fast(n, p), weighted_digit_sum(n, p))
+        assert _digit_sum_fast(0, p) == 0
+        with pytest.raises(ValueError, match="j must be nonnegative"):
+            _digit_sum_fast(-1, p)
+
+    def test_interleaved_weights_read_their_own_tables(self):
+        # one v with u of either sign, one u over v = 4, 8 and 12, q = 1
+        # and a v too wide to cache: a table cached for one weight must
+        # never serve another
+        interleaved = [F(3, 4), F(-3, 4), F(3, 8), F(7, 12), F(1), F(5, 12), F(2, 3**170)]
+        rng = random.Random(2)
+        ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (65, 129, 700)]
+        want = {
+            q: [_summatory_leaf(n, n.bit_length(), q.numerator, q.denominator) for n in ns]
+            for q in interleaved
+        }
+        for _round in range(2):
+            for i, n in enumerate(ns):
+                for q in interleaved:
+                    S, s, den, _steps = _summatory_root(n, q.numerator, q.denominator)
+                    assert (S, s) == want[q][i], (q, n)
+                    assert partial_sum_fast(n, QParam(q)) == F(S, den)
+
+    def test_tables_are_shared_and_read_only(self):
+        table = _weight_table(3, 4)
+        assert _weight_table(3, 4) is table
+        assert table == _leaf_table(_TABLE_BITS, 3, 4)
+        assert type(table[3]) is type(table[4]) is tuple
+        assert _weight_table(-3, 4)[4] != table[4]
+
+    def test_only_narrow_v_tables_are_kept(self):
+        at, over = (1 << _CACHED_TABLE_V_BITS) - 1, 1 << _CACHED_TABLE_V_BITS
+        assert _weight_table(1, at) is _weight_table(1, at)
+        info = _cached_leaf_table.cache_info()
+        table = _weight_table(1, over)
+        assert table == _weight_table(1, over) == _leaf_table(_TABLE_BITS, 1, over)
+        assert table is not _weight_table(1, over)
+        assert _cached_leaf_table.cache_info() == info
 
 
 def assert_same_fraction(got, want):
@@ -480,5 +567,5 @@ class TestLowestTerms:
                 d = n.bit_length()
                 if d <= _LEAF_BITS:
                     continue
-                S, _s, _steps = _summatory_split(n, d, u, v, {})
+                S, _s, _steps = split(n, d, u, v)
                 assert_same_fraction(partial_sum_fast(n, p), F(S, v**d))

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdigits.digitsum import QParam
@@ -270,6 +270,56 @@ systems = st.one_of(
     ),
     st.just((HALF_AMPLITUDE, lambda t: t * (1 - t))),
 )
+
+
+def derham_unwind(sys, x):
+    """Reference: the branch walk f(t) = add + mult f(t') unwound in
+    Fractions, one step per bit of x, ending at f(0) or f(1)."""
+    t, mult, add = as_dyadic(x), F(1), F(0)
+    while t != 0 and t != 1:
+        if t <= F(1, 2):
+            t = 2 * t
+            add += mult * sys.g0(t)
+            mult *= sys.a0
+        else:
+            t = 2 * t - 1
+            add += mult * sys.g1(t)
+            mult *= sys.a1
+    return add + mult * (sys.left_value if t == 0 else sys.right_value)
+
+
+@st.composite
+def consistent_systems(draw):
+    """Two slopes of either sign and random branch maps, with g1's
+    intercept solved from the seam condition."""
+    a0, a1 = draw(contractions()), draw(contractions())
+    assume(a0 + a1 != 1)
+    ratios = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+    m0, c0, m1 = draw(ratios), draw(ratios), draw(ratios)
+    c1 = (a1 * c0 / (1 - a0) - m0 - c0 - a0 * m1 / (1 - a1)) * (1 - a1) / (a0 + a1 - 1)
+    return DeRhamSystem(a0, a1, AffineMap(m0, c0), AffineMap(m1, c1))
+
+
+class TestDeRhamUnwinding:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sys=st.one_of(systems.map(lambda pair: pair[0]), consistent_systems()),
+        t=dyadics(max_exponent=40),
+    )
+    @example(sys=DeRhamSystem.takagi(F(-2, 3)), t=F(1, 2))
+    @example(sys=fluctuation_system(QParam(F(-3, 4))), t=F(2**40 - 1, 2**40))
+    @example(sys=fluctuation_system(QParam(F(9, 10))), t=F(1, 2**40))
+    @example(sys=HALF_AMPLITUDE, t=F(1))
+    def test_integer_walk_equals_fraction_unwinding(self, sys, t):
+        assert derham_consistency(sys).consistent
+        assert derham_eval(sys, t) == derham_unwind(sys, t)
+
+    def test_seam_residual_is_computed_once(self):
+        sys = DeRhamSystem.takagi(F(2, 3))
+        assert "_seam_residual" not in vars(sys)
+        derham_eval(sys, F(1, 4))
+        assert vars(sys)["_seam_residual"] == 0
+        assert derham_consistency(sys) == (True, 0)
 
 
 class TestDifferential:
