@@ -124,6 +124,13 @@ _MAX_SERIES_WORK = 2**33
 # q = 3/4 (a 4961-bit n), 2.8 s at q = 9/10 (3529 bits) and 0.72 s with
 # --classical (4961 bits); a 64-bit a at e = 2000, 32x the bound, took 24 s
 _MAX_DYADIC_WORK = 2**40
+# the largest --budget, the default: the oracle sums one term per j below
+# n, so at the bound eval S --method oracle at n = 2^20 took 1.7-2.3 s at
+# q = 3/4, 9/10 and 51/100 and 14.8 s at a 1585-bit q (2-vCPU Xeon,
+# Python 3.11), and 3.6 s at q = 3/4 and twice the bound; verify --suite
+# recurrences at --nmax 349524, the largest the bound admits, took 65 s
+# and 341 MB at q = 3/4 and 83 s and 369 MB at q = 51/100
+_MAX_ORACLE_BUDGET = DEFAULT_ORACLE_BUDGET
 
 
 class _CliError(Exception):
@@ -754,6 +761,8 @@ def _run(argv) -> int:
             raise _CliError("--digits must be >= 0")
         if digits is not None and digits > _MAX_DIGITS:
             raise _CliError(f"--digits must be <= {_MAX_DIGITS}")
+        if getattr(args, "budget", 0) > _MAX_ORACLE_BUDGET:
+            raise _CliError(f"--budget must be <= {_MAX_ORACLE_BUDGET}")
         return handlers[args.command](args)
     except (NoStabilizingLevelError, RegisterOverflowError) as exc:
         print(f"qdigits {args.command}: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ recursing on both halves down to spans of at most _LEAF_BITS bits.  A
 leaf walks its bits from the top, k = _TABLE_BITS of them per step: each
 step is the same identity at h = k, with S_q(c), s_q(c) and S_q(2^k)
 for the k-bit chunk c read from a table of 2^k entries built once per
-weight per process (per call when v is wide).  At k = 1 the step is the halving step
+weight per process (per call when q's terms are wide).  Every split
+point is a multiple of k bits from the bottom, so only the top leaf
+reads a partial chunk.  At k = 1 the step is the halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
@@ -262,24 +264,29 @@ def _lowest_terms(num: int, den: int, base: int) -> Fraction:
 # ran 1.13x as fast as the old bit-serial split, 48 1.00x, and 80 (one
 # whole-n serial leaf) 0.85x.
 _LEAF_BITS = 64
-# Each leaf of a longer n reads this many bits per step from a table of
+# Each leaf of a longer n reads _TABLE_BITS bits per step from a table of
 # 2^_TABLE_BITS entries, built once per weight per process (_weight_table).
-# A call that finds its table cached (as every big_s op after the first,
-# all at one weight) is faster at 8 bits, but a call that builds it (each
-# CLI command, one evaluation per process) is not: the build takes 7 us
-# at 6 bits and 20 us at 8.  Interleaved, best of 41 rounds (2-vCPU Xeon,
-# Python 3.11), a 65- to 96-bit n at q = 3/4, 2/3 and 9/10 took 18-31 us
-# a call when every call built its own 6-bit table, 18-24 us building a
-# cached 6-bit table and 27-40 us building an 8-bit one; with the table
-# already cached, 11-16 us at 6 bits and 11-19 us at 8.  A 16384-bit n at
-# q = 3/4 took 4.63 ms with a per-call table, 3.35 ms at 6 bits and 2.99
-# ms at 8, built or cached alike.  At 6 bits a call that builds its table
-# costs what it did when every call built one, and the cache carries the
-# gain.
-_TABLE_BITS = 6
-# A table at k = 6 holds about 100 bits(v) bytes, 30 KB at a 256-bit v.
-# A wider v builds its table once per call and does not keep it.
-_CACHED_TABLE_V_BITS = 256
+# Building it takes 20 us at 8 bits against 7 at 6 (q = 3/4, 2/3 and
+# 9/10), which a call that builds its table (each CLI command evaluates
+# once per process) wins back from about 512 bits of n.  Against 6 bits
+# with the split at d // 2, the median ratio over 201 interleaved pairs of
+# cache-cleared calls at q = 3/4, 2/3 and 9/10 (2-vCPU Xeon, Python 3.11)
+# was 1.42-1.51 at 65 to 96 bits (15-19 us more), 0.99-1.01 at 513 and
+# 1153, 0.92-0.93 at 1024, 0.82-0.87 at 2113, 0.96 at 2304 and 0.89-0.95
+# at 16384; with the table cached, 0.88-0.95 at 16384.  A fresh `qdigits
+# eval S` process at 65 and 96 bits took 0.98-1.01x its 6-bit time (41
+# pairs, 101-127 ms, nearly all of it imports).  Rounding the split
+# points to whole chunks took 0.97x at 1153 bits and 0.85-0.89x at 2113
+# against halving at d // 2.  A wider table does not pay: at 16384 bits a
+# call that builds it took 0.996-1.014x the 8-bit time at 10 bits and
+# 1.002-1.016x at 12.
+_TABLE_BITS = 8
+# A table's integers grow with q's larger term, so the cache keeps a table
+# only while that term has at most this many bits: the largest table kept
+# holds 65 KB (18.7 KB at q = 3/4), so the cache's 16 tables stay within
+# 1 MiB (sys.getsizeof of the tuples and their integers, 64-bit Python
+# 3.11).  A wider term builds its table once per call and does not keep it.
+_CACHED_TABLE_Q_BITS = 86
 
 
 def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
@@ -329,9 +336,10 @@ _cached_leaf_table = functools.lru_cache(maxsize=16)(_leaf_table)
 
 
 def _weight_table(u: int, v: int) -> tuple:
-    """The _TABLE_BITS leaf table at q = u/v: from the process cache when v
-    has at most _CACHED_TABLE_V_BITS bits, else built for this call."""
-    if v.bit_length() <= _CACHED_TABLE_V_BITS:
+    """The _TABLE_BITS leaf table at q = u/v: from the process cache when
+    q's larger term has at most _CACHED_TABLE_Q_BITS bits, else built for
+    this call."""
+    if max(abs(u), v).bit_length() <= _CACHED_TABLE_Q_BITS:
         return _cached_leaf_table(_TABLE_BITS, u, v)
     return _leaf_table(_TABLE_BITS, u, v)
 
@@ -393,7 +401,8 @@ def _summatory_split(
     """(S, s, steps) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
     q = u/v and v = w 2^e with w odd.
 
-    Binary splitting on bit halves: with h = d // 2 and n = A 2^h + B,
+    Binary splitting on bit halves: with h = d // 2 rounded up to a
+    multiple of the table's width k and n = A 2^h + B,
 
         S_q(n) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
         s_q(n) = s_q(B) + q^h s_q(A),
@@ -403,15 +412,17 @@ def _summatory_split(
     Every power of v is a power of w shifted by e bits per factor, so at
     a v that is a power of two (w = 1) the combine multiplies by no power
     of v at all.  Spans of at most _LEAF_BITS bits go to _table_leaf,
-    which reads table, the weight's leaf table.  steps counts the bits
-    the leaves consume, summed through the recursion; each bit of the
-    span goes through exactly one leaf, so it is d.  memo holds the
-    _powers of each depth met in this call.
+    which reads table, the weight's leaf table; as every B spans whole
+    chunks, only the leaf at the top of n pads a partial one.  steps
+    counts the bits the leaves consume, summed through the recursion;
+    each bit of the span goes through exactly one leaf, so it is d.  memo
+    holds the _powers of each depth met in this call.
     """
     if d <= _LEAF_BITS:
         S, s = _table_leaf(n, d, u, w << e, table)
         return S, s, d
     h = d // 2
+    h += -h % table[0]
     rest = d - h
     a = n >> h
     b = n & ((1 << h) - 1)

@@ -668,6 +668,33 @@ def test_recurrence_budget_before_the_oracle(capsys, monkeypatch):
         main([*command, "10", "--budget", "32"])
 
 
+@pytest.mark.parametrize(
+    "argv, evaluator",
+    [
+        (["eval", "S", "--q", "3/4", "--n", "10", "--method", "oracle"],
+         "partial_sum_bruteforce"),
+        (["verify", "--suite", "recurrences", "--q", "3/4"], "check_bit_recurrences"),
+    ],
+    ids=["eval-S-oracle", "recurrences"],
+)
+def test_oracle_budget_bound(capsys, monkeypatch, argv, evaluator):
+    # the oracle runs as many terms as --budget admits; the default 2^20 is
+    # the bound
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, evaluator, refuse)
+    for over in ["1048577", str(10**12)]:
+        assert run(capsys, [*argv, "--budget", over]) == (
+            2,
+            "",
+            "qdigits: --budget must be <= 1048576\n",
+        )
+    for at in [[], ["--budget", "1048576"]]:
+        with pytest.raises(Reached):
+            main([*argv, *at])
+
+
 def test_one_parser_serves_every_call(capsys):
     argvs = [["curve", "--l", "4"], ["--help"], ["curve", "--q", "3/4", "--l", "4"]]
     alone = []

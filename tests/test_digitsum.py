@@ -20,7 +20,7 @@ from qdigits.digitsum import (
     QParam,
     _LEAF_BITS,
     _SHARED_BITS,
-    _CACHED_TABLE_V_BITS,
+    _CACHED_TABLE_Q_BITS,
     _TABLE_BITS,
     _cached_leaf_table,
     _digit_sum_fast,
@@ -330,6 +330,8 @@ def _check_split_kernel(n, q):
 
 # v all twos, v with twos and an odd part, v odd, and q = 1
 KERNEL_WEIGHTS = [F(3, 4), F(-3, 4), F(5, 8), F(9, 10), F(7, 12), F(2, 3), F(5, 9), F(1)]
+# v all twos with u of either sign, q = 1, v odd, v with twos and an odd part
+LONG_N_WEIGHTS = [F(3, 4), F(-3, 4), F(1), F(2, 3), F(9, 10)]
 
 
 class TestSplitKernel:
@@ -423,7 +425,7 @@ class TestSplitKernel:
             for n in (rng.getrandbits(bits) | top, 2 * top - 1, top):
                 _check_split_kernel(n, q)
 
-    @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(1)])
+    @pytest.mark.parametrize("q", LONG_N_WEIGHTS)
     def test_16385_bits_equals_serial_leaf(self, q):
         u, v = q.numerator, q.denominator
         n = random.Random(16385).getrandbits(16385) | (1 << 16384)
@@ -455,10 +457,11 @@ class TestSplitKernel:
     def test_interleaved_weights_read_their_own_tables(self):
         # one v with u of either sign, one u over v = 4, 8 and 12, q = 1
         # and a v too wide to cache: a table cached for one weight must
-        # never serve another
+        # never serve another, at a length whose leaves all read whole
+        # chunks (1024) or not
         interleaved = [F(3, 4), F(-3, 4), F(3, 8), F(7, 12), F(1), F(5, 12), F(2, 3**170)]
         rng = random.Random(2)
-        ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (65, 129, 700)]
+        ns = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (65, 129, 700, 1024, 1153)]
         want = {
             q: [_summatory_leaf(n, n.bit_length(), q.numerator, q.denominator) for n in ns]
             for q in interleaved
@@ -478,13 +481,61 @@ class TestSplitKernel:
         assert _weight_table(-3, 4)[4] != table[4]
 
     def test_only_narrow_v_tables_are_kept(self):
-        at, over = (1 << _CACHED_TABLE_V_BITS) - 1, 1 << _CACHED_TABLE_V_BITS
+        at, over = (1 << _CACHED_TABLE_Q_BITS) - 1, 1 << _CACHED_TABLE_Q_BITS
         assert _weight_table(1, at) is _weight_table(1, at)
         info = _cached_leaf_table.cache_info()
         table = _weight_table(1, over)
         assert table == _weight_table(1, over) == _leaf_table(_TABLE_BITS, 1, over)
         assert table is not _weight_table(1, over)
         assert _cached_leaf_table.cache_info() == info
+
+    @pytest.mark.parametrize("q", LONG_N_WEIGHTS)
+    def test_split_points_are_whole_chunks(self, q, monkeypatch):
+        """Below the top leaf every leaf spans whole table chunks, and the
+        kernel still equals the serial leaf at lengths d // 2 would cut
+        mid-chunk."""
+        leaves = []
+
+        def recording(n, d, u, v, table):
+            leaves.append(d)
+            return _table_leaf(n, d, u, v, table)
+
+        monkeypatch.setattr(digitsum, "_table_leaf", recording)
+        u, v = q.numerator, q.denominator
+        rng = random.Random(str(q))
+        for bits in (65, 73, 127, 129, 513, 1024, 1153, 2113):
+            leaves.clear()
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            S, s, den, steps = _summatory_root(n, u, v)
+            assert (S, s) == _summatory_leaf(n, bits, u, v), bits
+            assert (den, steps) == (v**bits, bits)
+            assert sum(leaves) == bits and max(leaves) <= _LEAF_BITS
+            assert all(d % _TABLE_BITS == 0 for d in leaves[1:]), (bits, leaves)
+
+    def test_tables_past_the_cap_in_either_term_are_not_kept(self):
+        over = 1 << _CACHED_TABLE_Q_BITS
+        info = _cached_leaf_table.cache_info()
+        for u, v in [(1, over), (over, 3), (-over, 3)]:
+            table = _weight_table(u, v)
+            assert table == _weight_table(u, v) == _leaf_table(_TABLE_BITS, u, v)
+            assert table is not _weight_table(u, v)
+        n = random.Random(1153).getrandbits(1153) | 1 << 1152
+        S, s, _den, _steps = _summatory_root(n, 1, over)
+        assert (S, s) == _summatory_leaf(n, 1153, 1, over)
+        assert _cached_leaf_table.cache_info() == info
+
+    def test_first_table_call_at_a_weight_adds_one_entry(self):
+        p = QParam(F(11, 13))
+        n = random.Random(11).getrandbits(1153) | 1 << 1152
+        S, _s = _summatory_leaf(n, 1153, 11, 13)
+        want = F(S, 13**1153)
+        _cached_leaf_table.cache_clear()
+        assert partial_sum_fast(n, p) == want
+        info = _cached_leaf_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        assert partial_sum_fast(n, p) == want
+        info = _cached_leaf_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def assert_same_fraction(got, want):
