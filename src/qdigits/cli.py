@@ -31,7 +31,8 @@ from .digitsum import (
     partial_sum_fast,
 )
 from .limiting_curve import (
-    _gaps,
+    _cross_scales,
+    _scaled,
     _scan_identity_8,
     _target_scaled,
     _zero_orbit_scaled,
@@ -126,11 +127,25 @@ _MAX_SERIES_WORK = 2**33
 _MAX_DYADIC_WORK = 2**40
 # the largest --budget, the default: the oracle sums one term per j below
 # n, so at the bound eval S --method oracle at n = 2^20 took 1.7-2.3 s at
-# q = 3/4, 9/10 and 51/100 and 14.8 s at a 1585-bit q (2-vCPU Xeon,
-# Python 3.11), and 3.6 s at q = 3/4 and twice the bound; verify --suite
-# recurrences at --nmax 349524, the largest the bound admits, took 65 s
-# and 341 MB at q = 3/4 and 83 s and 369 MB at q = 51/100
+# q = 3/4, 9/10 and 51/100 (2-vCPU Xeon, Python 3.11), and 3.6 s at
+# q = 3/4 and twice the bound
 _MAX_ORACLE_BUDGET = DEFAULT_ORACLE_BUDGET
+# each term the oracle sums costs more as q grows, so eval S --method oracle
+# is also charged n (bits(q) + 64), bits(q) those of q's larger term.  At
+# the bound (2-vCPU Xeon, Python 3.11) it took 2.1 s at a 61-bit q (n =
+# 2^20), 1.2 s at 256 bits (n = 419430), 0.57 s at 1585 bits and 0.43 s at
+# 8192; below 61 bits --budget binds first (1.7-2.1 s at q = 3/4 and
+# 51/100).  Unbounded in q, n = 2^20 took 14.8 s at a 1585-bit q
+_MAX_ORACLE_WORK = 2**27
+# verify --suite gprofile and recurrences scan n <= --nmax in Fractions
+# that grow with q, charged --nmax (bits(q) + 64) the same way.  At the
+# bound (same machine) gprofile took 1.6-2.0 s at q = 3/4, 9/10 and 51/100
+# (--nmax 3912-3692) and 0.8-1.3 s at 64- to 65472-bit q, recurrences
+# 0.4-1.0 s up to 1585 bits and 1.6-5.7 s at 8192- to 131008-bit q (--nmax
+# 31 to 2).  Past it, gprofile at q = 3/4 took 4.3 s at --nmax 8192 and
+# 7.1 s at 16000, and recurrences 65 s and 341 MB at 349524, the largest
+# --nmax that --budget alone admits
+_MAX_SCAN_WORK = 2**18
 
 
 class _CliError(Exception):
@@ -234,14 +249,30 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 
+def _q_bits(p: QParam) -> int:
+    """The bits of q's larger term."""
+    return max(abs(p.q.numerator), p.q.denominator).bit_length()
+
+
 def _require_q_work(bits: int, p: QParam, what: str):
     """Exit 2 when bits x bits(q's larger term) is over _MAX_REGISTER_Q_BITS;
     what names bits in the message."""
-    q_bits = max(abs(p.q.numerator), p.q.denominator).bit_length()
+    q_bits = _q_bits(p)
     if bits * q_bits > _MAX_REGISTER_Q_BITS:
         raise _CliError(
             f"{what} * {q_bits} (the bits of q's larger term)"
             f" must be <= {_MAX_REGISTER_Q_BITS}"
+        )
+
+
+def _require_term_work(terms: int, p: QParam, limit: int, what: str):
+    """Exit 2 when terms x (bits(q's larger term) + 64) is over limit; what
+    is the flag that gives terms."""
+    q_bits = _q_bits(p)
+    if terms * (q_bits + 64) > limit:
+        raise _CliError(
+            f"{what} {terms} x ({q_bits} + 64), {q_bits} the bits of q's"
+            f" larger term, must be <= {limit}"
         )
 
 
@@ -253,6 +284,9 @@ def _cmd_eval(args) -> int:
         if args.target == "s":
             value = _digit_sum_fast(args.n, p)
         elif args.method == "oracle":
+            # an n past --budget is left to the oracle's own refusal
+            if args.n <= args.budget:
+                _require_term_work(args.n, p, _MAX_ORACLE_WORK, "--n")
             value = partial_sum_bruteforce(args.n, p, budget=args.budget)
         else:
             value = partial_sum_fast(args.n, p)
@@ -430,11 +464,16 @@ def _suite_theorem1(p: QParam, args) -> VerificationReport:
 def _cmd_verify(args) -> int:
     p = _parse_qparam(args.q)
     if args.suite == "recurrences":
+        # the scan reads the oracle out to 3 nmax + 2; past --budget it is
+        # left to the oracle's own refusal
+        if 3 * args.nmax + 2 <= args.budget:
+            _require_term_work(args.nmax, p, _MAX_SCAN_WORK, "--nmax")
         rep = check_bit_recurrences(
             args.nmax, p, use_printed_forms=args.use_printed_forms,
             budget=args.budget,
         )
     elif args.suite == "gprofile":
+        _require_term_work(args.nmax, p, _MAX_SCAN_WORK, "--nmax")
         rep = check_g_identities(args.nmax, p)
     elif args.suite == "prop1":
         rep = _suite_prop1(p, args.lmax)
@@ -455,9 +494,14 @@ def _cmd_verify(args) -> int:
 
 
 def _svg_document(xs, phi, target=None) -> str:
-    """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target."""
+    """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target.
+
+    The x coordinates, and then each polyline's y coordinates, are written
+    by one %-format over the whole column; "%.3f" % v is f"{v:.3f}", the
+    correctly rounded v.
+    """
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
-    xs = [f"{left + (right - left) * x:.3f}" for x in xs]
+    xs = [left + (right - left) * x for x in xs]
     series = [(phi, 'stroke="#1f77b4" stroke-width="1.5"')]
     if target is not None:
         series.append(
@@ -482,15 +526,28 @@ def _svg_document(xs, phi, target=None) -> str:
         f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
         f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
     )
+    # "x,%.3f x,%.3f ...", the xs written once for every polyline
+    template = " ".join(["%.3f,%%.3f"] * len(xs)) % tuple(xs)
     previous = None
     for vals, style in series:
         if vals != previous:  # a column drawn twice is formatted once
-            ys = [bottom - height * ((v - lo) / span) for v in vals]
-            points = " ".join([f"{x},{y:.3f}" for x, y in zip(xs, ys)])
+            points = template % tuple([bottom - height * ((v - lo) / span) for v in vals])
             previous = vals
         parts.append(f'<polyline fill="none" {style} points="{points}" />')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _grid_strings(g: int) -> list[str]:
+    """str(Fraction(j, 2^g)) for j = 0..2^g, with no gcd: the odd multiples
+    of 2^(g-i) are the points whose lowest terms have denominator 2^i."""
+    l = 1 << g
+    cells = ["0"] * (l + 1)
+    cells[l] = "1"
+    for i in range(1, g + 1):
+        step, den = l >> i, f"/{1 << i}"
+        cells[step :: 2 * step] = [f"{k}{den}" for k in range(1, 1 << i, 2)]
+    return cells
 
 
 def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
@@ -546,20 +603,27 @@ def _cmd_curve(args) -> int:
         fhat_text = "\n".join(lines) + "\n"
 
     # every column is (ints, factor), worth ints[j] * factor at t = j/l
+    g = l.bit_length() - 1
     columns = [(range(l + 1), Fraction(1, l)), _zero_orbit_scaled(l, p, args.norm)]
     header = "t,phi"
+    same = False
     if p.is_curve_regime:
-        columns.append(_target_scaled(l.bit_length() - 1, p))
+        columns.append(_target_scaled(g, p))
         header += ",target"
-    # identity (8): the analytic phi is the target, so format it once
-    same = len(columns) == 3 and not any(_gaps(*columns[1], *columns[2])[0])
+        # identity (8): the analytic phi is the target, so format it once
+        (devs, factor), (tak, tak_factor) = columns[1:]
+        ds, ts, _den = _cross_scales(factor, tak_factor)
+        same = _scaled(devs, ds) == _scaled(tak, ts)
     if same:
         del columns[2]
-    cells = [_ratio_strings(ints, f, args.digits) for ints, f in columns]
+    if args.digits is None:
+        cells = [_grid_strings(g), *(_ratio_strings(*c, None) for c in columns[1:])]
+    else:
+        cells = [_ratio_strings(*c, args.digits) for c in columns]
     if same:
         cells.append(cells[1])
     rows = map(",".join, zip(*cells))
-    _write_text(args.out, "".join(f"{row}\n" for row in [header, *rows]))
+    _write_text(args.out, "\n".join([header, *rows]) + "\n")
 
     if args.svg is not None:
         # int / int is correctly rounded, so each float equals float(Fraction)

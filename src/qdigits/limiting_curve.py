@@ -38,13 +38,14 @@ continuous limit curve exists (an exploratory CLI mode lets one watch
 that fail); at or above |q| = 1 the state sums themselves diverge.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, ge, lshift, mul, sub
+from itertools import accumulate, compress, count, repeat
+from operator import add, ge, lshift, mul, ne, sub
 
-from .digitsum import QParam, _lowest_terms
+from .digitsum import QParam, _lowest_terms, _Reduced
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
@@ -174,12 +175,18 @@ def _target_scaled(g: int, p: QParam) -> tuple[list[int], Fraction]:
     return tak, -p.q / tak_den
 
 
-def _gaps(devs, factor: Fraction, tak, tak_factor: Fraction):
-    """devs[j] * factor - tak[j] * tak_factor as (gaps, den): gaps[j] / den, den > 0."""
-    dev_scale = factor.numerator * tak_factor.denominator
-    tak_scale = tak_factor.numerator * factor.denominator
-    den = factor.denominator * tak_factor.denominator
-    return _cross(devs, dev_scale, tak, tak_scale), den
+def _cross_scales(factor: Fraction, tak_factor: Fraction) -> tuple[int, int, int]:
+    """(ds, ts, den) with x factor - y tak_factor = (x ds - y ts) / den, den > 0."""
+    return (
+        factor.numerator * tak_factor.denominator,
+        tak_factor.numerator * factor.denominator,
+        factor.denominator * tak_factor.denominator,
+    )
+
+
+def _scaled(xs, scale: int) -> list[int]:
+    """xs[j] * scale for each j."""
+    return list(map(mul, xs, repeat(scale)))
 
 
 def _cross(xs, x_scale: int, ys, y_scale: int) -> list[int]:
@@ -195,10 +202,10 @@ _SPLIT_MIN_H = 2 * _TOP_BITS
 
 def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fraction):
     """max_t |devs[t] factor - tak[t] tak_factor| as (num, den), num >= 0, den > 0,
-    with _gaps' den, for devs in _orbit_deviations' split form.
+    with _cross_scales' den, for devs in _orbit_deviations' split form.
 
-    Over den the gaps are devs[t] ds - tak[t] ts, with _gaps' cross
-    scales ds and ts.  When 2^h divides ts, each is
+    Over den the gaps are devs[t] ds - tak[t] ts, with _cross_scales'
+    ds and ts.  When 2^h divides ts, each is
 
         gap[t] = (gamma[t] << h) + b delta[t],
         gamma[t] = alpha[t] ds - tak[t] (ts >> h),  delta[t] = beta[t] ds,
@@ -220,9 +227,7 @@ def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fra
     only gap of h bits built.  When h <= _SPLIT_MIN_H, or 2^h does not
     divide ts (g = 0), every gap is built.
     """
-    dev_scale = factor.numerator * tak_factor.denominator
-    tak_scale = tak_factor.numerator * factor.denominator
-    den = factor.denominator * tak_factor.denominator
+    dev_scale, tak_scale, den = _cross_scales(factor, tak_factor)
     if h <= _SPLIT_MIN_H or tak_scale & ((1 << h) - 1):
         gaps = _cross(_join(alpha, beta, b, h), dev_scale, tak, tak_scale)
         return max(map(abs, gaps)), den
@@ -342,8 +347,12 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
     deviations are those of the prefix y of the walk's (linear terms
     cancel), so level l = 2^g has y[t] l - t y[l] worth top_factor (2q)^(top-g) / l
     over its normalizer (2q)^(g-1), top_factor being the walk's own at
-    lmax = 2^top, against every (lmax/l)-th grid value.  rep.scan gets one
-    repeated passing triple and at most one mismatch.
+    lmax = 2^top, against every (lmax/l)-th grid value.  With that factor's
+    and the grid's cross scales ds and ts (_cross_scales), a level holds
+    when the integer lists y (l ds) - t (y[l] ds) and target ts are equal.
+    Only a level that fails is searched, for its first mismatch, and it is
+    reported with the label, values and checked count of a point-by-point
+    rep.scan.
     """
     p.require_curve_regime()
     _require_level(lmax)
@@ -353,15 +362,17 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
     statement = "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)"
     for g in range(lmin.bit_length() - 1, top + 1):
         l, y, target = 1 << g, devs[: (1 << g) + 1], tak[:: 1 << (top - g)]
-        level = list(map(sub, map(mul, y, repeat(l)), map(mul, count(), repeat(y[l]))))
         factor = top_factor * (2 * p.q) ** (top - g) / l
-        gaps, _ = _gaps(level, factor, target, tak_factor)
-        j = next(compress(count(), gaps), l + 1)  # l + 1: no gap is nonzero
-        points = repeat((None, 0, 0), j)
-        if j <= l:
-            got, want = level[j] * factor, target[j] * tak_factor
-            points = chain(points, [(f"t={Fraction(j, l)}", got, want)])
-        rep.scan(name.format(l=l), statement, f"all {l + 1} breakpoints j/l", points)
+        ds, ts, den = _cross_scales(factor, tak_factor)
+        got = list(map(sub, map(mul, y, repeat(l * ds)), map(mul, count(), repeat(y[l] * ds))))
+        want = _scaled(target, ts)
+        check = name.format(l=l), statement, f"all {l + 1} breakpoints j/l"
+        if got == want:
+            rep.add(*check, l + 1, True)
+            continue
+        j = next(compress(count(), map(ne, got, want)))
+        mismatch = f"t={Fraction(j, l)}: {Fraction(got[j], den)} != {Fraction(want[j], den)}"
+        rep.add(*check, j + 1, False, mismatch)
 
 
 def verify_identity_8(l: int, p: QParam) -> VerificationReport:
@@ -476,7 +487,13 @@ def theorem1_experiment(
         if seed is None:
             seed = state.seed
     big_x = state.value
-    gap_primes = 2 * abs(p.q.numerator) * p.q.denominator  # all of gap_den's
+    u, v = p.q.numerator, p.q.denominator
+    gap_primes = 2 * abs(u) * v  # all of gap_den's
+    # each normalizer (2q)^(n-1) is written from its exponents, as
+    # _orbit_deviations writes factor: 2u/s and v/s, s = gcd(2u, v), are
+    # coprime, and so are their powers
+    shared = math.gcd(2 * u, v)
+    base_num, base_den = 2 * u // shared, v // shared
     targets: dict[int, tuple] = {}  # one Takagi grid per distinct g
     notes: list[str] = []
     levels: list[BridgeLevel] = []
@@ -498,7 +515,7 @@ def theorem1_experiment(
                 position=n,
                 prefix_end=level.prefix_end,
                 ratio=level.ratio,
-                normalizer=(2 * p.q) ** (n - 1),
+                normalizer=Fraction(_Reduced(base_num ** (n - 1), base_den ** (n - 1))),
                 grid_exponent=g,
                 sup_distance=_lowest_terms(sup, gap_den, gap_primes),
                 alpha=tuple(alpha),

@@ -37,6 +37,42 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def svg_reference(xs, phi, target=None) -> str:
+    """The SVG plot written one f-string per coordinate: the oracle for
+    cli._svg_document's one %-format per column."""
+    left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
+    xs = [f"{left + (right - left) * x:.3f}" for x in xs]
+    series = [(phi, 'stroke="#1f77b4" stroke-width="1.5"')]
+    if target is not None:
+        series.append(
+            (target, 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
+        )
+    lo = min(0.0, *(min(vals) for vals, _style in series))
+    hi = max(0.0, *(max(vals) for vals, _style in series))
+    if hi == lo:
+        hi = lo + 1.0
+    pad = 0.05 * (hi - lo)
+    lo -= pad
+    hi += pad
+    height, span = bottom - top, hi - lo
+    axis = bottom - height * ((0.0 - lo) / span)
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">']
+    parts.append(
+        f'<line x1="{left:.3f}" y1="{axis:.3f}" x2="{right:.3f}"'
+        f' y2="{axis:.3f}" stroke="#888888" stroke-width="1" />'
+    )
+    parts.append(
+        f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
+        f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
+    )
+    for vals, style in series:
+        ys = [bottom - height * ((v - lo) / span) for v in vals]
+        points = " ".join([f"{x},{y:.3f}" for x, y in zip(xs, ys)])
+        parts.append(f'<polyline fill="none" {style} points="{points}" />')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 class TestEval:
     def test_summatory(self, capsys):
         code, out, _ = run(capsys, ["eval", "S", "--q", "3/4", "--n", "4"])
@@ -278,7 +314,7 @@ class TestCurve:
     def test_csv_round_trips_to_exact_values(self, capsys, tmp_path, q, l, norm, digits):
         # the CLI writes from scaled integers; the oracle is the Fraction
         # route: str() or _decimal_string of zero_orbit_curve and
-        # target_curve, and _svg_document over float() of the same values
+        # target_curve, and svg_reference over float() of the same values
         p = QParam(F(q))
         csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
         # negative weights need the --q=value spelling; a bare "-3/4"
@@ -305,7 +341,7 @@ class TestCurve:
         lines = [header] + [",".join(map(cell, row)) for row in zip(*columns)]
         assert csv.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
         floats = [[float(v) for v in column] for column in columns]
-        assert svg.read_bytes() == cli._svg_document(*floats).encode()
+        assert svg.read_bytes() == svg_reference(*floats).encode()
 
     def test_digits_formatting(self, capsys):
         code, out, _ = run(capsys, ["curve", "--q", "3/4", "--l", "4", "--digits", "3"])
@@ -695,6 +731,62 @@ def test_oracle_budget_bound(capsys, monkeypatch, argv, evaluator):
             main([*argv, *at])
 
 
+# a q whose larger term, 2^1585, has 1586 bits
+WIDE_Q = f"{2**1584 + 1}/{2**1585}"
+
+
+def term_bound_message(flag, terms, q_bits, limit):
+    return (
+        f"qdigits: {flag} {terms} x ({q_bits} + 64), {q_bits} the bits of q's"
+        f" larger term, must be <= {limit}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, evaluator",
+    [("gprofile", "check_g_identities"), ("recurrences", "check_bit_recurrences")],
+)
+@pytest.mark.parametrize("q, q_bits, at", [("3/4", 3, 3912), (WIDE_Q, 1586, 158)])
+def test_scan_bound(capsys, monkeypatch, suite, evaluator, q, q_bits, at):
+    # --nmax (bits(q) + 64) <= 2^18, before the scan starts; 349524 is the
+    # largest --nmax the default --budget admits to the recurrences' oracle
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, evaluator, refuse)
+    argv = ["verify", "--suite", suite, f"--q={q}", "--nmax"]
+    for over in [at + 1, 349524]:
+        assert run(capsys, [*argv, str(over)]) == (
+            2,
+            "",
+            term_bound_message("--nmax", over, q_bits, 262144),
+        )
+    with pytest.raises(Reached):
+        main([*argv, str(at)])
+
+
+def test_oracle_charges_the_bits_of_q(capsys, monkeypatch):
+    # n (bits(q) + 64) <= 2^27, before the oracle sums a term; an n past
+    # --budget is left to the oracle, which refuses it itself
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "partial_sum_bruteforce", refuse)
+    argv = ["eval", "S", f"--q={WIDE_Q}", "--method", "oracle", "--n"]
+    for over in [81345, 2**20]:
+        assert run(capsys, [*argv, str(over)]) == (
+            2,
+            "",
+            term_bound_message("--n", over, 1586, 134217728),
+        )
+    for at in [["81344"], [str(2**20 + 1)], ["81345", "--budget", "81344"]]:
+        with pytest.raises(Reached):
+            main([*argv, *at])
+    # at q = 3/4 the bound lies past 2^20, so --budget binds first
+    with pytest.raises(Reached):
+        main(["eval", "S", "--q", "3/4", "--method", "oracle", "--n", str(2**20)])
+
+
 def test_one_parser_serves_every_call(capsys):
     argvs = [["curve", "--l", "4"], ["--help"], ["curve", "--q", "3/4", "--l", "4"]]
     alone = []
@@ -830,7 +922,7 @@ class TestBridge:
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 
 
-# sha256 of ten frozen CLI outputs: the determinism tests above only
+# sha256 of frozen CLI outputs: the determinism tests above only
 # compare runs with each other, so they miss a change that alters every run
 GOLDEN = {
     "curve-3/4-4096.csv": "d377ba8505ae1240bcd0bada0f1dd7e489e3862eeb641a461065974b11749d19",
@@ -853,6 +945,15 @@ GOLDEN = {
     "bridge-9/10-seed-1.json": "875219f1d85238e7cf2557ea50b576539e0386d6c255f0541d2d394db2f374fe",
     "bridge-3/4-seed-1-grid-0.json": "ff7b9e180e4a53b1a2e6d6e8fec513b219f8c9841bcbb08bef6e10c588627230",
     "eval-S-9/10-5000-digits": "01cf7ecbeaef10288224a6f783dc94772a701f0bcddc574b3b9d4410169e5e4f",
+    # curves whose factor denominators carry odd primes, up to 65 bits, and
+    # prop1's text report
+    "curve-2/3-4096.csv": "d7e774b894f27ff56994f2a347441c20c123ce9c3f06b99072cb582e1449e13f",
+    "curve-2/3-4096.svg": "793a6286fde547d3902617d85a527076efbf15a5b5f5be74a91992345adba0f1",
+    "curve-9/10-4096.csv": "373a9d9e7a6c520eee8d7a30e185ef8065d5bc33ce5cd0058f3b0d7d3f102373",
+    "curve-9/10-4096.svg": "fd3023ad3dc8ef5ddd7d0751d0641d8bc5b698b1b88e207d85ea187dbdd0bf84",
+    "curve--2/3-4096.csv": "2d9d1dd6adf4489d62bd2380ead5ebf6fa4e7897b09eac0be787c589d7287145",
+    "curve--2/3-4096.svg": "9bed8f7a4339482ec611911b0a986ba29f6d870dd0f756a1db3f02b13e9bd8c9",
+    "verify-prop1-3/4.txt": "c359719869c8a739b17f7d2367d3e0491d41c125ab3b6d403fb327cfbaf8d16c",
 }
 
 
@@ -873,6 +974,18 @@ class TestGoldenOutputs:
         assert (code, out) == (0, "")
         assert sha256(csv.read_bytes()) == GOLDEN["curve-3/4-4096.csv"]
         assert sha256(svg.read_bytes()) == GOLDEN["curve-3/4-4096.svg"]
+
+    @pytest.mark.parametrize("q", ["2/3", "9/10", "-2/3"])
+    def test_curve_factors_with_odd_primes(self, capsys, tmp_path, q):
+        csv = tmp_path / "c.csv"
+        svg = tmp_path / "c.svg"
+        code, out, _ = run(
+            capsys,
+            ["curve", f"--q={q}", "--l", "4096", "--out", str(csv), "--svg", str(svg)],
+        )
+        assert (code, out) == (0, "")
+        assert sha256(csv.read_bytes()) == GOLDEN[f"curve-{q}-4096.csv"]
+        assert sha256(svg.read_bytes()) == GOLDEN[f"curve-{q}-4096.svg"]
 
     def test_canonical_curve_negative_weight(self, capsys):
         code, out, _ = run(capsys, ["curve", "--q=-3/4", "--l", "64", "--norm", "canonical"])
@@ -937,6 +1050,11 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1-3/4.json"]
+
+    def test_verify_prop1_text(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4"])
+        assert code == 0
+        assert sha256(out) == GOLDEN["verify-prop1-3/4.txt"]
 
     def test_verify_prop1_negative_weight_json(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q=-2/3", "--json"])

@@ -491,13 +491,22 @@ class TestTableWalk:
 
 
 
+def full_gaps(devs, factor, tak, tak_factor):
+    """Reference for _sup_gap: devs[j] * factor - tak[j] * tak_factor as
+    (gaps, den), gaps[j] / den, den > 0, every gap built in full."""
+    dev_scale = factor.numerator * tak_factor.denominator
+    tak_scale = tak_factor.numerator * factor.denominator
+    gaps = [d * dev_scale - t * tak_scale for d, t in zip(devs, tak, strict=True)]
+    return gaps, factor.denominator * tak_factor.denominator
+
+
 def reference_gaps(x, lvl, p):
     """The level's deviations and factor from the carry walk, with its gaps
     to the target as (gaps, den), gaps[j] / den, all built in full."""
     n, g = lvl.position, lvl.grid_exponent
     devs, factor = carry_walk(x, n, g, p)
     tak, tak_factor = limiting_curve._target_scaled(g, p)
-    return devs, factor, limiting_curve._gaps(devs, factor, tak, tak_factor)
+    return devs, factor, full_gaps(devs, factor, tak, tak_factor)
 
 
 class TestSplitSup:
@@ -567,7 +576,7 @@ class TestSplitSup:
         alpha, beta, b, factor = limiting_curve._orbit_deviations(x, h + g, g, p)
         tak, tak_factor = limiting_curve._target_scaled(g, p)
         devs, _factor = carry_walk(x, h + g, g, p)
-        gaps, den = limiting_curve._gaps(devs, factor, tak, tak_factor)
+        gaps, den = full_gaps(devs, factor, tak, tak_factor)
         got = limiting_curve._sup_gap(alpha, beta, b, h, factor, tak, tak_factor)
         assert got == (max(map(abs, gaps)), den)
 
@@ -648,6 +657,25 @@ class TestExponentFactor:
                 want.denominator,
                 hash(want),
             ), (x, n)
+
+    @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(2, 3), F(-2, 3), F(9, 10)])
+    def test_normalizer_from_exponents(self, q):
+        # (2q)^(n-1) as a pair of coprime powers, at n = 1 and 2 on the zero
+        # register and up to n = 6409 on seed 5
+        p = QParam(q)
+        zero = theorem1_experiment(None, p, [1, 2], state=OdometerState.zeros(8))
+        seeded = theorem1_experiment(5, p, [1, 4, 8, 12])
+        levels = zero.levels + seeded.levels
+        assert [lvl.position for lvl in levels] == [1, 2, 2, 42, 807, 6409]
+        for lvl in levels:
+            want = (2 * q) ** (lvl.position - 1)
+            got = lvl.normalizer
+            assert (type(got), got.numerator, got.denominator, hash(got)) == (
+                F,
+                want.numerator,
+                want.denominator,
+                hash(want),
+            )
 
     @pytest.mark.parametrize("q", [F(3, 4), F(-3, 4), F(2, 3), F(9, 10)])
     def test_sup_distances_in_lowest_terms(self, q):
