@@ -21,6 +21,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .digitsum import (
     DEFAULT_ORACLE_BUDGET,
@@ -63,31 +64,53 @@ from .trollope_delange import (
 )
 
 
+class _CliError(Exception):
+    """Bad input; the message goes to stderr and the exit code is 2."""
+
+
+class _Budget(NamedTuple):
+    """One bound on the CLI's input: charge(cost, **fields) exits 2 when
+    cost is over limit, with text.format(limit=limit, **fields).  The text
+    is formatted only then, since a field such as a may be a huge Fraction."""
+
+    limit: int
+    text: str
+
+    def charge(self, cost, **fields):
+        if cost > self.limit:
+            raise _CliError(self.text.format(limit=self.limit, **fields))
+
+
 # the decimal expansion behind --digits grows superlinearly: one value of
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
-_MAX_DIGITS = 100_000
+_DIGITS = _Budget(100_000, "--digits must be <= {limit}")
 # the largest --l and --lmax: at 2^20 curve --svg took 10.3-10.6 s and
 # 426-485 MB (q = 3/4, 9/10), verify prop1 3.1 s and 141 MB (same machine)
-_MAX_LEVEL = 2**20
+_LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
+# a bridge level's grid has at most as many points as the largest --l
+_GRID_EXPONENT = _Budget(_LEVEL.limit.bit_length() - 1,
+                         "--grid-exponent must be <= {limit}")
 # curve --digits charges each CSV cell digits + 8 against one budget: a
 # decimal costs about d^2 at large d, and the 8 prices a cell's fixed
 # cost so that neither end runs long.  At the bound (same machine,
 # --norm canonical, q = 9/10 and 51/100), --digits 100000 stops at --l 8
 # (27 cells, 4.6 s), --digits 30000 at --l 32 (2.0 s) and --digits 0 at
 # --l 2^17 (5.8-6.0 s with --svg)
-_MAX_DECIMAL_WORK = 2**22
+_DECIMAL_WORK = _Budget(2**22, "--digits {digits} at --l {l}: {cells} cells"
+                        " x (digits + 8) must be <= {limit}")
 # the largest --register-length: there the default --r 4,8,12 takes
 # 0.010-0.026 s (seeds 1 and 42, q = 3/4 and 51/100); a level near the
 # top, n = 130026 (seed 190, r = 16), takes 1.1 s at q = 9/10 and 3.2 s at
 # q = 51/100, 25 MB
-_MAX_REGISTER = 2**17
+_REGISTER = _Budget(2**17, "--register-length must be <= {limit}")
 # a bridge level holds 2^grid_exponent + 1 integers of up to about
 # register_length bits; at this product (q = 9/10 and 51/100), grid 2^20
 # on a 512-digit register took 2.7 s and 352 MB (seed 2, r = 7, n = 510),
 # grid 2^16 on the default register 0.96 s and 175 MB (seed 42), and grid
 # 2^12 on the level n = 130026 above 1.7-4.2 s and 153 MB
-_MAX_GRID_BITS = 2**29
+_GRID_BITS = _Budget(2**29, "2^(--grid-exponent) * --register-length"
+                     " must be <= {limit}")
 # a level's exact rationals, such as its normalizer (2q)^(n-1), are about
 # register_length times the bits of q's larger term wide, and its time
 # grows with the square of that product.
@@ -101,10 +124,11 @@ _MAX_GRID_BITS = 2**29
 # 0.55-1.56 s at q = 1, 2/3, 1/3, +-3/4, 5/2, 9/10, 51/100 and 64- to
 # 1585-bit q, and 1.14 s with --digits 100000, eval s 0.16-1.23 s; at
 # twice the bound, eval S at q = 2/3 took 4.9 s
-_MAX_REGISTER_Q_BITS = 2**19
+_REGISTER_Q_BITS = _Budget(2**19, "{what} * {q_bits} (the bits of q's larger"
+                           " term) must be <= {limit}")
 # each --r entry walks a level of its own, even a repeated one: eight
 # copies of the first level above took 9.4 s and 63 MB
-_MAX_RUN_LENGTHS = 8
+_RUN_LENGTHS = _Budget(8, "--r takes at most {limit} run lengths")
 # takagi_series builds one integer of terms * bits(a) bits, a term at a
 # time, so an evaluation is charged terms * (terms * bits(a) + bits(x) +
 # 8192), bits(x) those of x's denominator and 8192 a term's fixed cost.
@@ -114,7 +138,11 @@ _MAX_RUN_LENGTHS = 8
 # --fhat-points, charged once per point, 4.3 s at q = 3/4 (14634 points)
 # and 5.0 s at q = 51/100 (313 points); a = 2047/2048 (70767 terms, 8x
 # the bound) took 31 s
-_MAX_SERIES_WORK = 2**33
+_SERIES_WORK = _Budget(2**33, "a = {a} at --tol {tol} needs about {terms} series"
+                       " terms; terms x (terms x bits(a) + bits(x) + 8192)"
+                       " must be <= {limit}")
+_FHAT_WORK = _Budget(_SERIES_WORK.limit, "--fhat-points {n}: {points} points x"
+                     " {work} per point must be <= {limit}")
 # takagi_dyadic_exact takes one step per bit of e, the exponent of x's
 # power-of-two denominator, on Fractions of up to e (bits(a) + 1) bits,
 # each step a gcd quadratic in them; eval takagi at a dyadic x is charged
@@ -124,19 +152,21 @@ _MAX_SERIES_WORK = 2**33
 # (e = 1969) and 0.84 s at a 64-bit a (e = 631); eval td took 3.3 s at
 # q = 3/4 (a 4961-bit n), 2.8 s at q = 9/10 (3529 bits) and 0.72 s with
 # --classical (4961 bits); a 64-bit a at e = 2000, 32x the bound, took 24 s
-_MAX_DYADIC_WORK = 2**40
+_DYADIC_WORK = _Budget(2**40, "{what} walks {e} bits at a = {a}; bits^3 x"
+                       " (bits(a) + 1)^2 must be <= {limit}")
 # the largest --budget, the default: the oracle sums one term per j below
 # n, so at the bound eval S --method oracle at n = 2^20 took 1.7-2.3 s at
 # q = 3/4, 9/10 and 51/100 (2-vCPU Xeon, Python 3.11), and 3.6 s at
 # q = 3/4 and twice the bound
-_MAX_ORACLE_BUDGET = DEFAULT_ORACLE_BUDGET
+_ORACLE_BUDGET = _Budget(DEFAULT_ORACLE_BUDGET, "--budget must be <= {limit}")
 # each term the oracle sums costs more as q grows, so eval S --method oracle
 # is also charged n (bits(q) + 64), bits(q) those of q's larger term.  At
 # the bound (2-vCPU Xeon, Python 3.11) it took 2.1 s at a 61-bit q (n =
 # 2^20), 1.2 s at 256 bits (n = 419430), 0.57 s at 1585 bits and 0.43 s at
 # 8192; below 61 bits --budget binds first (1.7-2.1 s at q = 3/4 and
 # 51/100).  Unbounded in q, n = 2^20 took 14.8 s at a 1585-bit q
-_MAX_ORACLE_WORK = 2**27
+_ORACLE_WORK = _Budget(2**27, "{flag} {terms} x ({q_bits} + 64), {q_bits} the"
+                       " bits of q's larger term, must be <= {limit}")
 # verify --suite gprofile and recurrences scan n <= --nmax in Fractions
 # that grow with q, charged --nmax (bits(q) + 64) the same way.  At the
 # bound (same machine) gprofile took 1.6-2.0 s at q = 3/4, 9/10 and 51/100
@@ -145,11 +175,7 @@ _MAX_ORACLE_WORK = 2**27
 # 31 to 2).  Past it, gprofile at q = 3/4 took 4.3 s at --nmax 8192 and
 # 7.1 s at 16000, and recurrences 65 s and 341 MB at 349524, the largest
 # --nmax that --budget alone admits
-_MAX_SCAN_WORK = 2**18
-
-
-class _CliError(Exception):
-    """Bad input; the message goes to stderr and the exit code is 2."""
+_SCAN_WORK = _Budget(2**18, _ORACLE_WORK.text)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +228,7 @@ def _parse_run_lengths(text: str) -> list[int]:
 
 
 def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
-    """(terms, charge) of takagi_series(x, a, tol) against _MAX_SERIES_WORK.
+    """(terms, charge) of takagi_series(x, a, tol) against _SERIES_WORK.
 
     terms, the smallest N with |a|^N / (2 (1 - |a|)) <= tol, comes from
     logarithms, without summing; x_bits is the bit length of x's
@@ -223,14 +249,10 @@ def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
     return terms, terms * (terms * v.bit_length() + x_bits + 8192)
 
 
-def _require_dyadic_work(e: int, a: Fraction, what: str):
-    """Exit 2 when a dyadic Takagi walk of e steps at a is over _MAX_DYADIC_WORK."""
+def _charge_walk(what: str, e: int, a: Fraction):
+    """Charge a dyadic Takagi walk of e steps at a, what giving e, to _DYADIC_WORK."""
     bits = max(abs(a.numerator), a.denominator).bit_length()
-    if e**3 * (bits + 1) ** 2 > _MAX_DYADIC_WORK:
-        raise _CliError(
-            f"{what} walks {e} bits at a = {a}; bits^3 x (bits(a) + 1)^2"
-            f" must be <= {_MAX_DYADIC_WORK}"
-        )
+    _DYADIC_WORK.charge(e**3 * (bits + 1) ** 2, what=what, e=e, a=a)
 
 
 def _write_text(path, text: str):
@@ -254,39 +276,24 @@ def _q_bits(p: QParam) -> int:
     return max(abs(p.q.numerator), p.q.denominator).bit_length()
 
 
-def _require_q_work(bits: int, p: QParam, what: str):
-    """Exit 2 when bits x bits(q's larger term) is over _MAX_REGISTER_Q_BITS;
-    what names bits in the message."""
+def _charge_terms(budget: _Budget, flag: str, terms: int, p: QParam):
+    """Charge terms x (bits(q's larger term) + 64) to budget; flag gives terms."""
     q_bits = _q_bits(p)
-    if bits * q_bits > _MAX_REGISTER_Q_BITS:
-        raise _CliError(
-            f"{what} * {q_bits} (the bits of q's larger term)"
-            f" must be <= {_MAX_REGISTER_Q_BITS}"
-        )
-
-
-def _require_term_work(terms: int, p: QParam, limit: int, what: str):
-    """Exit 2 when terms x (bits(q's larger term) + 64) is over limit; what
-    is the flag that gives terms."""
-    q_bits = _q_bits(p)
-    if terms * (q_bits + 64) > limit:
-        raise _CliError(
-            f"{what} {terms} x ({q_bits} + 64), {q_bits} the bits of q's"
-            f" larger term, must be <= {limit}"
-        )
+    budget.charge(terms * (q_bits + 64), flag=flag, terms=terms, q_bits=q_bits)
 
 
 def _cmd_eval(args) -> int:
     if args.target in ("s", "S"):
         p = _parse_qparam(args.q)
-        bits = args.n.bit_length()
-        _require_q_work(bits, p, f"--n has {bits} bits; bits(--n)")
+        bits, q_bits = args.n.bit_length(), _q_bits(p)
+        what = f"--n has {bits} bits; bits(--n)"
+        _REGISTER_Q_BITS.charge(bits * q_bits, what=what, q_bits=q_bits)
         if args.target == "s":
             value = _digit_sum_fast(args.n, p)
         elif args.method == "oracle":
             # an n past --budget is left to the oracle's own refusal
             if args.n <= args.budget:
-                _require_term_work(args.n, p, _MAX_ORACLE_WORK, "--n")
+                _charge_terms(_ORACLE_WORK, "--n", args.n, p)
             value = partial_sum_bruteforce(args.n, p, budget=args.budget)
         else:
             value = partial_sum_fast(args.n, p)
@@ -298,26 +305,21 @@ def _cmd_eval(args) -> int:
         )
         x = _parse_fraction(args.x, "x")
         if is_power_of_two(x.denominator):
-            _require_dyadic_work(x.denominator.bit_length() - 1, a, "--x")
+            _charge_walk("--x", x.denominator.bit_length() - 1, a)
             value = takagi_dyadic_exact(x, a)
         else:
             terms, work = _series_work(a, args.tol, x.denominator.bit_length())
-            if work > _MAX_SERIES_WORK:
-                raise _CliError(
-                    f"a = {a} at --tol {args.tol} needs about {terms} series terms;"
-                    " terms x (terms x bits(a) + bits(x) + 8192) must be"
-                    f" <= {_MAX_SERIES_WORK}"
-                )
+            _SERIES_WORK.charge(work, a=a, tol=args.tol, terms=terms)
             value = takagi_series(x, a, tol=args.tol).value
     else:  # td
         if args.classical:
-            _require_dyadic_work(args.n.bit_length(), Fraction(1, 2), "--n")
+            _charge_walk("--n", args.n.bit_length(), Fraction(1, 2))
             value = td_classical(args.n)
         else:
             if args.q is None:
                 raise _CliError("eval td needs --q or --classical")
             p = _parse_qparam(args.q)
-            _require_dyadic_work(args.n.bit_length(), p.a, "--n")
+            _charge_walk("--n", args.n.bit_length(), p.a)
             value = td_generalized(args.n, p)
     print(_format_value(value, args.digits))
     return 0
@@ -328,13 +330,17 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_level(flag: str, l: int):
+    """Exit 2 unless l, given by flag, is a power of two >= 2 within _LEVEL."""
+    if not is_power_of_two(l) or l < 2:
+        raise _CliError(f"{flag} must be a power of two >= 2, got {l}")
+    _LEVEL.charge(l, flag=flag)
+
+
 def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
     """Identity (8) at l = 2, 4, ..., lmax, from one walk and one grid at lmax."""
     p.require_curve_regime()
-    if not is_power_of_two(lmax) or lmax < 2:
-        raise _CliError(f"--lmax must be a power of two >= 2, got {lmax}")
-    if lmax > _MAX_LEVEL:
-        raise _CliError(f"--lmax must be <= {_MAX_LEVEL}")
+    _check_level("--lmax", lmax)
     params = {"q": str(p.q), "lmax": str(lmax)}
     rep = VerificationReport("zero-orbit bridge identities", params)
     _scan_identity_8(rep, p, lmax, 2, "bridge-l-{l}")
@@ -392,39 +398,38 @@ def _experiment(args, p: QParam):
     and, for bridge, --state.
 
     NoStabilizingLevelError and RegisterOverflowError pass to _run, which
-    reports them under the command's name with exit code 1.
+    reports them under the command's name with exit code 1; every usage
+    error exits 2 before them.
     """
     g, length = args.grid_exponent, args.register_length
-    if g > _MAX_LEVEL.bit_length() - 1:
-        raise _CliError(f"--grid-exponent must be <= {_MAX_LEVEL.bit_length() - 1}")
-    if length > _MAX_REGISTER:
-        raise _CliError(f"--register-length must be <= {_MAX_REGISTER}")
-    if g >= 0 and length << g > _MAX_GRID_BITS:
-        raise _CliError(
-            f"2^(--grid-exponent) * --register-length must be <= {_MAX_GRID_BITS}"
-        )
-    _require_q_work(length, p, "--register-length")
+    _GRID_EXPONENT.charge(g)
+    _REGISTER.charge(length)
+    if g >= 0:
+        _GRID_BITS.charge(length << g)
+    q_bits = _q_bits(p)
+    _REGISTER_Q_BITS.charge(length * q_bits, what="--register-length", q_bits=q_bits)
     r_list = _parse_run_lengths(args.r)
-    if len(r_list) > _MAX_RUN_LENGTHS:
-        raise _CliError(f"--r takes at most {_MAX_RUN_LENGTHS} run lengths")
+    _RUN_LENGTHS.charge(len(r_list))
+    if length < 1:
+        raise _CliError(f"--register-length must be >= 1, got {length}")
+    zero = getattr(args, "state", None) == "zero"
+    if not zero and args.seed is None:
+        raise _CliError("bridge needs --seed or --state zero")
+    if g < 0:
+        raise _CliError(f"grid_exponent must be >= 0, got {g}")
     longest = max(r_list)
     if longest > length:
         # the experiment's own outcome (exit 1), before any level is walked
         raise NoStabilizingLevelError(
             f"no run of {longest} zeros in the {length}-digit register"
         )
-    state = None
-    if getattr(args, "state", None) == "zero":
-        state = OdometerState.zeros(args.register_length)
-    elif args.seed is None:
-        raise _CliError("bridge needs --seed or --state zero")
     return theorem1_experiment(
         args.seed,
         p,
         r_list,
-        state=state,
-        register_length=args.register_length,
-        grid_exponent=args.grid_exponent,
+        state=OdometerState.zeros(length) if zero else None,
+        register_length=length,
+        grid_exponent=g,
     )
 
 
@@ -467,13 +472,13 @@ def _cmd_verify(args) -> int:
         # the scan reads the oracle out to 3 nmax + 2; past --budget it is
         # left to the oracle's own refusal
         if 3 * args.nmax + 2 <= args.budget:
-            _require_term_work(args.nmax, p, _MAX_SCAN_WORK, "--nmax")
+            _charge_terms(_SCAN_WORK, "--nmax", args.nmax, p)
         rep = check_bit_recurrences(
             args.nmax, p, use_printed_forms=args.use_printed_forms,
             budget=args.budget,
         )
     elif args.suite == "gprofile":
-        _require_term_work(args.nmax, p, _MAX_SCAN_WORK, "--nmax")
+        _charge_terms(_SCAN_WORK, "--nmax", args.nmax, p)
         rep = check_g_identities(args.nmax, p)
     elif args.suite == "prop1":
         rep = _suite_prop1(p, args.lmax)
@@ -563,10 +568,7 @@ def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
 def _cmd_curve(args) -> int:
     p = _parse_qparam(args.q)
     l = args.l
-    if not is_power_of_two(l) or l < 2:
-        raise _CliError(f"--l must be a power of two >= 2, got {l}")
-    if l > _MAX_LEVEL:
-        raise _CliError(f"--l must be <= {_MAX_LEVEL}")
+    _check_level("--l", l)
     if not p.is_curve_regime and not args.explore:
         print(
             f"qdigits curve: no limiting curve for q = {p.q}; the regime"
@@ -575,12 +577,10 @@ def _cmd_curve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    n_cells = (l + 1) * (3 if p.is_curve_regime else 2)
-    if args.digits is not None and n_cells * (args.digits + 8) > _MAX_DECIMAL_WORK:
-        raise _CliError(
-            f"--digits {args.digits} at --l {l}: {n_cells} cells x (digits + 8)"
-            f" must be <= {_MAX_DECIMAL_WORK}"
-        )
+    if args.digits is not None:
+        cells = (l + 1) * (3 if p.is_curve_regime else 2)
+        cost = cells * (args.digits + 8)
+        _DECIMAL_WORK.charge(cost, digits=args.digits, l=l, cells=cells)
 
     fhat_text = None
     if args.fhat_out is not None:
@@ -591,11 +591,7 @@ def _cmd_curve(args) -> int:
             raise _CliError(f"--fhat-points must be >= 1, got {n}")
         # a float in [1/2, 1] has a denominator of at most 2^53
         _terms, work = _series_work(p.a, DEFAULT_SERIES_TOL, 53)
-        if (n + 1) * work > _MAX_SERIES_WORK:
-            raise _CliError(
-                f"--fhat-points {n}: {n + 1} points x {work} per point"
-                f" must be <= {_MAX_SERIES_WORK}"
-            )
+        _FHAT_WORK.charge((n + 1) * work, n=n, points=n + 1, work=work)
         lines = ["u,fhat"]
         for i in range(n + 1):
             u = i / n
@@ -821,12 +817,11 @@ def _run(argv) -> int:
     }
     try:
         digits = getattr(args, "digits", None)
-        if digits is not None and digits < 0:
-            raise _CliError("--digits must be >= 0")
-        if digits is not None and digits > _MAX_DIGITS:
-            raise _CliError(f"--digits must be <= {_MAX_DIGITS}")
-        if getattr(args, "budget", 0) > _MAX_ORACLE_BUDGET:
-            raise _CliError(f"--budget must be <= {_MAX_ORACLE_BUDGET}")
+        if digits is not None:
+            if digits < 0:
+                raise _CliError("--digits must be >= 0")
+            _DIGITS.charge(digits)
+        _ORACLE_BUDGET.charge(getattr(args, "budget", 0))
         return handlers[args.command](args)
     except (NoStabilizingLevelError, RegisterOverflowError) as exc:
         print(f"qdigits {args.command}: {exc}", file=sys.stderr)

@@ -539,6 +539,40 @@ def test_experiment_bounds(capsys, monkeypatch, command, over, at, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--register-length", "-5"], "--register-length must be >= 1, got -5"),
+        (["--register-length", "0"], "--register-length must be >= 1, got 0"),
+        (["--register-length", "8", "--r", "9", "--grid-exponent", "-1"],
+         "grid_exponent must be >= 0, got -1"),
+    ],
+    ids=["register-negative", "register-zero", "grid-negative"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["bridge", "--q", "3/4", "--seed", "1"], ["verify", "--suite", "theorem1", "--q", "3/4"]],
+    ids=["bridge", "theorem1"],
+)
+def test_experiment_usage_errors(capsys, monkeypatch, command, argv, message):
+    # usage errors exit 2 before a run length too long for the register
+    # (exit 1) is reported
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+    assert run(capsys, [*command, *argv]) == (2, "", f"qdigits: {message}\n")
+
+
+def test_bridge_without_a_register_is_a_usage_error(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+    argv = ["bridge", "--q", "3/4", "--register-length", "8", "--r", "9"]
+    assert run(capsys, argv) == (2, "", "qdigits: bridge needs --seed or --state zero\n")
+
+
+@pytest.mark.parametrize(
     "command",
     [["bridge", "--q", "3/4", "--seed", "1"], ["verify", "--suite", "theorem1", "--q", "3/4"]],
     ids=["bridge", "theorem1"],
@@ -785,6 +819,77 @@ def test_oracle_charges_the_bits_of_q(capsys, monkeypatch):
     # at q = 3/4 the bound lies past 2^20, so --budget binds first
     with pytest.raises(Reached):
         main(["eval", "S", "--q", "3/4", "--method", "oracle", "--n", str(2**20)])
+
+
+# every cli._Budget row: sample fields and the message they give; a row with
+# no entry here fails test_budget_rows
+BUDGET_MESSAGES = {
+    "_DIGITS": ({}, "--digits must be <= 100000"),
+    "_LEVEL": ({"flag": "--lmax"}, "--lmax must be <= 1048576"),
+    "_GRID_EXPONENT": ({}, "--grid-exponent must be <= 20"),
+    "_DECIMAL_WORK": (
+        {"digits": 100000, "l": 16, "cells": 51},
+        "--digits 100000 at --l 16: 51 cells x (digits + 8) must be <= 4194304",
+    ),
+    "_REGISTER": ({}, "--register-length must be <= 131072"),
+    "_GRID_BITS": ({}, "2^(--grid-exponent) * --register-length must be <= 536870912"),
+    "_REGISTER_Q_BITS": (
+        {"what": "--register-length", "q_bits": 5},
+        "--register-length * 5 (the bits of q's larger term) must be <= 524288",
+    ),
+    "_RUN_LENGTHS": ({}, "--r takes at most 8 run lengths"),
+    "_SERIES_WORK": (
+        {"a": F(1023, 1024), "tol": 1e-09, "terms": 27575},
+        "a = 1023/1024 at --tol 1e-09 needs about 27575 series terms; terms x"
+        " (terms x bits(a) + bits(x) + 8192) must be <= 8589934592",
+    ),
+    "_FHAT_WORK": (
+        {"n": 14634, "points": 14635, "work": 586950},
+        "--fhat-points 14634: 14635 points x 586950 per point must be <= 8589934592",
+    ),
+    "_DYADIC_WORK": (
+        {"what": "--x", "e": 4962, "a": F(2, 3)},
+        "--x walks 4962 bits at a = 2/3; bits^3 x (bits(a) + 1)^2 must be"
+        " <= 1099511627776",
+    ),
+    "_ORACLE_BUDGET": ({}, "--budget must be <= 1048576"),
+    "_ORACLE_WORK": (
+        {"flag": "--n", "terms": 81345, "q_bits": 1586},
+        "--n 81345 x (1586 + 64), 1586 the bits of q's larger term, must be"
+        " <= 134217728",
+    ),
+    "_SCAN_WORK": (
+        {"flag": "--nmax", "terms": 3913, "q_bits": 3},
+        "--nmax 3913 x (3 + 64), 3 the bits of q's larger term, must be <= 262144",
+    ),
+}
+
+
+class Formatted(Exception):
+    """Raised by Unformattable.__format__: a message was built."""
+
+
+class Unformattable:
+    def __format__(self, spec):
+        raise Formatted
+
+
+@pytest.mark.parametrize(
+    "name", sorted(k for k, v in vars(cli).items() if isinstance(v, cli._Budget))
+)
+def test_budget_rows(name):
+    row = getattr(cli, name)
+    fields, message = BUDGET_MESSAGES[name]
+    row.charge(row.limit, **fields)
+    with pytest.raises(cli._CliError) as exc:
+        row.charge(row.limit + 1, **fields)
+    assert str(exc.value) == message
+    # within the limit no field is formatted: a may be a huge Fraction
+    lazy = dict.fromkeys(fields, Unformattable())
+    row.charge(row.limit, **lazy)
+    if fields:
+        with pytest.raises(Formatted):
+            row.charge(row.limit + 1, **lazy)
 
 
 def test_one_parser_serves_every_call(capsys):
