@@ -416,7 +416,9 @@ def _experiment(args, p: QParam):
     if not zero and args.seed is None:
         raise _CliError("bridge needs --seed or --state zero")
     if g < 0:
-        raise _CliError(f"grid_exponent must be >= 0, got {g}")
+        raise _CliError(f"--grid-exponent must be >= 0, got {g}")
+    if not Fraction(1, 2) < abs(p.q) < 1:
+        raise _CliError(f"experiment needs 1/2 < |q| < 1, got q = {p.q}")
     longest = max(r_list)
     if longest > length:
         # the experiment's own outcome (exit 1), before any level is walked

@@ -46,11 +46,11 @@ their own carries and call neither.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
+from ._record import field, record
 from .report import VerificationReport
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
@@ -65,7 +65,7 @@ def _require_budget(top: int, budget: int):
         raise OracleBudgetError(f"brute-force request n={top} exceeds budget {budget}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QParam:
     """A digit-sum weight q with its derived curve parameter a = 1/(2q).
 

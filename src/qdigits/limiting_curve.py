@@ -39,12 +39,12 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import add, ge, lshift, mul, ne, sub
 
+from ._record import field, record
 from .digitsum import QParam, _lowest_terms, _Reduced
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
@@ -59,7 +59,7 @@ class DegenerateNormalizerError(ValueError):
     """The requested normalizer is zero (flat deviation polygon)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CurveSamples:
     """A curve sampled on the uniform grid j/l, j = 0..l, l = len(values) - 1."""
 
@@ -389,7 +389,7 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BridgeLevel:
     """One stabilising level of the experiment with its measured curve.
 
@@ -422,7 +422,7 @@ class BridgeLevel:
         return _polygon(self.devs, self.factor)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LimitingBridge:
     """Measured distances between orbit polygons and the limit curve."""
 

@@ -21,9 +21,9 @@ experiments exploit.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .digitsum import QParam, _lowest_terms, weighted_digit_sum
 
 
@@ -35,7 +35,7 @@ class NoStabilizingLevelError(LookupError):
     """No zero run of the requested length exists in the register."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OdometerState:
     """An immutable register of length digits; bit i of value is digit i+1."""
 
@@ -115,7 +115,7 @@ def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction
     return sums
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StabilizingLevel:
     """A position whose trailing r digits are zero.
 

@@ -6,10 +6,10 @@ was found.  Reports render to plain text lines or to a JSON-friendly dict
 with a stable key order.
 """
 
-from dataclasses import asdict, dataclass, field
+from ._record import field, record
 
 
-@dataclass
+@record
 class IdentityCheck:
     """Outcome of scanning one identity over a finite range."""
 
@@ -21,7 +21,14 @@ class IdentityCheck:
     first_counterexample: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "statement": self.statement,
+            "scope": self.scope,
+            "checked": self.checked,
+            "passed": self.passed,
+            "first_counterexample": self.first_counterexample,
+        }
 
     def format_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -31,7 +38,7 @@ class IdentityCheck:
         return line
 
 
-@dataclass
+@record
 class VerificationReport:
     """A titled bundle of identity checks with shared parameters."""
 

@@ -39,10 +39,11 @@ the solution of f(x/2) = f(x)/4 + x/4, f((x+1)/2) = f(x)/4 + (1-x)/4.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
+
+from ._record import record
 
 
 class InconsistentSystemError(ValueError):
@@ -181,7 +182,7 @@ def takagi_dyadic_grid(g: int, a) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineMap:
     """x -> slope * x + intercept over the rationals."""
 
@@ -196,7 +197,7 @@ class AffineMap:
         return self.slope * Fraction(x) + self.intercept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeRhamSystem:
     """A contractive two-branch affine functional system.
 

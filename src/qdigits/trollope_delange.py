@@ -27,15 +27,15 @@ are only ever evaluated where powers like q^(log2 n) pair up into the
 rational quantities q^k and n/p, so all arithmetic stays in Fractions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .digitsum import QParam, partial_sum_fast, partial_sum_pow2
 from .report import VerificationReport
 from .takagi import AffineMap, DeRhamSystem, takagi_dyadic_exact, takagi_series
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScaleDecomposition:
     """n split against its leading binary scale.
 

@@ -284,7 +284,7 @@ class TestVerify:
             ["verify", "--suite", "theorem1", "--q", "3/4", "--grid-exponent", "-3"],
         )
         assert code == 2
-        assert "grid_exponent must be >= 0, got -3" in err
+        assert "--grid-exponent must be >= 0, got -3" in err
 
     def test_regime_guard(self, capsys):
         code, _, err = run(capsys, ["verify", "--suite", "prop1", "--q", "1/2"])
@@ -544,7 +544,7 @@ def test_experiment_bounds(capsys, monkeypatch, command, over, at, message):
         (["--register-length", "-5"], "--register-length must be >= 1, got -5"),
         (["--register-length", "0"], "--register-length must be >= 1, got 0"),
         (["--register-length", "8", "--r", "9", "--grid-exponent", "-1"],
-         "grid_exponent must be >= 0, got -1"),
+         "--grid-exponent must be >= 0, got -1"),
     ],
     ids=["register-negative", "register-zero", "grid-negative"],
 )
@@ -561,6 +561,28 @@ def test_experiment_usage_errors(capsys, monkeypatch, command, argv, message):
 
     monkeypatch.setattr(cli, "theorem1_experiment", refuse)
     assert run(capsys, [*command, *argv]) == (2, "", f"qdigits: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, stderr",
+    [
+        (["bridge", "--seed", "1"],
+         "qdigits bridge: the experiment needs 1/2 < |q| < 1, got q = 1/3\n"),
+        (["verify", "--suite", "theorem1"],
+         "qdigits: experiment needs 1/2 < |q| < 1, got q = 1/3\n"),
+    ],
+    ids=["bridge", "theorem1"],
+)
+def test_experiment_usage_errors_weight_first(capsys, monkeypatch, command, stderr):
+    # a weight outside 1/2 < |q| < 1 is a usage error, reported before a
+    # run length too long for the register (exit 1); bridge keeps its own
+    # earlier check and text
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+    argv = [*command, "--q", "1/3", "--register-length", "8", "--r", "9"]
+    assert run(capsys, argv) == (2, "", stderr)
 
 
 def test_bridge_without_a_register_is_a_usage_error(capsys, monkeypatch):
@@ -986,7 +1008,7 @@ class TestBridge:
             capsys, ["bridge", "--q", "3/4", "--seed", "1", "--grid-exponent", "-1"]
         )
         assert code == 2
-        assert "grid_exponent must be >= 0, got -1" in err
+        assert "--grid-exponent must be >= 0, got -1" in err
 
     def test_grid_exponent_zero(self, capsys):
         code, out, _ = run(

@@ -1,7 +1,6 @@
 """Deviation polygons, the zero-orbit bridge identity, and the seeded
 register experiment."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -36,7 +35,7 @@ from qdigits.odometer import (
     num_value,
     orbit_partial_sums,
 )
-from qdigits.report import VerificationReport
+from qdigits.report import IdentityCheck, VerificationReport
 from qdigits.takagi import takagi_dyadic_exact, takagi_dyadic_grid
 from test_acceptance import DECAY_FIXTURES
 
@@ -343,7 +342,12 @@ def per_point_check(l, p, target=None):
 def main_prop1_checks(p, lmax):
     """verify --suite prop1's checks, under verify_identity_8's check name."""
     rep = cli._suite_prop1(p, lmax)
-    return [dataclasses.replace(c, name="bridge-equals-target") for c in rep.checks]
+    return [
+        IdentityCheck(
+            "bridge-equals-target", c.statement, c.scope, c.checked, c.passed, c.first_counterexample
+        )
+        for c in rep.checks
+    ]
 
 
 # the experiment's weights in both signs, and the weights curve --explore takes

@@ -2,6 +2,8 @@
 
 import importlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,3 +70,16 @@ def test_readme_library_example():
     distances = namespace["bridge"].sup_distances
     assert len(distances) == 3
     assert all(a > b for a, b in zip(distances, distances[1:]))
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # the record classes are built without dataclasses, which imports inspect
+    src = str(Path(__file__).parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qdigits;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
