@@ -781,8 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     br = sub.add_parser("bridge", help="stabilising-level decay experiment")
     br.add_argument("--q", required=True, help='weight with 1/2 < |q| < 1')
-    br.add_argument("--seed", type=int, help="seed for the random register")
-    br.add_argument("--state", choices=["zero"], help="explicit start register")
+    start = br.add_mutually_exclusive_group()
+    start.add_argument("--seed", type=int, help="seed for the random register")
+    start.add_argument("--state", choices=["zero"], help="explicit start register")
     br.add_argument("--r", default="4,8,12", help="run lengths, comma separated")
     br.add_argument("--register-length", type=int, default=8192)
     br.add_argument("--grid-exponent", type=int, default=8)

@@ -397,8 +397,8 @@ def _powers(h: int, u: int, w: int, e: int, memo: dict) -> tuple[int, int, int]:
 
 def _summatory_split(
     n: int, d: int, u: int, w: int, e: int, table: tuple, memo: dict
-) -> tuple[int, int, int]:
-    """(S, s, steps) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
+) -> tuple[int, int]:
+    """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
     q = u/v and v = w 2^e with w odd.
 
     Binary splitting on bit halves: with h = d // 2 rounded up to a
@@ -413,21 +413,19 @@ def _summatory_split(
     a v that is a power of two (w = 1) the combine multiplies by no power
     of v at all.  Spans of at most _LEAF_BITS bits go to _table_leaf,
     which reads table, the weight's leaf table; as every B spans whole
-    chunks, only the leaf at the top of n pads a partial one.  steps
-    counts the bits the leaves consume, summed through the recursion;
-    each bit of the span goes through exactly one leaf, so it is d.  memo
-    holds the _powers of each depth met in this call.
+    chunks, only the leaf at the top of n pads a partial one.  Each bit
+    of the span goes through exactly one leaf.  memo holds the _powers of
+    each depth met in this call.
     """
     if d <= _LEAF_BITS:
-        S, s = _table_leaf(n, d, u, w << e, table)
-        return S, s, d
+        return _table_leaf(n, d, u, w << e, table)
     h = d // 2
     h += -h % table[0]
     rest = d - h
     a = n >> h
     b = n & ((1 << h) - 1)
-    S_a, s_a, steps_a = _summatory_split(a, rest, u, w, e, table, memo)
-    S_b, s_b, steps_b = _summatory_split(b, h, u, w, e, table, memo)
+    S_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
+    S_b, s_b = _summatory_split(b, h, u, w, e, table, memo)
     u_h, _w_h, geom = _powers(h, u, w, e, memo)
     _u_rest, w_rest, _geom_rest = _powers(rest, u, w, e, memo)
     # S_q(2^h) v^h is geom << (h - 1), and v^rest is w_rest << e rest
@@ -435,35 +433,25 @@ def _summatory_split(
         (S_a << h) + b * s_a
     )
     s = (s_b * w_rest << e * rest) + u_h * s_a
-    return S, s, steps_a + steps_b
+    return S, s
 
 
-def _summatory_root(n: int, u: int, v: int) -> tuple[int, int, int, int]:
-    """(S, s, den, steps) with S_q(n) = S / den and s_q(n) = s / den,
+def _summatory_root(n: int, u: int, v: int) -> tuple[int, int, int]:
+    """(S, s, den) with S_q(n) = S / den and s_q(n) = s / den,
     den = v^d, d = n.bit_length() >= 1, q = u/v.
 
     An n below 2^_LEAF_BITS is one bit-serial leaf; a longer n goes to
-    _summatory_split.  steps is the number of bits of n the leaves
-    consumed: every bit goes through exactly one leaf, so it is d.
+    _summatory_split.  Either way every bit of n goes through exactly
+    one leaf, so the halving steps number d.
     """
     d = n.bit_length()
     if d <= _LEAF_BITS:
         S, s = _summatory_leaf(n, d, u, v)
-        return S, s, v**d, d
+        return S, s, v**d
     e = _twos(v)
     w = v >> e
-    S, s, steps = _summatory_split(n, d, u, w, e, _weight_table(u, v), {})
-    return S, s, w**d << e * d, steps
-
-
-def partial_sum_fast_instrumented(n: int, p: QParam) -> tuple[Fraction, int]:
-    """S_q(n) plus the number of bits of n the leaves consumed, which
-    equals n.bit_length()."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = p.q.denominator
-    S, _s, den, steps = _summatory_root(n, p.q.numerator, v)
-    return _lowest_terms(S, den, v), steps
+    S, s = _summatory_split(n, d, u, w, e, _weight_table(u, v), {})
+    return S, s, w**d << e * d
 
 
 def _digit_sum_fast(j: int, p: QParam) -> Fraction:
@@ -474,7 +462,7 @@ def _digit_sum_fast(j: int, p: QParam) -> Fraction:
     if j == 0:
         return Fraction(0)
     v = p.q.denominator
-    _S, s, den, _steps = _summatory_root(j, p.q.numerator, v)
+    _S, s, den = _summatory_root(j, p.q.numerator, v)
     return _lowest_terms(s, den, v)
 
 
@@ -489,8 +477,11 @@ def partial_sum_fast(n: int, p: QParam) -> Fraction:
     one gcd of the whole pair, so the cost grows like big-integer
     multiplication rather than quadratically in the bit length.
     """
-    value, _steps = partial_sum_fast_instrumented(n, p)
-    return value
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    v = p.q.denominator
+    S, _s, den = _summatory_root(n, p.q.numerator, v)
+    return _lowest_terms(S, den, v)
 
 
 def partial_sum_pow2(k: int, p: QParam) -> Fraction:

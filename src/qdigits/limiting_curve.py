@@ -27,11 +27,10 @@ deviations of a prefix are those of the prefix of the chord deviations
 All of it runs on one exact representation: integer deviations times
 one rational factor per grid, against takagi_dyadic_grid's integers over
 one denominator, compared by cross-multiplication.  Fractions are built
-only for values handed back to the caller (BridgeLevel.devs joins the
-split form, and BridgeLevel.curve builds the Fractions, each on first
-access); qdigits curve writes its CSV and SVG from the same
-(integers, factor) form, and formats the target once where identity (8)
-makes it the polygon.
+only for values handed back to the caller, and BridgeLevel.devs joins
+the split form only on first access; qdigits curve writes its CSV and
+SVG from the same (integers, factor) form, and formats the target once
+where identity (8) makes it the polygon.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
@@ -68,11 +67,6 @@ class CurveSamples:
     def __post_init__(self):
         if len(self.values) < 2:
             raise ValueError("a curve needs at least two samples")
-
-    @cached_property
-    def grid(self) -> tuple[Fraction, ...]:
-        l = len(self.values) - 1
-        return tuple(Fraction(j, l) for j in range(l + 1))
 
 
 def _require_level(l: int):
@@ -284,20 +278,12 @@ def canonical_normalizer(partial_sums, l: int) -> Fraction:
     return best
 
 
-def analytic_normalizer(l: int, p: QParam) -> Fraction:
-    """R = (2q)^(j-1) for l = 2^j; the natural scale of the deviations.
-
-    Signed: for negative q and even j - 1 it is positive, otherwise the
-    sign flips the curve, which is exactly what the bridge identity
-    needs.
-    """
-    _require_level(l)
-    j = l.bit_length() - 1
-    return (2 * p.q) ** (j - 1)
-
-
 def _zero_orbit_scaled(l: int, p: QParam, norm: str) -> tuple[list[int], Fraction]:
-    """zero_orbit_curve as (devs, factor): its value at j/l is devs[j] * factor."""
+    """The zero orbit's deviation polygon at l = 2^j as (devs, factor), worth
+    devs[j] * factor at j/l: build_fluctuation_curve(partial_sum_prefix(l, p),
+    l, R) with R = (2q)^(j-1), signed (norm="analytic"), or the largest
+    absolute deviation (norm="canonical"), from the orbit walk's integers.
+    """
     _require_level(l)
     g = l.bit_length() - 1
     devs, _beta, _b, factor = _orbit_deviations(0, g, g, p)
@@ -309,17 +295,6 @@ def _zero_orbit_scaled(l: int, p: QParam, norm: str) -> tuple[list[int], Fractio
     if peak == 0:
         raise DegenerateNormalizerError("deviation polygon is identically zero")
     return devs, Fraction(1, peak)
-
-
-def zero_orbit_curve(l: int, p: QParam, norm: str = "analytic") -> CurveSamples:
-    """The zero orbit's deviation polygon at length l = 2^j, exactly.
-
-    Equal to build_fluctuation_curve(partial_sum_prefix(l, p), l, R) with
-    R = analytic_normalizer(l, p) (norm="analytic") or the largest
-    absolute deviation (norm="canonical", sup-norm one), but computed as
-    integer deviations of the orbit walk with one Fraction per value.
-    """
-    return _polygon(*_zero_orbit_scaled(l, p, norm))
 
 
 def target_curve(l: int, p: QParam) -> CurveSamples:
@@ -396,8 +371,8 @@ class BridgeLevel:
     The polygon is held in _orbit_deviations' split form: integer
     deviations devs[j] = (alpha[j] << h) + low beta[j], h = position -
     grid_exponent, each worth devs[j] * factor (the normalizer is already
-    in factor); beta is None when low = 0.  devs joins them and curve
-    turns them into Fractions, each on first access, keeping the result.
+    in factor); beta is None when low = 0.  devs joins them on first
+    access, keeping the result.
     """
 
     run_length: int
@@ -416,10 +391,6 @@ class BridgeLevel:
     def devs(self) -> tuple[int, ...]:
         h = self.position - self.grid_exponent
         return tuple(_join(self.alpha, self.beta, self.low, h))
-
-    @cached_property
-    def curve(self) -> CurveSamples:
-        return _polygon(self.devs, self.factor)
 
 
 @record(frozen=True)

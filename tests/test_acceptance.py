@@ -26,7 +26,6 @@ from qdigits.digitsum import (
     check_bit_recurrences,
     partial_sum_bruteforce_at,
     partial_sum_fast,
-    partial_sum_fast_instrumented,
 )
 from qdigits.limiting_curve import theorem1_experiment, verify_identity_8
 from qdigits.odometer import OdometerState
@@ -45,6 +44,7 @@ from qdigits.trollope_delange import (
     td_classical,
     td_generalized,
 )
+from test_digitsum import leaf_bits
 
 FIVE_Q = [F(3, 4), F(2, 3), F(9, 10), F(-3, 4), F(-2, 3)]
 Q34 = QParam(F(3, 4))
@@ -382,7 +382,7 @@ def test_criterion_8_fast_evaluator_performance_and_agreement():
     if best >= 0.010:
         problems.append(f"best of 5 runs took {best * 1000:.2f}ms")
 
-    _value, steps = partial_sum_fast_instrumented(n_perf, Q34)
+    _value, steps = leaf_bits(partial_sum_fast, n_perf, Q34)
     if steps != n_perf.bit_length():
         problems.append(f"{steps} halving steps for {n_perf.bit_length()} bits")
 

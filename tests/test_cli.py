@@ -17,8 +17,13 @@ from hypothesis import strategies as st
 import qdigits.cli as cli
 import qdigits.digitsum as digitsum
 from qdigits.cli import main
-from qdigits.digitsum import QParam, partial_sum_fast, weighted_digit_sum
-from qdigits.limiting_curve import target_curve, theorem1_experiment, zero_orbit_curve
+from qdigits.digitsum import QParam, partial_sum_fast, partial_sum_prefix, weighted_digit_sum
+from qdigits.limiting_curve import (
+    build_fluctuation_curve,
+    canonical_normalizer,
+    target_curve,
+    theorem1_experiment,
+)
 from qdigits.odometer import OdometerState
 
 FROZEN_CURVE_CSV = (
@@ -312,9 +317,11 @@ class TestCurve:
         "q", ["3/4", "-3/4", "2/3", "-2/3", "9/10", "1", "2", "1/2", "-1/2", "2/5"]
     )
     def test_csv_round_trips_to_exact_values(self, capsys, tmp_path, q, l, norm, digits):
-        # the CLI writes from scaled integers; the oracle is the Fraction
-        # route: str() or _decimal_string of zero_orbit_curve and
-        # target_curve, and svg_reference over float() of the same values
+        # the CLI writes from the orbit walk's scaled integers; the oracle
+        # is the definitional Fraction route: str() or _decimal_string of
+        # the polygon of partial_sum_prefix over (2q)^(j-1) or its largest
+        # deviation, and of target_curve, and svg_reference over float()
+        # of the same values
         p = QParam(F(q))
         csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
         # negative weights need the --q=value spelling; a bare "-3/4"
@@ -327,8 +334,13 @@ class TestCurve:
             argv += ["--digits", str(digits)]
         assert run(capsys, argv) == (0, "", "")
 
-        curve = zero_orbit_curve(l, p, norm)
-        columns = [curve.grid, curve.values]
+        sums = partial_sum_prefix(l, p)
+        if norm == "analytic":
+            normalizer = (2 * p.q) ** (l.bit_length() - 2)
+        else:
+            normalizer = canonical_normalizer(sums, l)
+        curve = build_fluctuation_curve(sums, l, normalizer)
+        columns = [[F(j, l) for j in range(l + 1)], curve.values]
         header = "t,phi"
         if p.is_curve_regime:
             columns.append(target_curve(l, p).values)
@@ -985,6 +997,21 @@ class TestBridge:
         assert code == 2
         assert "--seed or --state" in err
 
+    def test_seed_and_state_together(self, capsys, monkeypatch):
+        # a zero register ignores any seed, so asking for both is a usage
+        # error, reported by the parser before any work
+        def refuse(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "theorem1_experiment", refuse)
+        for argv in (
+            ["bridge", "--q", "3/4", "--seed", "1", "--state", "zero"],
+            ["bridge", "--q", "3/4", "--state", "zero", "--seed", "1"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert "not allowed with argument" in err
+
     def test_regime_guard(self, capsys):
         code, _, err = run(capsys, ["bridge", "--q", "1/4", "--seed", "1"])
         assert code == 2
@@ -1044,7 +1071,7 @@ class TestBridge:
         _, out, _ = run(capsys, argv)
         doc = json.loads(out)
         assert [lvl["grid_points"] for lvl in doc["levels"]] == [
-            len(lvl.curve.grid) for lvl in bridge.levels
+            len(lvl.devs) for lvl in bridge.levels
         ]
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 

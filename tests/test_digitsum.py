@@ -8,6 +8,7 @@ path is measured against.
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,6 @@ from qdigits.digitsum import (
     partial_sum_bruteforce,
     partial_sum_bruteforce_at,
     partial_sum_fast,
-    partial_sum_fast_instrumented,
     partial_sum_pow2,
     partial_sum_prefix,
     partial_sum_progression,
@@ -45,6 +45,18 @@ from qdigits.digitsum import (
 
 Q34 = QParam(F(3, 4))
 TEST_WEIGHTS = [F(3, 4), F(2, 3), F(9, 10), F(-3, 4), F(-2, 3), F(1), F(1, 2), F(2)]
+
+
+def leaf_bits(call, *args):
+    """call(*args) and the bits the summatory leaves consumed on the way:
+    the d of every _summatory_leaf and _table_leaf call, summed, one
+    halving step per bit."""
+    with (
+        mock.patch.object(digitsum, "_summatory_leaf", wraps=_summatory_leaf) as serial,
+        mock.patch.object(digitsum, "_table_leaf", wraps=_table_leaf) as table,
+    ):
+        result = call(*args)
+    return result, sum(c.args[1] for c in serial.call_args_list + table.call_args_list)
 
 
 class TestQParam:
@@ -156,13 +168,13 @@ class TestFastEvaluator:
 
     def test_step_count_is_bit_length(self):
         for n in [1, 2, 3, 100, 2**20 + 7, 2**40 + 12345]:
-            _value, steps = partial_sum_fast_instrumented(n, Q34)
+            _value, steps = leaf_bits(partial_sum_fast, n, Q34)
             assert steps == n.bit_length()
 
     def test_huge_argument(self):
         # thousand-bit arguments only cost their bit length
         n = (1 << 1000) + 987654321
-        value, steps = partial_sum_fast_instrumented(n, Q34)
+        value, steps = leaf_bits(partial_sum_fast, n, Q34)
         assert steps == 1001
         assert value.denominator > 0  # exact rational, no overflow anywhere
 
@@ -322,9 +334,9 @@ def _check_split_kernel(n, q):
     u, v = q.numerator, q.denominator
     d = n.bit_length()
     serial = _summatory_leaf(n, d, u, v)
-    assert split(n, d, u, v) == (*serial, d), (q, n)
+    assert split(n, d, u, v) == serial, (q, n)
     assert _table_leaf(n, d, u, v, _leaf_table(1, u, v)) == serial
-    _value, steps = partial_sum_fast_instrumented(n, QParam(q))
+    _value, steps = leaf_bits(partial_sum_fast, n, QParam(q))
     assert steps == d
 
 
@@ -413,7 +425,7 @@ class TestSplitKernel:
             + partial_sum_fast(b, p)
             + b * q**h * F(digit, v**da)
         )
-        value, steps = partial_sum_fast_instrumented(n, p)
+        value, steps = leaf_bits(partial_sum_fast, n, p)
         assert steps == 65536
         assert value == want
 
@@ -429,7 +441,7 @@ class TestSplitKernel:
     def test_16385_bits_equals_serial_leaf(self, q):
         u, v = q.numerator, q.denominator
         n = random.Random(16385).getrandbits(16385) | (1 << 16384)
-        S, s, den, steps = _summatory_root(n, u, v)
+        (S, s, den), steps = leaf_bits(_summatory_root, n, u, v)
         assert (S, s) == _summatory_leaf(n, 16385, u, v)
         assert (den, steps) == (v**16385, 16385)
 
@@ -469,7 +481,7 @@ class TestSplitKernel:
         for _round in range(2):
             for i, n in enumerate(ns):
                 for q in interleaved:
-                    S, s, den, _steps = _summatory_root(n, q.numerator, q.denominator)
+                    S, s, den = _summatory_root(n, q.numerator, q.denominator)
                     assert (S, s) == want[q][i], (q, n)
                     assert partial_sum_fast(n, QParam(q)) == F(S, den)
 
@@ -506,9 +518,9 @@ class TestSplitKernel:
         for bits in (65, 73, 127, 129, 513, 1024, 1153, 2113):
             leaves.clear()
             n = rng.getrandbits(bits) | 1 << (bits - 1)
-            S, s, den, steps = _summatory_root(n, u, v)
+            S, s, den = _summatory_root(n, u, v)
             assert (S, s) == _summatory_leaf(n, bits, u, v), bits
-            assert (den, steps) == (v**bits, bits)
+            assert den == v**bits
             assert sum(leaves) == bits and max(leaves) <= _LEAF_BITS
             assert all(d % _TABLE_BITS == 0 for d in leaves[1:]), (bits, leaves)
 
@@ -520,7 +532,7 @@ class TestSplitKernel:
             assert table == _weight_table(u, v) == _leaf_table(_TABLE_BITS, u, v)
             assert table is not _weight_table(u, v)
         n = random.Random(1153).getrandbits(1153) | 1 << 1152
-        S, s, _den, _steps = _summatory_root(n, 1, over)
+        S, s, _den = _summatory_root(n, 1, over)
         assert (S, s) == _summatory_leaf(n, 1153, 1, over)
         assert _cached_leaf_table.cache_info() == info
 
@@ -618,5 +630,5 @@ class TestLowestTerms:
                 d = n.bit_length()
                 if d <= _LEAF_BITS:
                     continue
-                S, _s, _steps = split(n, d, u, v)
+                S, _s = split(n, d, u, v)
                 assert_same_fraction(partial_sum_fast(n, p), F(S, v**d))

@@ -19,14 +19,14 @@ from qdigits.limiting_curve import (
     CurveSamples,
     DegenerateNormalizerError,
     GridMismatchError,
-    analytic_normalizer,
+    _polygon,
+    _zero_orbit_scaled,
     build_fluctuation_curve,
     canonical_normalizer,
     sup_distance,
     target_curve,
     theorem1_experiment,
     verify_identity_8,
-    zero_orbit_curve,
 )
 from qdigits.odometer import (
     NoStabilizingLevelError,
@@ -44,6 +44,21 @@ Q34 = QParam(F(3, 4))
 
 def unit_grid(l):
     return tuple(F(j, l) for j in range(l + 1))
+
+
+def analytic_normalizer(l, p):
+    """R = (2q)^(j-1) at l = 2^j, signed: the bridge identity's scale."""
+    return (2 * p.q) ** (l.bit_length() - 2)
+
+
+def zero_orbit_curve(l, p, norm="analytic"):
+    """The zero orbit's polygon at l from the integers qdigits curve writes."""
+    return _polygon(*_zero_orbit_scaled(l, p, norm))
+
+
+def level_curve(lvl):
+    """A bridge level's polygon values, devs[j] * factor."""
+    return tuple(d * lvl.factor for d in lvl.devs)
 
 
 def assert_at_carry_depth(lvl, x, p):
@@ -79,7 +94,7 @@ def assert_matches_fraction_route(lvl, x, p):
         for j in range(points + 1)
     )
     target = [-q * takagi_dyadic_exact(F(j, points), p.a) for j in range(points + 1)]
-    assert lvl.curve.values == curve
+    assert level_curve(lvl) == curve
     assert lvl.sup_distance == max(abs(c - t) for c, t in zip(curve, target))
 
 
@@ -94,19 +109,8 @@ class TestCurveSamples:
         with pytest.raises(ValueError, match="at least two"):
             CurveSamples(())
 
-    @pytest.mark.parametrize("l", [1, 2, 7, 64])
-    def test_grid_is_j_over_l(self, l):
-        c = CurveSamples(tuple(F(0) for _ in range(l + 1)))
-        assert c.grid == tuple(F(j, l) for j in range(l + 1))
-
-    def test_grid_built_once(self):
-        c = target_curve(8, Q34)
-        assert c.grid is c.grid
-
     def test_equal_exactly_when_values_are(self):
         a = CurveSamples((F(0), F(1, 2), F(0)))
-        assert a == CurveSamples((F(0), F(1, 2), F(0)))
-        assert a.grid  # a cached grid takes no part in the comparison
         assert a == CurveSamples((F(0), F(1, 2), F(0)))
         assert a != CurveSamples((F(0), F(1, 3), F(0)))
         assert a != CurveSamples((F(0), F(0)))
@@ -116,7 +120,6 @@ class TestBuildFluctuationCurve:
     def test_frozen_polygon(self):
         sums = partial_sum_prefix(4, Q34)
         curve = build_fluctuation_curve(sums, 4, analytic_normalizer(4, Q34))
-        assert curve.grid == unit_grid(4)
         assert curve.values == (0, F(-7, 16), F(-3, 8), F(-7, 16), 0)
 
     def test_endpoints_always_zero(self):
@@ -167,12 +170,6 @@ class TestNormalizers:
         # odd powers keep the sign
         assert analytic_normalizer(16, QParam(F(-3, 4))) == F(-27, 8)
 
-    def test_analytic_domain(self):
-        with pytest.raises(ValueError):
-            analytic_normalizer(3, Q34)
-        with pytest.raises(ValueError):
-            analytic_normalizer(1, Q34)
-
     def test_canonical_vs_analytic(self):
         # on the zero orbit the polygon equals the limit curve, so the
         # canonical scale is |analytic| times the curve's sup norm
@@ -217,7 +214,7 @@ class TestTargetCurve:
     def test_large_weight_parabola(self):
         # q = 2 has a = 1/4, so the limit curve is -2 * 2t(1-t)
         curve = target_curve(8, QParam(2))
-        for t, v in zip(curve.grid, curve.values):
+        for t, v in zip(unit_grid(8), curve.values):
             assert v == -4 * t * (1 - t)
 
     def test_guards(self):
@@ -334,7 +331,7 @@ def per_point_check(l, p, target=None):
         "bridge-equals-target",
         "(S(j) - (j/l) S(l)) / (2q)^(log2(l)-1) = -q T_a(j/l)",
         f"all {l + 1} breakpoints j/l",
-        ((f"t={t}", v, w) for t, v, w in zip(curve.grid, curve.values, target)),
+        ((f"t={t}", v, w) for t, v, w in zip(unit_grid(l), curve.values, target)),
     )
     return rep.checks[0]
 
@@ -720,7 +717,7 @@ class TestTheoremExperiment:
             (literal[j] - F(j, l) * literal[l]) / lvl.normalizer
             for j in range(l + 1)
         )
-        assert lvl.curve.values == expected
+        assert level_curve(lvl) == expected
         assert "carries cross level position 4" in bridge.notes[0]
 
     @pytest.mark.parametrize("q", [F(-3, 4), F(-2, 3)])
@@ -742,9 +739,9 @@ class TestTheoremExperiment:
         state = OdometerState.zeros(2048)
         bridge = theorem1_experiment(None, Q34, [3, 10], state=state)
         assert bridge.levels[0].grid_exponent == 3
-        assert len(bridge.levels[0].curve.grid) == 9
+        assert len(bridge.levels[0].devs) == 9
         assert bridge.levels[1].grid_exponent == 8
-        assert len(bridge.levels[1].curve.grid) == 257
+        assert len(bridge.levels[1].devs) == 257
 
     def test_seeded_reproducible(self):
         a = theorem1_experiment(7, Q34, [2, 4], register_length=128)
@@ -841,18 +838,18 @@ class TestTheoremExperiment:
 
 class TestLazyCurve:
     def test_polygon_built_only_on_demand(self, monkeypatch, capsys):
-        polygon = limiting_curve._polygon
-
         def refuse(*args):
-            raise AssertionError("polygon built before curve was read")
+            raise AssertionError("Fraction polygon built by the experiment")
 
         monkeypatch.setattr(limiting_curve, "_polygon", refuse)
         bridge = theorem1_experiment(42, Q34, [4, 8, 12])
         x = OdometerState.random_state(42, 8192).value
         for lvl in bridge.levels:
             assert "devs" not in repr(lvl)
-            assert "curve" not in vars(lvl)
+            assert "devs" not in vars(lvl)
             assert_at_carry_depth(lvl, x, Q34)
+            assert lvl.devs is lvl.devs
+            assert len(lvl.devs) == (1 << lvl.grid_exponent) + 1
         assert main(["bridge", "--q", "3/4", "--seed", "42"]) == 0
         doc = json.loads(capsys.readouterr().out)
         got = [
@@ -865,15 +862,3 @@ class TestLazyCurve:
             for lvl in doc["levels"]
         ]
         assert got == DECAY_FIXTURES[42]
-
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return polygon(*args)
-
-        monkeypatch.setattr(limiting_curve, "_polygon", counted)
-        lvl = bridge.levels[-1]
-        assert lvl.curve is lvl.curve
-        assert len(calls) == 1
-        assert len(lvl.curve.grid) == 257

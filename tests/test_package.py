@@ -47,7 +47,7 @@ def test_all_is_readme_api():
 
 def test_moved_names_import_from_their_submodule():
     moved = readme_moved()
-    assert len(moved) == len(set(moved)) == 39
+    assert len(moved) == len(set(moved)) == 36
     for name, module in moved:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
         assert not hasattr(qdigits, name), name
@@ -60,6 +60,11 @@ def test_removed_names_stay_gone():
     assert not hasattr(qdigits.takagi, "nearest_int_dist")
     assert not hasattr(qdigits.digitsum, "partial_sum_prefix_scaled")
     assert not hasattr(qdigits.digitsum, "partial_sum_progression_scaled")
+    assert not hasattr(qdigits.digitsum, "partial_sum_fast_instrumented")
+    assert not hasattr(qdigits.limiting_curve, "analytic_normalizer")
+    assert not hasattr(qdigits.limiting_curve, "zero_orbit_curve")
+    assert not hasattr(qdigits.limiting_curve.BridgeLevel, "curve")
+    assert not hasattr(qdigits.limiting_curve.CurveSamples, "grid")
 
 
 def test_readme_library_example():

@@ -209,14 +209,12 @@ def test_bridge_level_devs_built_once(monkeypatch):
     lvl = level()
     devs = lvl.devs
     assert devs == (0, 16, 16, 0, 0)
-    assert lvl.devs is devs and lvl.curve is lvl.curve
+    assert lvl.devs is devs
     assert len(calls) == 1
-    assert lvl.curve.values == (0, F(16, 3), F(16, 3), 0, 0)
+    assert tuple(d * lvl.factor for d in devs) == (0, F(16, 3), F(16, 3), 0, 0)
 
 
 def test_cached_properties_cache():
-    samples = CurveSamples((F(0), F(1, 2), F(0)))
-    assert samples.grid is samples.grid == (0, F(1, 2), 1)
     system = DeRhamSystem.takagi(F(1, 2))
     assert system._integer_form is system._integer_form
     assert system._seam_residual is system._seam_residual == 0

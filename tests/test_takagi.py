@@ -336,3 +336,51 @@ class TestDifferential:
         assert len(nums) == (1 << g) + 1
         for j, num in enumerate(nums):
             assert F(num, den) == takagi_dyadic_exact(F(j, 1 << g), a), (a, g, j)
+
+
+def trapezoid_sum(sys, g):
+    """I - r^g (I - (f(0) + f(1))/2), the trapezoid sum on j/2^g of sys's
+    solution f, with r = (a0 + a1)/2 and I = (s0/2 + c0 + s1/2 + c1) / (2 (1 - r))
+    its integral, for branch maps g_i(x) = s_i x + c_i."""
+    r = (sys.a0 + sys.a1) / 2
+    s0, c0, s1, c1 = sys.g0.slope, sys.g0.intercept, sys.g1.slope, sys.g1.intercept
+    integral = (s0 / 2 + c0 + s1 / 2 + c1) / (2 * (1 - r))
+    return integral - r**g * (integral - (sys.left_value + sys.right_value) / 2)
+
+
+class TestAreaIdentity:
+    """The trapezoid sum at level g + 1 is r times the sum at level g plus
+    the branch maps' own trapezoid sums, which are their integrals, so the
+    sums close in on I geometrically with ratio r: exactly at every g."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=contractions(), g=st.integers(0, 16))
+    @example(a=F(1, 2), g=12)
+    @example(a=F(2, 3), g=8)
+    @example(a=F(-2, 3), g=3)
+    @example(a=F(5, 9), g=1)
+    @example(a=F(5, 6), g=0)
+    @example(a=F(-3, 4), g=16)
+    def test_takagi_grid(self, a, g):
+        # T_a(0) = T_a(1) = 0, so the trapezoid sum is sum(nums) / (den 2^g)
+        nums, den = takagi_dyadic_grid(g, a)
+        assert F(sum(nums), den) == (1 << g) * (1 - a**g) / (4 * (1 - a))
+        assert F(sum(nums), den << g) == trapezoid_sum(DeRhamSystem.takagi(a), g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sys=st.one_of(
+            consistent_systems(),
+            contractions(above_half=True).map(QParam).map(fluctuation_system),
+        ),
+        g=st.integers(0, 8),
+    )
+    @example(sys=fluctuation_system(QParam(F(3, 4))), g=0)
+    @example(sys=fluctuation_system(QParam(F(2, 3))), g=2)
+    @example(sys=fluctuation_system(QParam(F(-3, 4))), g=6)
+    @example(sys=fluctuation_system(QParam(F(9, 10))), g=8)
+    @example(sys=HALF_AMPLITUDE, g=5)
+    def test_derham_grid(self, sys, g):
+        points = 1 << g
+        f = [derham_eval(sys, F(j, points)) for j in range(points + 1)]
+        assert (sum(f) - (f[0] + f[-1]) / 2) / points == trapezoid_sum(sys, g)
