@@ -7,31 +7,27 @@ body defines itself is kept.  Only what this package's records use is
 supported:
 
 - frozen=True: assignment and deletion raise AttributeError, and the
-  record hashes its compared fields; a record that is not frozen is
-  unhashable
+  record hashes its fields; a record that is not frozen is unhashable
 - a plain class-level value is the field's default
 - field(init=False): left out of __init__, for __post_init__ to set
-- field(repr=False, compare=False): left out of __repr__, or of __eq__
-  and __hash__
 - field(default_factory=f): each __init__ that is not given the field
   calls f()
 - __post_init__, called at the end of __init__
 
-Equality holds only between instances of the same class, as tuples of
-their compared fields.  dataclasses was most of `import qdigits`: it
-imports inspect, and it compiles each generated method with exec.
+__repr__ shows every field.  Equality holds only between instances of
+the same class, as tuples of all their fields.  dataclasses was most of
+`import qdigits`: it imports inspect, and it compiles each generated
+method with exec.
 """
 
 from operator import attrgetter
 
 
 class _Field:
-    __slots__ = ("init", "repr", "compare", "default_factory")
+    __slots__ = ("init", "default_factory")
 
-    def __init__(self, *, init=True, repr=True, compare=True, default_factory=None):
+    def __init__(self, *, init=True, default_factory=None):
         self.init = init
-        self.repr = repr
-        self.compare = compare
         self.default_factory = default_factory
 
 
@@ -48,9 +44,9 @@ def record(cls=None, *, frozen=False):
 
 def _build(cls, frozen):
     name = cls.__qualname__
-    init_names, shown, compared = [], [], []
+    names, init_names = tuple(cls.__annotations__), []
     defaults, factories = {}, {}
-    for attr in cls.__annotations__:
+    for attr in names:
         spec = cls.__dict__.get(attr, _PLAIN)
         if isinstance(spec, _Field):
             if spec is not _PLAIN:
@@ -62,10 +58,6 @@ def _build(cls, frozen):
             spec = _PLAIN
         if spec.init:
             init_names.append(attr)
-        if spec.repr:
-            shown.append(attr)
-        if spec.compare:
-            compared.append(attr)
     init_names = tuple(init_names)
     arity = len(init_names)
     keywords = frozenset(init_names)
@@ -100,10 +92,10 @@ def _build(cls, frozen):
             self.__post_init__()
 
     def __repr__(self):
-        body = ", ".join(f"{attr}={getattr(self, attr)!r}" for attr in shown)
+        body = ", ".join(f"{attr}={getattr(self, attr)!r}" for attr in names)
         return f"{type(self).__qualname__}({body})"
 
-    key = attrgetter(*compared)
+    key = attrgetter(*names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -16,7 +16,6 @@ byte-identical across runs.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -489,6 +488,10 @@ def _cmd_verify(args) -> int:
     else:
         rep = _suite_theorem1(p, args)
     if args.json:
+        # json is imported only where JSON is written: eval, curve and a
+        # text report start without it
+        import json
+
         print(json.dumps(rep.to_dict(), indent=2))
     else:
         print("\n".join(rep.format_lines()))
@@ -675,6 +678,8 @@ def _cmd_bridge(args) -> int:
         "strictly_decreasing": bridge.decay_strictly_decreasing,
         "notes": list(bridge.notes),
     }
+    import json
+
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0 if bridge.decay_strictly_decreasing else 1
 

@@ -19,18 +19,18 @@ orbit's carries reach, read from a table built by doubling
 (alpha[t] << h) + b beta[t], with alpha and beta small and b the
 register's bits below the grid step; each sup distance is found from
 that form, building in full only the gaps that can be the largest
-(_sup_gap).  The zero orbit is the case X = 0 of the same walk (b = 0),
-and one walk to length L serves every l = 2^j <= L: the chord
-deviations of a prefix are those of the prefix of the chord deviations
+(_sup_gap), and the polygon is dropped once its sup is known.  The zero
+orbit is the case X = 0 of the same walk (b = 0), and one walk to length
+L serves every l = 2^j <= L: the chord deviations of a prefix are those
+of the prefix of the chord deviations
 (_scan_identity_8).
 
 All of it runs on one exact representation: integer deviations times
 one rational factor per grid, against takagi_dyadic_grid's integers over
 one denominator, compared by cross-multiplication.  Fractions are built
-only for values handed back to the caller, and BridgeLevel.devs joins
-the split form only on first access; qdigits curve writes its CSV and
-SVG from the same (integers, factor) form, and formats the target once
-where identity (8) makes it the polygon.
+only for values handed back to the caller; qdigits curve writes its CSV
+and SVG from the same (integers, factor) form, and formats the target
+once where identity (8) makes it the polygon.
 
 The 1/2 < |q| < 1 window is where all of this lives: below it no
 continuous limit curve exists (an exploratory CLI mode lets one watch
@@ -39,13 +39,12 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import add, ge, lshift, mul, ne, sub
 
-from ._record import field, record
+from ._record import record
 from .digitsum import QParam, _lowest_terms, _Reduced
-from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
+from .odometer import OdometerState, RegisterOverflowError, _hex_repr, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
 
@@ -366,13 +365,10 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 
 @record(frozen=True)
 class BridgeLevel:
-    """One stabilising level of the experiment with its measured curve.
+    """One stabilising level of the experiment and its measured sup distance.
 
-    The polygon is held in _orbit_deviations' split form: integer
-    deviations devs[j] = (alpha[j] << h) + low beta[j], h = position -
-    grid_exponent, each worth devs[j] * factor (the normalizer is already
-    in factor); beta is None when low = 0.  devs joins them on first
-    access, keeping the result.
+    The level's polygon is sampled at 2^grid_exponent + 1 points and
+    rescaled by normalizer = (2q)^(position-1); it is not kept.
     """
 
     run_length: int
@@ -382,15 +378,8 @@ class BridgeLevel:
     normalizer: Fraction
     grid_exponent: int
     sup_distance: Fraction
-    alpha: tuple[int, ...] = field(repr=False, compare=False)
-    beta: tuple[int, ...] | None = field(repr=False, compare=False)
-    low: int = field(repr=False, compare=False)
-    factor: Fraction = field(repr=False, compare=False)
 
-    @cached_property
-    def devs(self) -> tuple[int, ...]:
-        h = self.position - self.grid_exponent
-        return tuple(_join(self.alpha, self.beta, self.low, h))
+    __repr__ = _hex_repr
 
 
 @record(frozen=True)
@@ -489,10 +478,6 @@ def theorem1_experiment(
                 normalizer=Fraction(_Reduced(base_num ** (n - 1), base_den ** (n - 1))),
                 grid_exponent=g,
                 sup_distance=_lowest_terms(sup, gap_den, gap_primes),
-                alpha=tuple(alpha),
-                beta=None if beta is None else tuple(beta),
-                low=low,
-                factor=factor,
             )
         )
         wrapped = big_x & ((1 << n) - 1)

@@ -115,6 +115,19 @@ def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction
     return sums
 
 
+def _hex(v) -> str:
+    if isinstance(v, Fraction):
+        return f"Fraction({v.numerator:#x}, {v.denominator:#x})"
+    return repr(v)
+
+
+def _hex_repr(self) -> str:
+    """A level record's repr with each Fraction as Fraction(0x..., 0x...):
+    in decimal its terms can pass Python's int/str digit limit."""
+    body = ", ".join(f"{k}={_hex(getattr(self, k))}" for k in type(self).__annotations__)
+    return f"{type(self).__qualname__}({body})"
+
+
 @record(frozen=True)
 class StabilizingLevel:
     """A position whose trailing r digits are zero.
@@ -127,6 +140,8 @@ class StabilizingLevel:
     prefix_end: int
     run_length: int
     ratio: Fraction
+
+    __repr__ = _hex_repr
 
 
 def find_stabilizing_levels(

@@ -25,6 +25,7 @@ from qdigits.limiting_curve import (
     theorem1_experiment,
 )
 from qdigits.odometer import OdometerState
+from test_limiting_curve import level_polygon
 
 FROZEN_CURVE_CSV = (
     "t,phi,target\n"
@@ -1060,18 +1061,15 @@ class TestBridge:
         argv += ["--r", ",".join(map(str, r_list))]
         if source == "zero":
             argv += ["--state", "zero"]
-            bridge = theorem1_experiment(
-                None, QParam(F(3, 4)), r_list, state=OdometerState.zeros(64)
-            )
+            state = OdometerState.zeros(64)
         else:
             argv += ["--seed", str(source)]
-            bridge = theorem1_experiment(
-                source, QParam(F(3, 4)), r_list, register_length=64
-            )
+            state = OdometerState.random_state(source, 64)
+        bridge = theorem1_experiment(None, QParam(F(3, 4)), r_list, state=state)
         _, out, _ = run(capsys, argv)
         doc = json.loads(out)
         assert [lvl["grid_points"] for lvl in doc["levels"]] == [
-            len(lvl.devs) for lvl in bridge.levels
+            len(level_polygon(lvl, state.value, QParam(F(3, 4)))[0]) for lvl in bridge.levels
         ]
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 

@@ -56,9 +56,35 @@ def zero_orbit_curve(l, p, norm="analytic"):
     return _polygon(*_zero_orbit_scaled(l, p, norm))
 
 
-def level_curve(lvl):
+# the values qdigits bridge reports for a level, the only ones it keeps
+LEVEL_FIELDS = {
+    "run_length",
+    "position",
+    "prefix_end",
+    "ratio",
+    "normalizer",
+    "grid_exponent",
+    "sup_distance",
+}
+
+
+def joined_walk(x, n, g, p):
+    """_orbit_deviations with its split form joined: (devs, factor)."""
+    alpha, beta, b, factor = limiting_curve._orbit_deviations(x, n, g, p)
+    return limiting_curve._join(alpha, beta, b, n - g), factor
+
+
+def level_polygon(lvl, x, p):
+    """A bridge level's polygon as (devs, factor), worth devs[j] * factor at
+    j/2^g, g = lvl.grid_exponent: the walk theorem1_experiment ran for it on
+    the register value x."""
+    return joined_walk(x, lvl.position, lvl.grid_exponent, p)
+
+
+def level_curve(lvl, x, p):
     """A bridge level's polygon values, devs[j] * factor."""
-    return tuple(d * lvl.factor for d in lvl.devs)
+    devs, factor = level_polygon(lvl, x, p)
+    return tuple(d * factor for d in devs)
 
 
 def assert_at_carry_depth(lvl, x, p):
@@ -74,10 +100,11 @@ def assert_at_carry_depth(lvl, x, p):
     h = n - g
     m = (x ^ (x + (1 << n))).bit_length() - h
     v = p.q.denominator
-    scale = lvl.factor * lvl.normalizer
+    devs, factor = level_polygon(lvl, x, p)
+    scale = factor * lvl.normalizer
     assert (v ** (m + h) << g) % scale.denominator == 0
     q = abs(p.q)
-    assert max(map(abs, lvl.devs)) * (1 - q) <= (v**m << (n + g + 2)) * q
+    assert max(map(abs, devs)) * (1 - q) <= (v**m << (n + g + 2)) * q
 
 
 def assert_matches_fraction_route(lvl, x, p):
@@ -94,7 +121,7 @@ def assert_matches_fraction_route(lvl, x, p):
         for j in range(points + 1)
     )
     target = [-q * takagi_dyadic_exact(F(j, points), p.a) for j in range(points + 1)]
-    assert level_curve(lvl) == curve
+    assert level_curve(lvl, x, p) == curve
     assert lvl.sup_distance == max(abs(c - t) for c, t in zip(curve, target))
 
 
@@ -390,12 +417,6 @@ def carry_walk(x, n, g, p):
     return devs, F(2 * u, v ** (m + 1) << n)
 
 
-def joined_walk(x, n, g, p):
-    """_orbit_deviations with its split form joined: (devs, factor)."""
-    alpha, beta, b, factor = limiting_curve._orbit_deviations(x, n, g, p)
-    return limiting_curve._join(alpha, beta, b, n - g), factor
-
-
 class TestOrbitDeviations:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -512,8 +533,8 @@ def reference_gaps(x, lvl, p):
 
 class TestSplitSup:
     """theorem1_experiment's sup distance from the split form is the max of
-    |gaps| over deviations built in full, and BridgeLevel.devs joins that
-    form only when it is read."""
+    |gaps| over deviations built in full, and the level keeps only the
+    values qdigits bridge reports."""
 
     def check(self, state, p, r_list, grid_exponent):
         bridge = theorem1_experiment(
@@ -522,10 +543,8 @@ class TestSplitSup:
         for lvl in bridge.levels:
             devs, factor, (gaps, den) = reference_gaps(state.value, lvl, p)
             assert lvl.sup_distance == F(max(map(abs, gaps)), den)
-            assert "devs" not in vars(lvl)
-            assert lvl.devs == tuple(devs)
-            assert "devs" in vars(lvl)
-            assert lvl.factor == factor
+            assert vars(lvl).keys() == LEVEL_FIELDS
+            assert level_polygon(lvl, state.value, p) == (devs, factor)
         return bridge
 
     @settings(max_examples=60, deadline=None)
@@ -717,7 +736,7 @@ class TestTheoremExperiment:
             (literal[j] - F(j, l) * literal[l]) / lvl.normalizer
             for j in range(l + 1)
         )
-        assert level_curve(lvl) == expected
+        assert level_curve(lvl, state.value, Q34) == expected
         assert "carries cross level position 4" in bridge.notes[0]
 
     @pytest.mark.parametrize("q", [F(-3, 4), F(-2, 3)])
@@ -739,9 +758,9 @@ class TestTheoremExperiment:
         state = OdometerState.zeros(2048)
         bridge = theorem1_experiment(None, Q34, [3, 10], state=state)
         assert bridge.levels[0].grid_exponent == 3
-        assert len(bridge.levels[0].devs) == 9
+        assert len(level_polygon(bridge.levels[0], 0, Q34)[0]) == 9
         assert bridge.levels[1].grid_exponent == 8
-        assert len(bridge.levels[1].devs) == 257
+        assert len(level_polygon(bridge.levels[1], 0, Q34)[0]) == 257
 
     def test_seeded_reproducible(self):
         a = theorem1_experiment(7, Q34, [2, 4], register_length=128)
@@ -845,11 +864,9 @@ class TestLazyCurve:
         bridge = theorem1_experiment(42, Q34, [4, 8, 12])
         x = OdometerState.random_state(42, 8192).value
         for lvl in bridge.levels:
-            assert "devs" not in repr(lvl)
-            assert "devs" not in vars(lvl)
+            assert vars(lvl).keys() == LEVEL_FIELDS
             assert_at_carry_depth(lvl, x, Q34)
-            assert lvl.devs is lvl.devs
-            assert len(lvl.devs) == (1 << lvl.grid_exponent) + 1
+            assert len(level_polygon(lvl, x, Q34)[0]) == (1 << lvl.grid_exponent) + 1
         assert main(["bridge", "--q", "3/4", "--seed", "42"]) == 0
         doc = json.loads(capsys.readouterr().out)
         got = [
@@ -862,3 +879,9 @@ class TestLazyCurve:
             for lvl in doc["levels"]
         ]
         assert got == DECAY_FIXTURES[42]
+
+    def test_zero_state_levels_keep_only_the_reported_values(self):
+        # the seeded levels are checked above
+        bridge = theorem1_experiment(None, Q34, [4, 8, 12], state=OdometerState.zeros(8192))
+        for lvl in bridge.levels:
+            assert vars(lvl).keys() == LEVEL_FIELDS

@@ -64,6 +64,8 @@ def test_removed_names_stay_gone():
     assert not hasattr(qdigits.limiting_curve, "analytic_normalizer")
     assert not hasattr(qdigits.limiting_curve, "zero_orbit_curve")
     assert not hasattr(qdigits.limiting_curve.BridgeLevel, "curve")
+    for name in ("devs", "alpha", "beta", "low", "factor"):
+        assert not hasattr(qdigits.limiting_curve.BridgeLevel, name), name
     assert not hasattr(qdigits.limiting_curve.CurveSamples, "grid")
 
 
@@ -77,14 +79,26 @@ def test_readme_library_example():
     assert all(a > b for a, b in zip(distances, distances[1:]))
 
 
-def test_import_skips_dataclasses_and_inspect():
-    # the record classes are built without dataclasses, which imports inspect
+def fresh_modules(statement, modules):
+    """The output of `statement` run in a fresh `python -S` with src on its
+    path, then the sorted list of the set `modules` it loaded."""
     src = str(Path(__file__).parents[1] / "src")
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import qdigits;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); {statement};"
+        f" print(sorted({modules!r} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_skips_dataclasses_and_inspect():
+    # the record classes are built without dataclasses, which imports inspect
+    assert fresh_modules("import qdigits", {"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_eval_skips_json():
+    # the CLI imports json only where it writes JSON
+    statement = "from qdigits.cli import main; main(['eval', 'S', '--q', '3/4', '--n', '4'])"
+    assert fresh_modules(statement, {"json"}) == "21/8\n[]\n"

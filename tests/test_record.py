@@ -1,14 +1,16 @@
 """The package's eleven record classes: reprs, equality, hashing, freezing
-and cached properties, as they were when the records were dataclasses."""
+and cached properties, as they were when the records were dataclasses,
+except the two level records' reprs, which write their Fractions in hex."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-import qdigits.limiting_curve as limiting_curve
+from qdigits._record import field
 from qdigits.digitsum import QParam
-from qdigits.limiting_curve import BridgeLevel, CurveSamples, LimitingBridge
-from qdigits.odometer import OdometerState, StabilizingLevel
+from qdigits.limiting_curve import BridgeLevel, CurveSamples, LimitingBridge, theorem1_experiment
+from qdigits.odometer import OdometerState, StabilizingLevel, find_stabilizing_levels
 from qdigits.report import IdentityCheck, VerificationReport
 from qdigits.takagi import AffineMap, DeRhamSystem
 from qdigits.trollope_delange import ScaleDecomposition
@@ -20,8 +22,8 @@ def check(name="id"):
     return IdentityCheck(name, "a = b", "n <= 4", 4, False, "n=3: 1 != 2")
 
 
-def level(sup=F(1, 8), alpha=(0, 1, 1, 0, 0)):
-    return BridgeLevel(4, 6, 2, F(1, 64), F(9, 4), 2, sup, alpha, None, 0, F(1, 3))
+def level(sup=F(1, 8)):
+    return BridgeLevel(4, 6, 2, F(1, 64), F(9, 4), 2, sup)
 
 
 def bridge(seed=None):
@@ -29,8 +31,9 @@ def bridge(seed=None):
 
 
 # (make, other, frozen, text): make() builds a fresh instance whose repr
-# is text (the dataclass repr, or OdometerState's own), other() an
-# instance of the same class that differs in one compared field
+# is text (the dataclass repr, or the hex one of OdometerState and the two
+# level records), other() an instance of the same class that differs in
+# one field
 RECORDS = [
     (
         lambda: QParam(F(3, 4)),
@@ -63,7 +66,7 @@ RECORDS = [
         lambda: StabilizingLevel(4, 0, 4, F(1, 32)),
         lambda: StabilizingLevel(5, 1, 4, F(1, 32)),
         True,
-        "StabilizingLevel(position=4, prefix_end=0, run_length=4, ratio=Fraction(1, 32))",
+        "StabilizingLevel(position=4, prefix_end=0, run_length=4, ratio=Fraction(0x1, 0x20))",
     ),
     (
         lambda: ScaleDecomposition.of(5, P),
@@ -81,8 +84,8 @@ RECORDS = [
         level,
         lambda: level(sup=F(1, 9)),
         True,
-        "BridgeLevel(run_length=4, position=6, prefix_end=2, ratio=Fraction(1, 64),"
-        " normalizer=Fraction(9, 4), grid_exponent=2, sup_distance=Fraction(1, 8))",
+        "BridgeLevel(run_length=4, position=6, prefix_end=2, ratio=Fraction(0x1, 0x40),"
+        " normalizer=Fraction(0x9, 0x4), grid_exponent=2, sup_distance=Fraction(0x1, 0x8))",
     ),
     (
         bridge,
@@ -90,8 +93,8 @@ RECORDS = [
         True,
         "LimitingBridge(description='zero orbit', seed=None, q=Fraction(3, 4),"
         " register_length=8, levels=(BridgeLevel(run_length=4, position=6, prefix_end=2,"
-        " ratio=Fraction(1, 64), normalizer=Fraction(9, 4), grid_exponent=2,"
-        " sup_distance=Fraction(1, 8)),), notes=('n',))",
+        " ratio=Fraction(0x1, 0x40), normalizer=Fraction(0x9, 0x4), grid_exponent=2,"
+        " sup_distance=Fraction(0x1, 0x8)),), notes=('n',))",
     ),
     (
         lambda: AffineMap(F(1, 2), F(1, 3)),
@@ -191,27 +194,59 @@ def test_identity_check_to_dict_in_field_order():
     assert list(check().to_dict()) == list(vars(check()))
 
 
-def test_bridge_level_ignores_its_split_form():
-    # alpha, beta, low and factor are neither shown nor compared
-    assert level() == level(alpha=(0, 2, 2, 0, 0))
-    assert hash(level()) == hash(level(alpha=(0, 2, 2, 0, 0)))
+def test_field_takes_only_init_and_default_factory():
+    # every field of a record is shown and compared
+    for options in ({"repr": False}, {"compare": False}):
+        with pytest.raises(TypeError):
+            field(**options)
 
 
-def test_bridge_level_devs_built_once(monkeypatch):
-    calls = []
-    join = limiting_curve._join
+# Python's default limit on int <-> str conversion, in decimal digits
+DEFAULT_INT_DIGITS = 4300
 
-    def counting_join(*args):
-        calls.append(args)
-        return join(*args)
 
-    monkeypatch.setattr(limiting_curve, "_join", counting_join)
-    lvl = level()
-    devs = lvl.devs
-    assert devs == (0, 16, 16, 0, 0)
-    assert lvl.devs is devs
-    assert len(calls) == 1
-    assert tuple(d * lvl.factor for d in devs) == (0, F(16, 3), F(16, 3), 0, 0)
+@pytest.fixture
+def default_int_digits():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(DEFAULT_INT_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+NAMESPACE = {
+    "Fraction": F,
+    "BridgeLevel": BridgeLevel,
+    "LimitingBridge": LimitingBridge,
+    "StabilizingLevel": StabilizingLevel,
+}
+
+
+def past_the_limit(x):
+    """Whether a term of the Fraction x has more than DEFAULT_INT_DIGITS digits."""
+    return max(abs(x.numerator), x.denominator) >= 10**DEFAULT_INT_DIGITS
+
+
+@pytest.mark.parametrize("q", [F(2, 3), F(-2, 3), F(9, 10)])
+def test_bridge_reprs_past_the_digit_limit(default_int_digits, q):
+    # the default experiment's deepest level has a normalizer (2q)^(n-1)
+    # of more than 4300 digits: n = 8038 at q = 9/10
+    bridge = theorem1_experiment(1, QParam(q), [4, 8, 12])
+    assert past_the_limit(bridge.levels[-1].normalizer)
+    for record in (*bridge.levels, bridge):
+        assert eval(repr(record), NAMESPACE) == record
+
+
+def test_stabilizing_level_repr_past_the_digit_limit(default_int_digits):
+    state = OdometerState.random_state(190, 1 << 17)
+    (lvl,) = find_stabilizing_levels(state, 16)
+    assert lvl.position == 130026 and past_the_limit(lvl.ratio)
+    assert eval(repr(lvl), NAMESPACE) == lvl
 
 
 def test_cached_properties_cache():
