@@ -14,12 +14,15 @@ supported:
   calls f()
 - __post_init__, called at the end of __init__
 
-__repr__ shows every field.  Equality holds only between instances of
-the same class, as tuples of all their fields.  dataclasses was most of
+__repr__ shows every field; hex_repr(*wide_ints) builds the __repr__ of
+a record whose Fractions, and the int fields named in wide_ints, are
+written in hex.  Equality holds only between instances of the same
+class, as tuples of all their fields.  dataclasses was most of
 `import qdigits`: it imports inspect, and it compiles each generated
 method with exec.
 """
 
+from fractions import Fraction
 from operator import attrgetter
 
 
@@ -33,6 +36,27 @@ class _Field:
 
 field = _Field  # options for one field of a record (see the module docstring)
 _PLAIN = _Field()
+
+
+def hex_repr(*wide_ints):
+    """A record __repr__ that writes each Fraction as Fraction(0x..., 0x...)
+    and each int field named in wide_ints as 0x...: in decimal they can
+    pass Python's int/str digit limit.  eval() reads both forms back."""
+
+    def __repr__(self):
+        body = ", ".join(
+            f"{attr}={_hex(getattr(self, attr), attr in wide_ints)}"
+            for attr in type(self).__annotations__
+        )
+        return f"{type(self).__qualname__}({body})"
+
+    return __repr__
+
+
+def _hex(value, is_wide_int) -> str:
+    if isinstance(value, Fraction):
+        return f"Fraction({value.numerator:#x}, {value.denominator:#x})"
+    return f"{value:#x}" if is_wide_int else repr(value)
 
 
 def record(cls=None, *, frozen=False):

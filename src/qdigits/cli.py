@@ -506,19 +506,18 @@ def _cmd_verify(args) -> int:
 def _svg_document(xs, phi, target=None) -> str:
     """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target.
 
-    The x coordinates, and then each polyline's y coordinates, are written
-    by one %-format over the whole column; "%.3f" % v is f"{v:.3f}", the
-    correctly rounded v.
+    The x coordinates are written by one %-format over the whole column
+    into a template with a %s slot for each y.  Each distinct polyline's
+    y strings are "%.3f" % y, the correctly rounded y, from one %-format
+    over the column, or over its first half when it reads the same
+    reversed (_mirrored).  A target equal to phi is measured and written
+    once.
     """
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
     xs = [left + (right - left) * x for x in xs]
-    series = [(phi, 'stroke="#1f77b4" stroke-width="1.5"')]
-    if target is not None:
-        series.append(
-            (target, 'stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
-        )
-    lo = min(0.0, *(min(vals) for vals, _style in series))
-    hi = max(0.0, *(max(vals) for vals, _style in series))
+    columns = [phi] if target is None or target == phi else [phi, target]
+    lo = min(0.0, *map(min, columns))
+    hi = max(0.0, *map(max, columns))
     if hi == lo:
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
@@ -526,6 +525,10 @@ def _svg_document(xs, phi, target=None) -> str:
     hi += pad
     height, span = bottom - top, hi - lo
     axis = bottom - height * ((0.0 - lo) / span)
+
+    def y_strings(vals):
+        ys = [bottom - height * ((v - lo) / span) for v in vals]
+        return ("%.3f " * len(ys) % tuple(ys)).split()
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">']
     parts.append(
@@ -536,14 +539,15 @@ def _svg_document(xs, phi, target=None) -> str:
         f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
         f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
     )
-    # "x,%.3f x,%.3f ...", the xs written once for every polyline
-    template = " ".join(["%.3f,%%.3f"] * len(xs)) % tuple(xs)
-    previous = None
-    for vals, style in series:
-        if vals != previous:  # a column drawn twice is formatted once
-            points = template % tuple([bottom - height * ((v - lo) / span) for v in vals])
-            previous = vals
-        parts.append(f'<polyline fill="none" {style} points="{points}" />')
+    # "x,%s x,%s ...", the xs written once for every polyline
+    template = " ".join(["%.3f,%%s"] * len(xs)) % tuple(xs)
+    points = [template % tuple(_mirrored(vals, y_strings)) for vals in columns]
+    styles = ['stroke="#1f77b4" stroke-width="1.5"']
+    if target is not None:
+        styles.append('stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
+    # phi's points first, the target's last: the same when they are equal
+    for style, column_points in zip(styles, (points[0], points[-1])):
+        parts.append(f'<polyline fill="none" {style} points="{column_points}" />')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -558,6 +562,20 @@ def _grid_strings(g: int) -> list[str]:
         step, den = l >> i, f"/{1 << i}"
         cells[step :: 2 * step] = [f"{k}{den}" for k in range(1, 1 << i, 2)]
     return cells
+
+
+def _mirrored(values, fn, *args) -> list:
+    """fn(values, *args) for an fn that maps each entry on its own.
+
+    When values reads the same reversed, as the zero-orbit polygon and
+    -q T_a do on j/2^g, fn runs on the first half (with the middle entry)
+    and its result is mirrored; any other values take fn whole.
+    """
+    n = len(values)
+    if values[: n // 2] != values[: (n - 1) // 2 : -1]:
+        return fn(values, *args)
+    half = fn(values[: (n + 1) // 2], *args)
+    return half + half[: n // 2][::-1]
 
 
 def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
@@ -614,13 +632,14 @@ def _cmd_curve(args) -> int:
         # identity (8): the analytic phi is the target, so format it once
         (devs, factor), (tak, tak_factor) = columns[1:]
         ds, ts, _den = _cross_scales(factor, tak_factor)
-        same = _scaled(devs, ds) == _scaled(tak, ts)
+        same = _mirrored(devs, _scaled, ds) == _mirrored(tak, _scaled, ts)
     if same:
         del columns[2]
     if args.digits is None:
-        cells = [_grid_strings(g), *(_ratio_strings(*c, None) for c in columns[1:])]
+        cells = [_grid_strings(g)]
+        cells += [_mirrored(ints, _ratio_strings, f, None) for ints, f in columns[1:]]
     else:
-        cells = [_ratio_strings(*c, args.digits) for c in columns]
+        cells = [_mirrored(ints, _ratio_strings, f, args.digits) for ints, f in columns]
     if same:
         cells.append(cells[1])
     rows = map(",".join, zip(*cells))
@@ -628,8 +647,10 @@ def _cmd_curve(args) -> int:
 
     if args.svg is not None:
         # int / int is correctly rounded, so each float equals float(Fraction)
-        ratios = [(ints, *f.as_integer_ratio()) for ints, f in columns]
-        floats = [[i * n / d for i in ints] for ints, n, d in ratios]
+        def quotients(ints, n, d):
+            return [i * n / d for i in ints]
+
+        floats = [_mirrored(ints, quotients, *f.as_integer_ratio()) for ints, f in columns]
         if same:
             floats.append(floats[1])
         _write_text(args.svg, _svg_document(*floats))

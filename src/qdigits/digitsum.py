@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from ._record import field, record
+from ._record import field, hex_repr, record
 from .report import VerificationReport
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
@@ -88,6 +88,8 @@ class QParam:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", Fraction(1, 2) / q)
         object.__setattr__(self, "is_curve_regime", abs(q) > Fraction(1, 2))
+
+    __repr__ = hex_repr()
 
     def require_curve_regime(self):
         if not self.is_curve_regime:

@@ -42,9 +42,9 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from operator import add, ge, lshift, mul, ne, sub
 
-from ._record import record
+from ._record import hex_repr, record
 from .digitsum import QParam, _lowest_terms, _Reduced
-from .odometer import OdometerState, RegisterOverflowError, _hex_repr, find_stabilizing_levels
+from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
 
@@ -379,7 +379,7 @@ class BridgeLevel:
     grid_exponent: int
     sup_distance: Fraction
 
-    __repr__ = _hex_repr
+    __repr__ = hex_repr()
 
 
 @record(frozen=True)

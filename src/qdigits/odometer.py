@@ -23,7 +23,7 @@ experiments exploit.
 import random
 from fractions import Fraction
 
-from ._record import record
+from ._record import hex_repr, record
 from .digitsum import QParam, _lowest_terms, weighted_digit_sum
 
 
@@ -52,12 +52,7 @@ class OdometerState:
         if self.length < 1:
             raise ValueError("register must have at least one digit")
 
-    def __repr__(self):
-        # hex: a long register in decimal exceeds Python's int/str digit limit
-        return (
-            f"OdometerState(value={self.value:#x}, length={self.length},"
-            f" origin={self.origin!r}, seed={self.seed!r})"
-        )
+    __repr__ = hex_repr("value")
 
     @classmethod
     def zeros(cls, length: int) -> "OdometerState":
@@ -115,19 +110,6 @@ def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction
     return sums
 
 
-def _hex(v) -> str:
-    if isinstance(v, Fraction):
-        return f"Fraction({v.numerator:#x}, {v.denominator:#x})"
-    return repr(v)
-
-
-def _hex_repr(self) -> str:
-    """A level record's repr with each Fraction as Fraction(0x..., 0x...):
-    in decimal its terms can pass Python's int/str digit limit."""
-    body = ", ".join(f"{k}={_hex(getattr(self, k))}" for k in type(self).__annotations__)
-    return f"{type(self).__qualname__}({body})"
-
-
 @record(frozen=True)
 class StabilizingLevel:
     """A position whose trailing r digits are zero.
@@ -141,7 +123,7 @@ class StabilizingLevel:
     run_length: int
     ratio: Fraction
 
-    __repr__ = _hex_repr
+    __repr__ = hex_repr()
 
 
 def find_stabilizing_levels(

@@ -29,7 +29,7 @@ rational quantities q^k and n/p, so all arithmetic stays in Fractions.
 
 from fractions import Fraction
 
-from ._record import record
+from ._record import hex_repr, record
 from .digitsum import QParam, partial_sum_fast, partial_sum_pow2
 from .report import VerificationReport
 from .takagi import AffineMap, DeRhamSystem, takagi_dyadic_exact, takagi_series
@@ -49,6 +49,8 @@ class ScaleDecomposition:
     p: int
     r: Fraction
     x: Fraction
+
+    __repr__ = hex_repr("n", "p")
 
     @classmethod
     def of(cls, n: int, param: QParam) -> "ScaleDecomposition":

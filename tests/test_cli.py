@@ -79,6 +79,22 @@ def svg_reference(xs, phi, target=None) -> str:
     return "\n".join(parts) + "\n"
 
 
+def assert_curve_files(csv, svg, columns, digits):
+    """csv and svg hold the Fraction columns t, phi (and target, when
+    given): each cell str() or _decimal_string of its value, and the plot
+    svg_reference over float() of the same values."""
+    header = ",".join(["t", "phi", "target"][: len(columns)])
+    if digits is None:
+        cell = str
+    else:
+        def cell(v):
+            return cli._decimal_string(v, digits)
+    lines = [header] + [",".join(map(cell, row)) for row in zip(*columns)]
+    assert csv.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+    floats = [[float(v) for v in column] for column in columns]
+    assert svg.read_bytes() == svg_reference(*floats).encode()
+
+
 class TestEval:
     def test_summatory(self, capsys):
         code, out, _ = run(capsys, ["eval", "S", "--q", "3/4", "--n", "4"])
@@ -342,19 +358,39 @@ class TestCurve:
             normalizer = canonical_normalizer(sums, l)
         curve = build_fluctuation_curve(sums, l, normalizer)
         columns = [[F(j, l) for j in range(l + 1)], curve.values]
-        header = "t,phi"
         if p.is_curve_regime:
             columns.append(target_curve(l, p).values)
-            header += ",target"
-        if digits is None:
-            cell = str
-        else:
-            def cell(v):
-                return cli._decimal_string(v, digits)
-        lines = [header] + [",".join(map(cell, row)) for row in zip(*columns)]
-        assert csv.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
-        floats = [[float(v) for v in column] for column in columns]
-        assert svg.read_bytes() == svg_reference(*floats).encode()
+        assert_curve_files(csv, svg, columns, digits)
+
+    @pytest.mark.parametrize("digits", [None, 12])
+    @pytest.mark.parametrize("l", [2, 4, 64])
+    @pytest.mark.parametrize("q", ["3/4", "-2/3", "9/10"])
+    def test_target_off_the_mirror_takes_the_full_path(
+        self, capsys, monkeypatch, tmp_path, q, l, digits
+    ):
+        # real columns read the same reversed, so _mirrored formats half of
+        # each; a target grid with one cell right of t = 1/2 moved is no
+        # palindrome and no longer phi, and must be written whole
+        p, row = QParam(F(q)), l // 2 + 1
+        real_target_scaled = cli._target_scaled
+
+        def moved_target_scaled(g, p):
+            tak, factor = real_target_scaled(g, p)
+            return [t + (j == row) for j, t in enumerate(tak)], factor
+
+        monkeypatch.setattr(cli, "_target_scaled", moved_target_scaled)
+        csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+        argv = ["curve", f"--q={q}", "--l", str(l), "--out", str(csv), "--svg", str(svg)]
+        if digits is not None:
+            argv += ["--digits", str(digits)]
+        assert run(capsys, argv) == (0, "", "")
+
+        phi = target_curve(l, p).values  # identity (8)
+        target = list(phi)
+        target[row] += real_target_scaled(l.bit_length() - 1, p)[1]
+        assert_curve_files(csv, svg, [[F(j, l) for j in range(l + 1)], phi, target], digits)
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [j for j, (_t, y, z) in enumerate(rows) if y != z] == [row]
 
     def test_digits_formatting(self, capsys):
         code, out, _ = run(capsys, ["curve", "--q", "3/4", "--l", "4", "--digits", "3"])
@@ -452,6 +488,36 @@ class TestCurve:
         )
         assert (code, out, err) == (2, "", "qdigits: --digits must be >= 0\n")
         assert not csv.exists()
+
+
+palindromes = st.tuples(
+    st.lists(st.integers(-3, 3), max_size=12), st.lists(st.integers(-3, 3), max_size=1)
+).map(lambda parts: parts[0] + parts[1] + parts[0][::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(-3, 3), max_size=25), palindromes))
+@example([5])
+@example([5, 5])
+@example([5, 6])
+@example([5, 6, 5])
+@example([5, 6, 7])
+@example([5, 5, 6])
+@example([])
+def test_mirrored_matches_fn_on_the_whole_list(xs):
+    # an elementwise fn (the CSV cell writer) on the whole list, which a
+    # palindrome hands over only up to its middle entry
+    seen = []
+
+    def cells(ints, factor, digits):
+        seen.append(len(ints))
+        return cli._ratio_strings(ints, factor, digits)
+
+    for digits in (None, 3):
+        seen.clear()
+        got = cli._mirrored(xs, cells, F(-7, 6), digits)
+        assert got == cli._ratio_strings(xs, F(-7, 6), digits)
+        assert seen == [(len(xs) + 1) // 2 if xs == xs[::-1] else len(xs)]
 
 
 class Reached(Exception):

@@ -1,6 +1,7 @@
 """The package's eleven record classes: reprs, equality, hashing, freezing
 and cached properties, as they were when the records were dataclasses,
-except the two level records' reprs, which write their Fractions in hex."""
+except the reprs of the two level records, QParam and ScaleDecomposition,
+which write their Fractions (and ScaleDecomposition its n and p) in hex."""
 
 import sys
 from fractions import Fraction as F
@@ -31,15 +32,15 @@ def bridge(seed=None):
 
 
 # (make, other, frozen, text): make() builds a fresh instance whose repr
-# is text (the dataclass repr, or the hex one of OdometerState and the two
-# level records), other() an instance of the same class that differs in
+# is text (the dataclass repr, or the hex one of OdometerState, QParam,
+# ScaleDecomposition and the two level records), other() an instance of the same class that differs in
 # one field
 RECORDS = [
     (
         lambda: QParam(F(3, 4)),
         lambda: QParam(F(-3, 4)),
         True,
-        "QParam(q=Fraction(3, 4), a=Fraction(2, 3), is_curve_regime=True)",
+        "QParam(q=Fraction(0x3, 0x4), a=Fraction(0x2, 0x3), is_curve_regime=True)",
     ),
     (
         check,
@@ -72,7 +73,7 @@ RECORDS = [
         lambda: ScaleDecomposition.of(5, P),
         lambda: ScaleDecomposition.of(6, P),
         True,
-        "ScaleDecomposition(n=5, k=2, p=4, r=Fraction(9, 16), x=Fraction(1, 4))",
+        "ScaleDecomposition(n=0x5, k=2, p=0x4, r=Fraction(0x9, 0x10), x=Fraction(0x1, 0x4))",
     ),
     (
         lambda: CurveSamples((F(0), F(1, 2), F(0))),
@@ -223,6 +224,7 @@ NAMESPACE = {
     "Fraction": F,
     "BridgeLevel": BridgeLevel,
     "LimitingBridge": LimitingBridge,
+    "ScaleDecomposition": ScaleDecomposition,
     "StabilizingLevel": StabilizingLevel,
 }
 
@@ -247,6 +249,24 @@ def test_stabilizing_level_repr_past_the_digit_limit(default_int_digits):
     (lvl,) = find_stabilizing_levels(state, 16)
     assert lvl.position == 130026 and past_the_limit(lvl.ratio)
     assert eval(repr(lvl), NAMESPACE) == lvl
+
+
+def test_scale_decomposition_repr_past_the_digit_limit(default_int_digits):
+    # n and p have 4933 decimal digits, the Fraction x's terms as many
+    d = ScaleDecomposition.of((1 << 16384) + 12345, P)
+    assert d.n >= 10**DEFAULT_INT_DIGITS and past_the_limit(d.x)
+    assert eval(repr(d), NAMESPACE) == d
+
+
+def test_qparam_repr_past_the_digit_limit(default_int_digits):
+    # a and is_curve_regime are derived, so the repr shows them but eval
+    # cannot pass them back; q's terms have 4294 and 5419 digits
+    q = F(3**9000 + 1, 3 * 4**9000)
+    assert past_the_limit(q)
+    text = repr(QParam(q))
+    assert text.startswith(f"QParam(q=Fraction({q.numerator:#x}, {q.denominator:#x}), a=")
+    assert text.endswith(", is_curve_regime=False)")
+    assert eval(text[text.index("Fraction(") : text.index("), a=") + 1], NAMESPACE) == q
 
 
 def test_cached_properties_cache():
