@@ -14,12 +14,13 @@ supported:
   calls f()
 - __post_init__, called at the end of __init__
 
-__repr__ shows every field; hex_repr(*wide_ints) builds the __repr__ of
-a record whose Fractions, and the int fields named in wide_ints, are
-written in hex.  Equality holds only between instances of the same
-class, as tuples of all their fields.  dataclasses was most of
-`import qdigits`: it imports inspect, and it compiles each generated
-method with exec.
+__repr__ shows every field, and writes each Fraction, alone or in a
+tuple, as Fraction(0x..., 0x...): in decimal its terms can pass Python's
+int/str digit limit.  hex_repr(*wide_ints) builds the __repr__ of a
+record whose int fields named in wide_ints are written in hex too.
+Equality holds only between instances of the same class, as tuples of
+all their fields.  dataclasses was most of `import qdigits`: it imports
+inspect, and it compiles each generated method with exec.
 """
 
 from fractions import Fraction
@@ -39,9 +40,10 @@ _PLAIN = _Field()
 
 
 def hex_repr(*wide_ints):
-    """A record __repr__ that writes each Fraction as Fraction(0x..., 0x...)
-    and each int field named in wide_ints as 0x...: in decimal they can
-    pass Python's int/str digit limit.  eval() reads both forms back."""
+    """A record __repr__ that writes each Fraction, alone or in a tuple, as
+    Fraction(0x..., 0x...) and each int field named in wide_ints as 0x...:
+    in decimal they can pass Python's int/str digit limit.  eval() reads
+    both forms back."""
 
     def __repr__(self):
         body = ", ".join(
@@ -53,9 +55,12 @@ def hex_repr(*wide_ints):
     return __repr__
 
 
-def _hex(value, is_wide_int) -> str:
+def _hex(value, is_wide_int=False) -> str:
     if isinstance(value, Fraction):
         return f"Fraction({value.numerator:#x}, {value.denominator:#x})"
+    if type(value) is tuple:
+        items = ", ".join(map(_hex, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
     return f"{value:#x}" if is_wide_int else repr(value)
 
 
@@ -115,10 +120,6 @@ def _build(cls, frozen):
         if post_init is not None:
             self.__post_init__()
 
-    def __repr__(self):
-        body = ", ".join(f"{attr}={getattr(self, attr)!r}" for attr in names)
-        return f"{type(self).__qualname__}({body})"
-
     key = attrgetter(*names)
 
     def __eq__(self, other):
@@ -126,7 +127,7 @@ def _build(cls, frozen):
             return key(self) == key(other)
         return NotImplemented
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
+    methods = {"__init__": __init__, "__repr__": hex_repr(), "__eq__": __eq__}
     if frozen:
 
         def __hash__(self):

@@ -84,8 +84,9 @@ class _Budget(NamedTuple):
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _DIGITS = _Budget(100_000, "--digits must be <= {limit}")
-# the largest --l and --lmax: at 2^20 curve --svg took 10.3-10.6 s and
-# 426-485 MB (q = 3/4, 9/10), verify prop1 3.1 s and 141 MB (same machine)
+# the largest --l and --lmax: at 2^20 curve --svg took 3.4-4.7 s and
+# 490-556 MB (q = 3/4, 9/10), verify prop1 1.2-1.6 s and 288-329 MB
+# (same machine)
 _LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
 # a bridge level's grid has at most as many points as the largest --l
 _GRID_EXPONENT = _Budget(_LEVEL.limit.bit_length() - 1,

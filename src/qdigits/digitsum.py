@@ -16,13 +16,17 @@ evaluates S_q(n) by binary splitting on the bits of n,
 
     S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
 
-recursing on both halves down to spans of at most _LEAF_BITS bits.  A
-leaf walks its bits from the top, k = _TABLE_BITS of them per step: each
-step is the same identity at h = k, with S_q(c), s_q(c) and S_q(2^k)
-for the k-bit chunk c read from a table of 2^k entries built once per
-weight per process (per call when q's terms are wide).  Every split
-point is a multiple of k bits from the bottom, so only the top leaf
-reads a partial chunk.  At k = 1 the step is the halving step
+recursing on both halves down to spans of at most _LEAF_BITS bits, each
+handed to its leaf by its parent.  S_q(n) needs s_q(A) but not s_q(B),
+so partial_sum_fast builds s_q only at each high half A and below it,
+none at the root or down its chain of low halves; _digit_sum_fast reads
+s_q(n) off a root that builds it at every node.  A leaf walks its bits
+from the top, k = _TABLE_BITS of them per step: each step is the same
+identity at h = k, with S_q(c), s_q(c) and S_q(2^k) for the k-bit chunk
+c read from a table of 2^k entries built once per weight per process
+(per call when q's terms are wide).  Every split point is a multiple of
+k bits from the bottom, so only the top leaf reads a partial chunk.  At
+k = 1 the step is the halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
@@ -50,7 +54,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from ._record import field, hex_repr, record
+from ._record import field, record
 from .report import VerificationReport
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
@@ -88,8 +92,6 @@ class QParam:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", Fraction(1, 2) / q)
         object.__setattr__(self, "is_curve_regime", abs(q) > Fraction(1, 2))
-
-    __repr__ = hex_repr()
 
     def require_curve_regime(self):
         if not self.is_curve_regime:
@@ -398,10 +400,11 @@ def _powers(h: int, u: int, w: int, e: int, memo: dict) -> tuple[int, int, int]:
 
 
 def _summatory_split(
-    n: int, d: int, u: int, w: int, e: int, table: tuple, memo: dict
-) -> tuple[int, int]:
+    n: int, d: int, u: int, w: int, e: int, table: tuple, memo: dict, with_s: bool = True
+) -> tuple[int, int | None]:
     """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
-    q = u/v and v = w 2^e with w odd.
+    d > _LEAF_BITS, q = u/v and v = w 2^e with w odd; s is None unless
+    with_s.
 
     Binary splitting on bit halves: with h = d // 2 rounded up to a
     multiple of the table's width k and n = A 2^h + B,
@@ -411,40 +414,52 @@ def _summatory_split(
 
     where A is evaluated at depth d - h and B at depth h, so both
     halves come back over known powers of v and combine in integers.
-    Every power of v is a power of w shifted by e bits per factor, so at
-    a v that is a power of two (w = 1) the combine multiplies by no power
-    of v at all.  Spans of at most _LEAF_BITS bits go to _table_leaf,
-    which reads table, the weight's leaf table; as every B spans whole
-    chunks, only the leaf at the top of n pads a partial one.  Each bit
-    of the span goes through exactly one leaf.  memo holds the _powers of
-    each depth met in this call.
+    S_q(n) reads s_q(A) but not s_q(B), so a node asked for S alone asks
+    A for both and B for S alone, and builds no s itself: only the nodes
+    off the low spine of an S-only call build s.  Every power of v is a
+    power of w shifted by e bits per factor, so at a v that is a power of
+    two (w = 1) the combine multiplies by no power of v at all.  A half of
+    at most _LEAF_BITS bits goes straight to _table_leaf, which reads
+    table, the weight's leaf table, and returns s too; as every B spans
+    whole chunks, only the leaf at the top of n pads a partial one.  Each
+    bit of the span goes through exactly one leaf.  memo holds the
+    _powers of each depth met in this call.
     """
-    if d <= _LEAF_BITS:
-        return _table_leaf(n, d, u, w << e, table)
     h = d // 2
     h += -h % table[0]
     rest = d - h
     a = n >> h
     b = n & ((1 << h) - 1)
-    S_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
-    S_b, s_b = _summatory_split(b, h, u, w, e, table, memo)
+    if rest > _LEAF_BITS:
+        S_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
+    else:
+        S_a, s_a = _table_leaf(a, rest, u, w << e, table)
+    if h > _LEAF_BITS:
+        S_b, s_b = _summatory_split(b, h, u, w, e, table, memo, with_s)
+    else:
+        S_b, s_b = _table_leaf(b, h, u, w << e, table)
     u_h, _w_h, geom = _powers(h, u, w, e, memo)
     _u_rest, w_rest, _geom_rest = _powers(rest, u, w, e, memo)
     # S_q(2^h) v^h is geom << (h - 1), and v^rest is w_rest << e rest
     S = (((a * geom << h - 1) + S_b) * w_rest << e * rest) + u_h * (
         (S_a << h) + b * s_a
     )
-    s = (s_b * w_rest << e * rest) + u_h * s_a
-    return S, s
+    if not with_s:
+        return S, None
+    return S, (s_b * w_rest << e * rest) + u_h * s_a
 
 
-def _summatory_root(n: int, u: int, v: int) -> tuple[int, int, int]:
+def _summatory_root(
+    n: int, u: int, v: int, with_s: bool = True
+) -> tuple[int, int | None, int]:
     """(S, s, den) with S_q(n) = S / den and s_q(n) = s / den,
-    den = v^d, d = n.bit_length() >= 1, q = u/v.
+    den = v^d, d = n.bit_length() >= 1, q = u/v; past _LEAF_BITS bits, s
+    is None unless with_s.
 
-    An n below 2^_LEAF_BITS is one bit-serial leaf; a longer n goes to
-    _summatory_split.  Either way every bit of n goes through exactly
-    one leaf, so the halving steps number d.
+    An n below 2^_LEAF_BITS is one bit-serial leaf, which builds s
+    anyway; a longer n goes to _summatory_split, asked for s only when
+    with_s.  Either way every bit of n goes through exactly one leaf, so
+    the halving steps number d.
     """
     d = n.bit_length()
     if d <= _LEAF_BITS:
@@ -452,7 +467,7 @@ def _summatory_root(n: int, u: int, v: int) -> tuple[int, int, int]:
         return S, s, v**d
     e = _twos(v)
     w = v >> e
-    S, s = _summatory_split(n, d, u, w, e, _weight_table(u, v), {})
+    S, s = _summatory_split(n, d, u, w, e, _weight_table(u, v), {}, with_s)
     return S, s, w**d << e * d
 
 
@@ -482,7 +497,7 @@ def partial_sum_fast(n: int, p: QParam) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     v = p.q.denominator
-    S, _s, den = _summatory_root(n, p.q.numerator, v)
+    S, _s, den = _summatory_root(n, p.q.numerator, v, False)
     return _lowest_terms(S, den, v)
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from operator import add, ge, lshift, mul, ne, sub
 
-from ._record import hex_repr, record
+from ._record import record
 from .digitsum import QParam, _lowest_terms, _Reduced
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
@@ -204,7 +204,8 @@ def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fra
         gamma[t] = alpha[t] ds - tak[t] (ts >> h),  delta[t] = beta[t] ds,
 
     with gamma and delta small.  For g >= 1 it does: factor's den carries
-    2^(g+n-1) = 2^(h+2g-1), and so does ts.  Let k = _TOP_BITS,
+    2^(g+n-1) = 2^(h+2g-1), and so does ts.  At g = 0 the grid tak is
+    [0, 0], so gamma is exact whatever ts >> h drops.  Let k = _TOP_BITS,
     U = 2^(h-k) and b = top U + rest, 0 <= rest < U, and let
     S = max |delta[t]|.  Then gap[t] = U (A[t] + e[t]) with
     A[t] = (gamma[t] << k) + top delta[t] and e[t] = rest delta[t] / U,
@@ -217,11 +218,10 @@ def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fra
     |gap[t]| / U < max |A| - S <= M / U, so M is not reached there.  The
     max of |gap[t]| over the other points, each built in full, is
     therefore M exactly.  On seeded registers one point is left, the
-    only gap of h bits built.  When h <= _SPLIT_MIN_H, or 2^h does not
-    divide ts (g = 0), every gap is built.
+    only gap of h bits built.  When h <= _SPLIT_MIN_H every gap is built.
     """
     dev_scale, tak_scale, den = _cross_scales(factor, tak_factor)
-    if h <= _SPLIT_MIN_H or tak_scale & ((1 << h) - 1):
+    if h <= _SPLIT_MIN_H:
         gaps = _cross(_join(alpha, beta, b, h), dev_scale, tak, tak_scale)
         return max(map(abs, gaps)), den
     gamma = _cross(alpha, dev_scale, tak, tak_scale >> h)
@@ -378,8 +378,6 @@ class BridgeLevel:
     normalizer: Fraction
     grid_exponent: int
     sup_distance: Fraction
-
-    __repr__ = hex_repr()
 
 
 @record(frozen=True)

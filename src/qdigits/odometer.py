@@ -123,8 +123,6 @@ class StabilizingLevel:
     run_length: int
     ratio: Fraction
 
-    __repr__ = hex_repr()
-
 
 def find_stabilizing_levels(
     s: OdometerState, r: int, max_levels: int = 1

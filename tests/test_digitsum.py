@@ -323,9 +323,14 @@ def shaped_ints(draw, max_bits):
 
 
 def split(n, d, u, v):
-    """_summatory_split on a fresh memo, v passed as its odd part and twos."""
+    """The kernel on a span of d bits, as a parent node calls it:
+    _table_leaf up to _LEAF_BITS bits, _summatory_split on a fresh memo
+    past them, with v passed as its odd part and twos."""
+    table = _leaf_table(_TABLE_BITS, u, v)
+    if d <= _LEAF_BITS:
+        return _table_leaf(n, d, u, v, table)
     e = _twos(v)
-    return _summatory_split(n, d, u, v >> e, e, _leaf_table(_TABLE_BITS, u, v), {})
+    return _summatory_split(n, d, u, v >> e, e, table, {})
 
 
 def _check_split_kernel(n, q):
@@ -436,6 +441,24 @@ class TestSplitKernel:
             top = 1 << (bits - 1)
             for n in (rng.getrandbits(bits) | top, 2 * top - 1, top):
                 _check_split_kernel(n, q)
+
+    @pytest.mark.parametrize("q", KERNEL_WEIGHTS)
+    def test_s_only_root_equals_full_walk(self, q):
+        """The root asked for S alone, as partial_sum_fast asks it, builds
+        no s down its low spine, and its S is the full walk's and the
+        bit-serial leaf's; 77 and 1153 bits end in a partial top chunk."""
+        u, v = q.numerator, q.denominator
+        rng = random.Random(str(q))
+        for bits in (65, 77, 128, 129, 1153, 4096):
+            top = 1 << (bits - 1)
+            for n in (rng.getrandbits(bits) | top, 2 * top - 1, top):
+                (S, s, den), steps = leaf_bits(_summatory_root, n, u, v, False)
+                assert (s, steps) == (None, bits)
+                S_full, _s, den_full = _summatory_root(n, u, v)
+                assert (S, den) == (S_full, den_full) == (
+                    _summatory_leaf(n, bits, u, v)[0],
+                    v**bits,
+                ), (bits, n)
 
     @pytest.mark.parametrize("q", LONG_N_WEIGHTS)
     def test_16385_bits_equals_serial_leaf(self, q):

@@ -600,6 +600,58 @@ class TestSplitSup:
         got = limiting_curve._sup_gap(alpha, beta, b, h, factor, tak, tak_factor)
         assert got == (max(map(abs, gaps)), den)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=st.integers(limiting_curve._SPLIT_MIN_H + 1, 400),
+        top=st.integers(1, (1 << 64) - 1),
+        rest_share=st.integers(8, 15),
+        spread_bits=st.integers(80, 200),
+        lead_share=st.integers(0, 15),
+        fillers=st.lists(st.tuples(st.floats(-2, 2), st.floats(-1, 1)), max_size=4),
+        order=st.randoms(use_true_random=False),
+        sign=st.sampled_from([1, -1]),
+        fn=st.sampled_from([1, -1]),
+        fd=st.integers(0, 1 << 20).map(lambda k: 2 * k + 1),
+        tn=st.integers(1, 1 << 20),
+        tak_bits=st.integers(0, 100),
+    )
+    # the point whose (gamma << 64) + top delta leads by 1.44 S has the
+    # smaller gap once the bits of b below top count
+    @example(
+        h=200, top=1 << 63, rest_share=15, spread_bits=100, lead_share=7,
+        fillers=[], order=random.Random(0), sign=1, fn=1, fd=1, tn=1, tak_bits=0,
+    )
+    def test_filter_margin_on_synthetic_split_forms(
+        self, h, top, rest_share, spread_bits, lead_share, fillers, order,
+        sign, fn, fd, tn, tak_bits,
+    ):
+        """Split forms built so that beta's term b delta nearly cancels the
+        spread of gamma << h.  With S = max |delta|, point 1 has
+        delta = -S and point 2 delta = S, b below its top 64 bits is
+        f = (rest_share + 1/2) / 16 of 2^(h-64), over 1/2, and point 1's
+        lead over point 2 before those bits count lies strictly between S
+        and 2 f S, (lead_share + 1) / 17 of the way.  Point 2's gap is
+        then the larger, and a filter margin of S alone drops it."""
+        k = limiting_curve._TOP_BITS
+        unit = 1 << (h - k)
+        b = top * unit + ((2 * rest_share + 1) * unit >> 5)
+        S = 1 << spread_bits
+        base = 4 * S  # every |gamma << k| passes every |top delta|
+        lead = S + (2 * rest_share - 15) * (lead_share + 1) * S // (16 * 17)
+        # gamma[t] and delta[t]; then A[0] - A[1] is within 2^k of lead
+        points = [(base + (2 * S * top + lead >> k), -S), (base, S)]
+        points += [(base + int(x * S), int(y * S)) for x, y in fillers]
+        order.shuffle(points)
+        # factor's den carries 2^h, so ts = tn fd 2^h and ds = fn
+        factor, tak_factor = F(fn, fd << h), F(tn)
+        tak = [order.getrandbits(tak_bits) - (1 << tak_bits >> 1) for _ in points]
+        alpha = [(sign * g + t * tn * fd) * fn for (g, _d), t in zip(points, tak)]
+        beta = [sign * d * fn for _g, d in points]
+        devs = [(a << h) + b * be for a, be in zip(alpha, beta)]
+        gaps, den = full_gaps(devs, factor, tak, tak_factor)
+        got = limiting_curve._sup_gap(alpha, beta, b, h, factor, tak, tak_factor)
+        assert got == (max(map(abs, gaps)), den)
+
     def test_grid_exponent_zero(self):
         # one grid step: the scale's twos do not cover h, so every gap is built
         state = OdometerState.random_state(9, 8192)

@@ -1,7 +1,7 @@
 """The package's eleven record classes: reprs, equality, hashing, freezing
 and cached properties, as they were when the records were dataclasses,
-except the reprs of the two level records, QParam and ScaleDecomposition,
-which write their Fractions (and ScaleDecomposition its n and p) in hex."""
+except the reprs, which write every Fraction, alone or in a tuple, in hex
+(and ScaleDecomposition its n and p, as OdometerState its value)."""
 
 import sys
 from fractions import Fraction as F
@@ -32,9 +32,8 @@ def bridge(seed=None):
 
 
 # (make, other, frozen, text): make() builds a fresh instance whose repr
-# is text (the dataclass repr, or the hex one of OdometerState, QParam,
-# ScaleDecomposition and the two level records), other() an instance of the same class that differs in
-# one field
+# is text (the dataclass repr with its Fractions in hex), other() an
+# instance of the same class that differs in one field
 RECORDS = [
     (
         lambda: QParam(F(3, 4)),
@@ -79,7 +78,7 @@ RECORDS = [
         lambda: CurveSamples((F(0), F(1, 2), F(0))),
         lambda: CurveSamples((F(0), F(1, 3), F(0))),
         True,
-        "CurveSamples(values=(Fraction(0, 1), Fraction(1, 2), Fraction(0, 1)))",
+        "CurveSamples(values=(Fraction(0x0, 0x1), Fraction(0x1, 0x2), Fraction(0x0, 0x1)))",
     ),
     (
         level,
@@ -92,7 +91,7 @@ RECORDS = [
         bridge,
         lambda: bridge(seed=1),
         True,
-        "LimitingBridge(description='zero orbit', seed=None, q=Fraction(3, 4),"
+        "LimitingBridge(description='zero orbit', seed=None, q=Fraction(0x3, 0x4),"
         " register_length=8, levels=(BridgeLevel(run_length=4, position=6, prefix_end=2,"
         " ratio=Fraction(0x1, 0x40), normalizer=Fraction(0x9, 0x4), grid_exponent=2,"
         " sup_distance=Fraction(0x1, 0x8)),), notes=('n',))",
@@ -101,14 +100,15 @@ RECORDS = [
         lambda: AffineMap(F(1, 2), F(1, 3)),
         lambda: AffineMap(F(1, 2)),
         True,
-        "AffineMap(slope=Fraction(1, 2), intercept=Fraction(1, 3))",
+        "AffineMap(slope=Fraction(0x1, 0x2), intercept=Fraction(0x1, 0x3))",
     ),
     (
         lambda: DeRhamSystem.takagi(F(1, 2)),
         lambda: DeRhamSystem.takagi(F(1, 3)),
         True,
-        "DeRhamSystem(a0=Fraction(1, 2), a1=Fraction(1, 2), g0=AffineMap(slope=Fraction(1, 2),"
-        " intercept=Fraction(0, 1)), g1=AffineMap(slope=Fraction(-1, 2), intercept=Fraction(1, 2)))",
+        "DeRhamSystem(a0=Fraction(0x1, 0x2), a1=Fraction(0x1, 0x2),"
+        " g0=AffineMap(slope=Fraction(0x1, 0x2), intercept=Fraction(0x0, 0x1)),"
+        " g1=AffineMap(slope=Fraction(-0x1, 0x2), intercept=Fraction(0x1, 0x2)))",
     ),
 ]
 IDS = [make().__class__.__name__ for make, *_ in RECORDS]
@@ -222,10 +222,16 @@ def default_int_digits():
 
 NAMESPACE = {
     "Fraction": F,
+    "AffineMap": AffineMap,
     "BridgeLevel": BridgeLevel,
+    "CurveSamples": CurveSamples,
+    "DeRhamSystem": DeRhamSystem,
+    "IdentityCheck": IdentityCheck,
     "LimitingBridge": LimitingBridge,
+    "OdometerState": OdometerState,
     "ScaleDecomposition": ScaleDecomposition,
     "StabilizingLevel": StabilizingLevel,
+    "VerificationReport": VerificationReport,
 }
 
 
@@ -267,6 +273,41 @@ def test_qparam_repr_past_the_digit_limit(default_int_digits):
     assert text.startswith(f"QParam(q=Fraction({q.numerator:#x}, {q.denominator:#x}), a=")
     assert text.endswith(", is_curve_regime=False)")
     assert eval(text[text.index("Fraction(") : text.index("), a=") + 1], NAMESPACE) == q
+
+
+# a weight whose terms have 9000 digits, more than twice the default limit
+WIDE = QParam(F(2 * 3**18862 + 1, 3**18863))
+
+
+def wide_records():
+    """One record of each class, each Fraction field at WIDE's terms or
+    wider; the two report records hold only strings and ints."""
+    q, a = WIDE.q, WIDE.a
+    lvl = BridgeLevel(4, 43, 39, q, a, 8, q * q)
+    return [
+        WIDE,
+        check(),
+        VerificationReport("wide", {"q": "wide"}, [check()], ["a note"]),
+        OdometerState(WIDE.q.denominator, WIDE.q.denominator.bit_length()),
+        StabilizingLevel(4, 0, 4, q),
+        ScaleDecomposition.of(5, WIDE),
+        CurveSamples((F(0), q, a)),
+        lvl,
+        LimitingBridge("wide", None, q, 64, (lvl,), ("n",)),
+        AffineMap(q, a),
+        DeRhamSystem.takagi(a),
+    ]
+
+
+def test_every_record_repr_at_a_wide_weight(default_int_digits):
+    records = wide_records()
+    assert [type(r) for r in records] == [type(make()) for make, *_ in RECORDS]
+    assert past_the_limit(WIDE.q)
+    # QParam's a and is_curve_regime are derived, so only q reads back
+    text = repr(WIDE)
+    assert eval(text[text.index("Fraction(") : text.index("), a=") + 1], NAMESPACE) == WIDE.q
+    for record in records[1:]:
+        assert eval(repr(record), NAMESPACE) == record
 
 
 def test_cached_properties_cache():
