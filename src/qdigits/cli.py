@@ -123,7 +123,8 @@ _GRID_BITS = _Budget(2**29, "2^(--grid-exponent) * --register-length"
 # machine, parsing and printing included, two batches) eval S took
 # 0.55-1.56 s at q = 1, 2/3, 1/3, +-3/4, 5/2, 9/10, 51/100 and 64- to
 # 1585-bit q, and 1.14 s with --digits 100000, eval s 0.16-1.23 s; at
-# twice the bound, eval S at q = 2/3 took 4.9 s
+# 8192-bit q (odd and power-of-two v) and a 64-bit n, one bit-serial leaf,
+# both took 0.90-1.13 s; at twice the bound, eval S at q = 2/3 took 4.9 s
 _REGISTER_Q_BITS = _Budget(2**19, "{what} * {q_bits} (the bits of q's larger"
                            " term) must be <= {limit}")
 # each --r entry walks a level of its own, even a repeated one: eight
