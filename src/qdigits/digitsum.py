@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from ._record import field, record
+from ._record import record
 from .report import VerificationReport
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
@@ -69,7 +69,7 @@ def _require_budget(top: int, budget: int):
         raise OracleBudgetError(f"brute-force request n={top} exceeds budget {budget}")
 
 
-@record(frozen=True)
+@record
 class QParam:
     """A digit-sum weight q with its derived curve parameter a = 1/(2q).
 
@@ -77,13 +77,13 @@ class QParam:
     weight).  Operations that divide by 1 - q guard against q = 1
     themselves; the parameter object does not forbid it.
 
+    q is the only field: a and is_curve_regime are set from it, so repr,
+    equality and hashing read q alone, and eval(repr(p)) == p.
     is_curve_regime is |q| > 1/2, i.e. |a| < 1: the regime where the
     curve sums converge and the limiting-curve machinery applies.
     """
 
     q: Fraction
-    a: Fraction = field(init=False)
-    is_curve_regime: bool = field(init=False)
 
     def __post_init__(self):
         q = Fraction(self.q)
@@ -348,8 +348,9 @@ def _weight_table(u: int, v: int) -> tuple:
     return _leaf_table(_TABLE_BITS, u, v)
 
 
-def _table_leaf(n: int, d: int, u: int, v: int, table: tuple) -> tuple[int, int]:
-    """(S, s) as _summatory_leaf gives them, k bits per step from table.
+def _table_leaf(n: int, d: int, v: int, table: tuple) -> tuple[int, int]:
+    """(S, s) as _summatory_leaf(n, d, u, v) gives them, k bits per step
+    from table, the leaf table of q = u/v.
 
     With m the prefix read so far, t its length and c the next k bits,
     each step is the split identity at h = k,
@@ -433,11 +434,11 @@ def _summatory_split(
     if rest > _LEAF_BITS:
         S_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
     else:
-        S_a, s_a = _table_leaf(a, rest, u, w << e, table)
+        S_a, s_a = _table_leaf(a, rest, w << e, table)
     if h > _LEAF_BITS:
         S_b, s_b = _summatory_split(b, h, u, w, e, table, memo, with_s)
     else:
-        S_b, s_b = _table_leaf(b, h, u, w << e, table)
+        S_b, s_b = _table_leaf(b, h, w << e, table)
     u_h, _w_h, geom = _powers(h, u, w, e, memo)
     _u_rest, w_rest, _geom_rest = _powers(rest, u, w, e, memo)
     # S_q(2^h) v^h is geom << (h - 1), and v^rest is w_rest << e rest

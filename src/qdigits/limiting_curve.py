@@ -57,7 +57,7 @@ class DegenerateNormalizerError(ValueError):
     """The requested normalizer is zero (flat deviation polygon)."""
 
 
-@record(frozen=True)
+@record
 class CurveSamples:
     """A curve sampled on the uniform grid j/l, j = 0..l, l = len(values) - 1."""
 
@@ -363,7 +363,7 @@ def verify_identity_8(l: int, p: QParam) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class BridgeLevel:
     """One stabilising level of the experiment and its measured sup distance.
 
@@ -380,7 +380,7 @@ class BridgeLevel:
     sup_distance: Fraction
 
 
-@record(frozen=True)
+@record
 class LimitingBridge:
     """Measured distances between orbit polygons and the limit curve."""
 

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from ._record import hex_repr, record
-from .digitsum import QParam, _lowest_terms, weighted_digit_sum
+from .digitsum import QParam, _lowest_terms, _twos, weighted_digit_sum
 
 
 class RegisterOverflowError(OverflowError):
@@ -35,7 +35,7 @@ class NoStabilizingLevelError(LookupError):
     """No zero run of the requested length exists in the register."""
 
 
-@record(frozen=True)
+@record
 class OdometerState:
     """An immutable register of length digits; bit i of value is digit i+1."""
 
@@ -110,7 +110,7 @@ def orbit_partial_sums(s: OdometerState, p: QParam, count: int) -> list[Fraction
     return sums
 
 
-@record(frozen=True)
+@record
 class StabilizingLevel:
     """A position whose trailing r digits are zero.
 
@@ -150,7 +150,7 @@ def find_stabilizing_levels(
         )
     levels: list[StabilizingLevel] = []
     while runs and len(levels) < max_levels:
-        n = (runs & -runs).bit_length() - 1 + r
+        n = _twos(runs) + r
         # a dyadic pair shares only twos, so no gcd is needed
         ratio = _lowest_terms(s.value & ((1 << n) - 1), 1 << n, 2)
         assert ratio < Fraction(1, 1 << r)

@@ -6,7 +6,7 @@ was found.  Reports render to plain text lines or to a JSON-friendly dict
 with a stable key order.
 """
 
-from ._record import field, record
+from ._record import record
 
 
 @record
@@ -43,9 +43,15 @@ class VerificationReport:
     """A titled bundle of identity checks with shared parameters."""
 
     title: str
-    params: dict[str, str] = field(default_factory=dict)
-    checks: list[IdentityCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    params: dict[str, str] = ()
+    checks: list[IdentityCheck] = ()
+    notes: list[str] = ()
+
+    def __post_init__(self):
+        # fresh containers, which add, scan and notes.append grow in place
+        self.__dict__.update(
+            params=dict(self.params), checks=list(self.checks), notes=list(self.notes)
+        )
 
     @property
     def passed(self) -> bool:

@@ -182,7 +182,7 @@ def takagi_dyadic_grid(g: int, a) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class AffineMap:
     """x -> slope * x + intercept over the rationals."""
 
@@ -197,7 +197,7 @@ class AffineMap:
         return self.slope * Fraction(x) + self.intercept
 
 
-@record(frozen=True)
+@record
 class DeRhamSystem:
     """A contractive two-branch affine functional system.
 

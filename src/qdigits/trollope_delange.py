@@ -35,7 +35,7 @@ from .report import VerificationReport
 from .takagi import AffineMap, DeRhamSystem, takagi_dyadic_exact, takagi_series
 
 
-@record(frozen=True)
+@record
 class ScaleDecomposition:
     """n split against its leading binary scale.
 

@@ -328,7 +328,7 @@ def split(n, d, u, v):
     past them, with v passed as its odd part and twos."""
     table = _leaf_table(_TABLE_BITS, u, v)
     if d <= _LEAF_BITS:
-        return _table_leaf(n, d, u, v, table)
+        return _table_leaf(n, d, v, table)
     e = _twos(v)
     return _summatory_split(n, d, u, v >> e, e, table, {})
 
@@ -340,7 +340,7 @@ def _check_split_kernel(n, q):
     d = n.bit_length()
     serial = _summatory_leaf(n, d, u, v)
     assert split(n, d, u, v) == serial, (q, n)
-    assert _table_leaf(n, d, u, v, _leaf_table(1, u, v)) == serial
+    assert _table_leaf(n, d, v, _leaf_table(1, u, v)) == serial
     _value, steps = leaf_bits(partial_sum_fast, n, QParam(q))
     assert steps == d
 
@@ -531,9 +531,9 @@ class TestSplitKernel:
         mid-chunk."""
         leaves = []
 
-        def recording(n, d, u, v, table):
+        def recording(n, d, v, table):
             leaves.append(d)
-            return _table_leaf(n, d, u, v, table)
+            return _table_leaf(n, d, v, table)
 
         monkeypatch.setattr(digitsum, "_table_leaf", recording)
         u, v = q.numerator, q.denominator

@@ -1,14 +1,14 @@
 """The package's eleven record classes: reprs, equality, hashing, freezing
-and cached properties, as they were when the records were dataclasses,
-except the reprs, which write every Fraction, alone or in a tuple, in hex
-(and ScaleDecomposition its n and p, as OdometerState its value)."""
+and cached properties.  Every record is frozen, and hashable unless a field
+holds a dict or a list, as VerificationReport's do.  The reprs write every
+Fraction, alone or in a tuple, in hex (and ScaleDecomposition its n and p,
+as OdometerState its value), and each evals back to an equal record."""
 
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from qdigits._record import field
 from qdigits.digitsum import QParam
 from qdigits.limiting_curve import BridgeLevel, CurveSamples, LimitingBridge, theorem1_experiment
 from qdigits.odometer import OdometerState, StabilizingLevel, find_stabilizing_levels
@@ -31,27 +31,24 @@ def bridge(seed=None):
     return LimitingBridge("zero orbit", seed, F(3, 4), 8, (level(),), ("n",))
 
 
-# (make, other, frozen, text): make() builds a fresh instance whose repr
-# is text (the dataclass repr with its Fractions in hex), other() an
-# instance of the same class that differs in one field
+# (make, other, text): make() builds a fresh instance whose repr is text
+# (the dataclass repr with its Fractions in hex), other() an instance of
+# the same class that differs in one field
 RECORDS = [
     (
         lambda: QParam(F(3, 4)),
         lambda: QParam(F(-3, 4)),
-        True,
-        "QParam(q=Fraction(0x3, 0x4), a=Fraction(0x2, 0x3), is_curve_regime=True)",
+        "QParam(q=Fraction(0x3, 0x4))",
     ),
     (
         check,
         lambda: check("other"),
-        False,
         "IdentityCheck(name='id', statement='a = b', scope='n <= 4', checked=4,"
         " passed=False, first_counterexample='n=3: 1 != 2')",
     ),
     (
         lambda: VerificationReport("title", {"q": "3/4"}, [check()], ["a note"]),
         lambda: VerificationReport("title", {"q": "3/4"}, [check()]),
-        False,
         "VerificationReport(title='title', params={'q': '3/4'}, checks=[IdentityCheck("
         "name='id', statement='a = b', scope='n <= 4', checked=4, passed=False,"
         " first_counterexample='n=3: 1 != 2')], notes=['a note'])",
@@ -59,38 +56,32 @@ RECORDS = [
     (
         lambda: OdometerState(5, 8, origin="zero"),
         lambda: OdometerState(5, 8),
-        True,
         "OdometerState(value=0x5, length=8, origin='zero', seed=None)",
     ),
     (
         lambda: StabilizingLevel(4, 0, 4, F(1, 32)),
         lambda: StabilizingLevel(5, 1, 4, F(1, 32)),
-        True,
         "StabilizingLevel(position=4, prefix_end=0, run_length=4, ratio=Fraction(0x1, 0x20))",
     ),
     (
         lambda: ScaleDecomposition.of(5, P),
         lambda: ScaleDecomposition.of(6, P),
-        True,
         "ScaleDecomposition(n=0x5, k=2, p=0x4, r=Fraction(0x9, 0x10), x=Fraction(0x1, 0x4))",
     ),
     (
         lambda: CurveSamples((F(0), F(1, 2), F(0))),
         lambda: CurveSamples((F(0), F(1, 3), F(0))),
-        True,
         "CurveSamples(values=(Fraction(0x0, 0x1), Fraction(0x1, 0x2), Fraction(0x0, 0x1)))",
     ),
     (
         level,
         lambda: level(sup=F(1, 9)),
-        True,
         "BridgeLevel(run_length=4, position=6, prefix_end=2, ratio=Fraction(0x1, 0x40),"
         " normalizer=Fraction(0x9, 0x4), grid_exponent=2, sup_distance=Fraction(0x1, 0x8))",
     ),
     (
         bridge,
         lambda: bridge(seed=1),
-        True,
         "LimitingBridge(description='zero orbit', seed=None, q=Fraction(0x3, 0x4),"
         " register_length=8, levels=(BridgeLevel(run_length=4, position=6, prefix_end=2,"
         " ratio=Fraction(0x1, 0x40), normalizer=Fraction(0x9, 0x4), grid_exponent=2,"
@@ -99,13 +90,11 @@ RECORDS = [
     (
         lambda: AffineMap(F(1, 2), F(1, 3)),
         lambda: AffineMap(F(1, 2)),
-        True,
         "AffineMap(slope=Fraction(0x1, 0x2), intercept=Fraction(0x1, 0x3))",
     ),
     (
         lambda: DeRhamSystem.takagi(F(1, 2)),
         lambda: DeRhamSystem.takagi(F(1, 3)),
-        True,
         "DeRhamSystem(a0=Fraction(0x1, 0x2), a1=Fraction(0x1, 0x2),"
         " g0=AffineMap(slope=Fraction(0x1, 0x2), intercept=Fraction(0x0, 0x1)),"
         " g1=AffineMap(slope=Fraction(-0x1, 0x2), intercept=Fraction(0x1, 0x2)))",
@@ -114,13 +103,13 @@ RECORDS = [
 IDS = [make().__class__.__name__ for make, *_ in RECORDS]
 
 
-@pytest.mark.parametrize("make, other, frozen, text", RECORDS, ids=IDS)
-def test_repr(make, other, frozen, text):
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=IDS)
+def test_repr(make, other, text):
     assert repr(make()) == text
 
 
-@pytest.mark.parametrize("make, other, frozen, text", RECORDS, ids=IDS)
-def test_equality_by_value_within_one_class(make, other, frozen, text):
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=IDS)
+def test_equality_by_value_within_one_class(make, other, text):
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
@@ -132,29 +121,61 @@ def test_equality_by_value_within_one_class(make, other, frozen, text):
             assert a.__eq__(stranger) is NotImplemented
 
 
-@pytest.mark.parametrize("make, other, frozen, text", RECORDS, ids=IDS)
-def test_hashing(make, other, frozen, text):
-    if frozen:
-        assert hash(make()) == hash(make())
-        assert len({make(), make(), other()}) == 2
-    else:
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=IDS)
+def test_hashing(make, other, text):
+    if make().__class__ is VerificationReport:
+        # its fields hold a dict and lists
         with pytest.raises(TypeError):
             hash(make())
+    else:
+        assert hash(make()) == hash(make())
+        assert len({make(), make(), other()}) == 2
 
 
-@pytest.mark.parametrize("make, other, frozen, text", RECORDS, ids=IDS)
-def test_assignment(make, other, frozen, text):
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=IDS)
+def test_assignment(make, other, text):
     record = make()
     name = text[text.index("(") + 1 : text.index("=")]
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(record, name, None)
-        with pytest.raises(AttributeError):
-            delattr(record, name)
-        assert repr(record) == text
-    else:
-        setattr(record, name, "changed")
-        assert getattr(record, name) == "changed"
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert repr(record) == text
+
+
+def test_identity_checks_in_a_set():
+    # the same scan in two reports gives equal checks, which a set merges
+    first, second = VerificationReport("a"), VerificationReport("b")
+    for rep in (first, second):
+        rep.scan("id", "n = n", "n < 3", [(f"n={n}", n, n) for n in range(3)])
+    second.add("other", "s", "sc", 1, True)
+    assert len(set(first.checks) | set(second.checks)) == 2
+
+
+def test_report_fields_are_fixed_but_its_containers_grow():
+    rep = VerificationReport("title")
+    with pytest.raises(AttributeError):
+        rep.title = "other"
+    with pytest.raises(AttributeError):
+        rep.checks = []
+    rep.add("a", "s", "sc", 1, True)
+    rep.scan("b", "s", "sc", [("n=1", 1, 1), ("n=2", 2, 3)])
+    rep.notes.append("a note")
+    assert [(c.name, c.checked, c.passed) for c in rep.checks] == [("a", 1, True), ("b", 2, False)]
+    assert rep.checks[1].first_counterexample == "n=2: 2 != 3"
+    assert rep.notes == ["a note"] and not rep.passed
+
+
+def test_reports_share_no_container():
+    first, second = VerificationReport("a"), VerificationReport("a")
+    assert first == second
+    for attr in ("params", "checks", "notes"):
+        assert getattr(first, attr) is not getattr(second, attr)
+    params, checks, notes = {"q": "3/4"}, [check()], ["n"]
+    given = VerificationReport("b", params, checks, notes)
+    given.add("a", "s", "sc", 1, True)
+    given.notes.append("m")
+    assert (params, checks, notes) == ({"q": "3/4"}, [check()], ["n"])
 
 
 def test_constructor_keywords_defaults_and_factories():
@@ -195,13 +216,6 @@ def test_identity_check_to_dict_in_field_order():
     assert list(check().to_dict()) == list(vars(check()))
 
 
-def test_field_takes_only_init_and_default_factory():
-    # every field of a record is shown and compared
-    for options in ({"repr": False}, {"compare": False}):
-        with pytest.raises(TypeError):
-            field(**options)
-
-
 # Python's default limit on int <-> str conversion, in decimal digits
 DEFAULT_INT_DIGITS = 4300
 
@@ -229,6 +243,7 @@ NAMESPACE = {
     "IdentityCheck": IdentityCheck,
     "LimitingBridge": LimitingBridge,
     "OdometerState": OdometerState,
+    "QParam": QParam,
     "ScaleDecomposition": ScaleDecomposition,
     "StabilizingLevel": StabilizingLevel,
     "VerificationReport": VerificationReport,
@@ -265,14 +280,12 @@ def test_scale_decomposition_repr_past_the_digit_limit(default_int_digits):
 
 
 def test_qparam_repr_past_the_digit_limit(default_int_digits):
-    # a and is_curve_regime are derived, so the repr shows them but eval
-    # cannot pass them back; q's terms have 4294 and 5419 digits
+    # q's terms have 4294 and 5419 digits
     q = F(3**9000 + 1, 3 * 4**9000)
     assert past_the_limit(q)
     text = repr(QParam(q))
-    assert text.startswith(f"QParam(q=Fraction({q.numerator:#x}, {q.denominator:#x}), a=")
-    assert text.endswith(", is_curve_regime=False)")
-    assert eval(text[text.index("Fraction(") : text.index("), a=") + 1], NAMESPACE) == q
+    assert text == f"QParam(q=Fraction({q.numerator:#x}, {q.denominator:#x}))"
+    assert eval(text, NAMESPACE) == QParam(q)
 
 
 # a weight whose terms have 9000 digits, more than twice the default limit
@@ -303,11 +316,15 @@ def test_every_record_repr_at_a_wide_weight(default_int_digits):
     records = wide_records()
     assert [type(r) for r in records] == [type(make()) for make, *_ in RECORDS]
     assert past_the_limit(WIDE.q)
-    # QParam's a and is_curve_regime are derived, so only q reads back
-    text = repr(WIDE)
-    assert eval(text[text.index("Fraction(") : text.index("), a=") + 1], NAMESPACE) == WIDE.q
-    for record in records[1:]:
+    for record in records:
         assert eval(repr(record), NAMESPACE) == record
+
+
+@pytest.mark.parametrize("p", [QParam(F(3, 4)), WIDE], ids=["3/4", "wide"])
+def test_qparam_repr_evals_back(default_int_digits, p):
+    back = eval(repr(p), NAMESPACE)
+    assert back == p and hash(back) == hash(p)
+    assert (back.a, back.is_curve_regime) == (p.a, p.is_curve_regime)
 
 
 def test_cached_properties_cache():
