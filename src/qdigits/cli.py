@@ -17,6 +17,7 @@ byte-identical across runs.
 import argparse
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -26,6 +27,7 @@ from .digitsum import (
     DEFAULT_ORACLE_BUDGET,
     QParam,
     _digit_sum_fast,
+    _term_bits,
     check_bit_recurrences,
     partial_sum_bruteforce,
     partial_sum_fast,
@@ -80,13 +82,21 @@ class _Budget(NamedTuple):
             raise _CliError(self.text.format(limit=self.limit, **fields))
 
 
+# Fraction expands a decimal exponent E, spelled as _DECIMAL reads it, to
+# 10^|E| before any other row is charged: eval S spent 0.16 s parsing --q
+# 1e1000000, 0.86 s 1e3000000, 2.57 s and 24 MB 1e6000000, and 0.06 s
+# 1e524288 or 1e-524288 before its refusal (2-vCPU Xeon, Python 3.11)
+_EXPONENT = _Budget(2**19, "{flag}'s decimal exponent must be between"
+                    " -{limit} and {limit}")
+_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                      r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
 # the decimal expansion behind --digits grows superlinearly: one value of
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _DIGITS = _Budget(100_000, "--digits must be <= {limit}")
 # the largest --l and --lmax: at 2^20 curve --svg took 3.4-4.7 s and
-# 490-556 MB (q = 3/4, 9/10), verify prop1 1.2-1.6 s and 288-329 MB
-# (same machine)
+# 490-556 MB (q = 3/4, 9/10), verify prop1 0.9-1.1 s and 161-188 MB
+# (q = 3/4, 9/10, -2/3; same machine)
 _LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
 # a bridge level's grid has at most as many points as the largest --l
 _GRID_EXPONENT = _Budget(_LEVEL.limit.bit_length() - 1,
@@ -208,6 +218,9 @@ def _format_value(x, digits) -> str:
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
+    decimal = _DECIMAL.fullmatch(text)
+    if decimal:
+        _EXPONENT.charge(abs(int(decimal[1])), flag=f"--{what}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -252,7 +265,7 @@ def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
 
 def _charge_walk(what: str, e: int, a: Fraction):
     """Charge a dyadic Takagi walk of e steps at a, what giving e, to _DYADIC_WORK."""
-    bits = max(abs(a.numerator), a.denominator).bit_length()
+    bits = _term_bits(*a.as_integer_ratio())
     _DYADIC_WORK.charge(e**3 * (bits + 1) ** 2, what=what, e=e, a=a)
 
 
@@ -272,21 +285,16 @@ def _write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _q_bits(p: QParam) -> int:
-    """The bits of q's larger term."""
-    return max(abs(p.q.numerator), p.q.denominator).bit_length()
-
-
 def _charge_terms(budget: _Budget, flag: str, terms: int, p: QParam):
     """Charge terms x (bits(q's larger term) + 64) to budget; flag gives terms."""
-    q_bits = _q_bits(p)
+    q_bits = _term_bits(*p.q.as_integer_ratio())
     budget.charge(terms * (q_bits + 64), flag=flag, terms=terms, q_bits=q_bits)
 
 
 def _cmd_eval(args) -> int:
     if args.target in ("s", "S"):
         p = _parse_qparam(args.q)
-        bits, q_bits = args.n.bit_length(), _q_bits(p)
+        bits, q_bits = args.n.bit_length(), _term_bits(*p.q.as_integer_ratio())
         what = f"--n has {bits} bits; bits(--n)"
         _REGISTER_Q_BITS.charge(bits * q_bits, what=what, q_bits=q_bits)
         if args.target == "s":
@@ -407,7 +415,7 @@ def _experiment(args, p: QParam):
     _REGISTER.charge(length)
     if g >= 0:
         _GRID_BITS.charge(length << g)
-    q_bits = _q_bits(p)
+    q_bits = _term_bits(*p.q.as_integer_ratio())
     _REGISTER_Q_BITS.charge(length * q_bits, what="--register-length", q_bits=q_bits)
     r_list = _parse_run_lengths(args.r)
     _RUN_LENGTHS.charge(len(r_list))
@@ -857,10 +865,7 @@ def _run(argv) -> int:
     except (NoStabilizingLevelError, RegisterOverflowError) as exc:
         print(f"qdigits {args.command}: {exc}", file=sys.stderr)
         return 1
-    except _CliError as exc:
-        print(f"qdigits: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"qdigits: {exc}", file=sys.stderr)
         return 2
 

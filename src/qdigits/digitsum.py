@@ -339,11 +339,16 @@ def _leaf_table(k: int, u: int, v: int) -> tuple:
 _cached_leaf_table = functools.lru_cache(maxsize=16)(_leaf_table)
 
 
+def _term_bits(u: int, v: int) -> int:
+    """The bits of the larger term of u/v, v > 0."""
+    return max(abs(u), v).bit_length()
+
+
 def _weight_table(u: int, v: int) -> tuple:
     """The _TABLE_BITS leaf table at q = u/v: from the process cache when
     q's larger term has at most _CACHED_TABLE_Q_BITS bits, else built for
     this call."""
-    if max(abs(u), v).bit_length() <= _CACHED_TABLE_Q_BITS:
+    if _term_bits(u, v) <= _CACHED_TABLE_Q_BITS:
         return _cached_leaf_table(_TABLE_BITS, u, v)
     return _leaf_table(_TABLE_BITS, u, v)
 

@@ -40,10 +40,10 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 import math
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import add, ge, lshift, mul, ne, sub
+from operator import ge, mul, ne, sub
 
 from ._record import record
-from .digitsum import QParam, _lowest_terms, _Reduced
+from .digitsum import QParam, _geometric, _lowest_terms, _Reduced
 from .odometer import OdometerState, RegisterOverflowError, find_stabilizing_levels
 from .report import VerificationReport
 from .takagi import is_power_of_two, takagi_dyadic_grid
@@ -81,8 +81,8 @@ def _orbit_deviations(
 
     Returns (alpha, beta, b, factor) with b = x mod 2^h and
     D(t) - (t/2^g) D(2^g) = devs[t] factor (2q)^(n-1), where
-    devs[t] = (alpha[t] << h) + b beta[t] (_join); beta is None when
-    b = 0, which spares the zero orbit's walk its second pass.  With
+    devs[t] = (alpha[t] << h) + b beta[t]; beta is None when b = 0,
+    which spares the zero orbit's walk its second pass.  With
     x = A 2^h + b, the split identity
 
         S_q(A 2^h + b) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(b) + b q^h s_q(A)
@@ -126,11 +126,10 @@ def _orbit_deviations(
         table += [s + w for s in table]
     # above bit g, c + t has ones at bits g..m-2 until c_lo + t reaches
     # 2^g, and bit m-1 alone after: weights below, a geometric sum
-    # u^(g+1) v sum_{j<k} u^j v^(k-1-j) 2^g with k = m-g-1 (u = v only at
-    # q = 1), and above
+    # u^(g+1) v sum_{j<k} u^j v^(k-1-j) 2^g = u^g v _geometric(k) 2^g with
+    # k = m-g-1, and above
     k = m - g - 1
-    ones = (v**k - u**k) // (v - u) if u != v else k
-    below, above = u ** (g + 1) * v * ones << g, u**m << g
+    below, above = u**g * v * _geometric(k, u, v, u**k, v**k) << g, u**m << g
     # total = sum_{t<2^g} d[t]; each bit below g is set in half the j < 2^g
     total = (sum(weights) >> 1) + ((points - c_lo) * below + c_lo * above >> g)
     # centred[t] = d[t] 2^g - total, whose running sums are alpha
@@ -146,14 +145,6 @@ def _orbit_deviations(
     if g:
         return alpha, beta, b, Fraction(1, u ** (g - 1) * v ** (m + 1 - g) << (g + n - 1))
     return alpha, beta, b, Fraction(2 * u, v ** (m + 1) << n)
-
-
-def _join(alpha, beta, b: int, h: int) -> list[int]:
-    """The deviations (alpha[t] << h) + b beta[t] of _orbit_deviations' split form."""
-    shifted = map(lshift, alpha, repeat(h))
-    if beta is None:
-        return list(shifted)
-    return list(map(add, shifted, map(mul, beta, repeat(b))))
 
 
 def _polygon(devs: list[int], factor: Fraction) -> CurveSamples:
@@ -187,10 +178,8 @@ def _cross(xs, x_scale: int, ys, y_scale: int) -> list[int]:
     return list(map(sub, map(mul, xs, repeat(x_scale)), map(mul, ys, repeat(y_scale))))
 
 
-# _sup_gap keeps the top _TOP_BITS bits of b to bound each gap, and builds
-# every gap in full when h is at most _SPLIT_MIN_H
+# _sup_gap bounds each gap from the top _TOP_BITS bits of b
 _TOP_BITS = 64
-_SPLIT_MIN_H = 2 * _TOP_BITS
 
 
 def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fraction):
@@ -205,9 +194,9 @@ def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fra
 
     with gamma and delta small.  For g >= 1 it does: factor's den carries
     2^(g+n-1) = 2^(h+2g-1), and so does ts.  At g = 0 the grid tak is
-    [0, 0], so gamma is exact whatever ts >> h drops.  Let k = _TOP_BITS,
-    U = 2^(h-k) and b = top U + rest, 0 <= rest < U, and let
-    S = max |delta[t]|.  Then gap[t] = U (A[t] + e[t]) with
+    [0, 0], so gamma is exact whatever ts >> h drops.  Let
+    k = min(h, _TOP_BITS), U = 2^(h-k) and b = top U + rest, 0 <= rest < U,
+    and let S = max |delta[t]|.  Then gap[t] = U (A[t] + e[t]) with
     A[t] = (gamma[t] << k) + top delta[t] and e[t] = rest delta[t] / U,
     so |e[t]| <= S and
 
@@ -217,20 +206,18 @@ def _sup_gap(alpha, beta, b: int, h: int, factor: Fraction, tak, tak_factor: Fra
     max |A| - S <= M / U.  A point with |A[t]| < max |A| - 2S has
     |gap[t]| / U < max |A| - S <= M / U, so M is not reached there.  The
     max of |gap[t]| over the other points, each built in full, is
-    therefore M exactly.  On seeded registers one point is left, the
-    only gap of h bits built.  When h <= _SPLIT_MIN_H every gap is built.
+    therefore M exactly.  When h <= _TOP_BITS, top is all of b, rest = 0
+    and each A[t] is gap[t] itself.  On seeded registers one point is
+    left, the only gap of h bits built.
     """
     dev_scale, tak_scale, den = _cross_scales(factor, tak_factor)
-    if h <= _SPLIT_MIN_H:
-        gaps = _cross(_join(alpha, beta, b, h), dev_scale, tak, tak_scale)
-        return max(map(abs, gaps)), den
     gamma = _cross(alpha, dev_scale, tak, tak_scale >> h)
     if beta is None:
         return max(map(abs, gamma)) << h, den
+    k = min(h, _TOP_BITS)
     slack = abs(dev_scale) * max(map(abs, beta))
-    top = (b >> (h - _TOP_BITS)) * dev_scale
-    shifted = map(lshift, gamma, repeat(_TOP_BITS))
-    approx = list(map(abs, map(add, shifted, map(mul, beta, repeat(top)))))
+    top = (b >> (h - k)) * dev_scale
+    approx = list(map(abs, _cross(gamma, 1 << k, beta, -top)))
     near = compress(count(), map(ge, approx, repeat(max(approx) - 2 * slack)))
     b_ds = b * dev_scale
     return max(abs((gamma[t] << h) + b_ds * beta[t]) for t in near), den
@@ -323,10 +310,10 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
     over its normalizer (2q)^(g-1), top_factor being the walk's own at
     lmax = 2^top, against every (lmax/l)-th grid value.  With that factor's
     and the grid's cross scales ds and ts (_cross_scales), a level holds
-    when the integer lists y (l ds) - t (y[l] ds) and target ts are equal.
-    Only a level that fails is searched, for its first mismatch, and it is
-    reported with the label, values and checked count of a point-by-point
-    rep.scan.
+    when the integer sequences y (l ds) - t (y[l] ds) and target ts are
+    equal, compared a pair at a time and never held whole.  A level that
+    fails is reported at its first mismatch, with the label, values and
+    checked count of a point-by-point rep.scan.
     """
     p.require_curve_regime()
     _require_level(lmax)
@@ -338,14 +325,16 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
         l, y, target = 1 << g, devs[: (1 << g) + 1], tak[:: 1 << (top - g)]
         factor = top_factor * (2 * p.q) ** (top - g) / l
         ds, ts, den = _cross_scales(factor, tak_factor)
-        got = list(map(sub, map(mul, y, repeat(l * ds)), map(mul, count(), repeat(y[l] * ds))))
-        want = _scaled(target, ts)
+        ticks = count()  # got's j, drawn as got draws its pairs
+        got = map(sub, map(mul, y, repeat(l * ds)), map(mul, ticks, repeat(y[l] * ds)))
+        want = map(mul, target, repeat(ts))
         check = name.format(l=l), statement, f"all {l + 1} breakpoints j/l"
-        if got == want:
+        if not any(map(ne, got, want)):
             rep.add(*check, l + 1, True)
             continue
-        j = next(compress(count(), map(ne, got, want)))
-        mismatch = f"t={Fraction(j, l)}: {Fraction(got[j], den)} != {Fraction(want[j], den)}"
+        j = next(ticks) - 1  # any stops at the first mismatch
+        got_j, want_j = y[j] * l * ds - j * y[l] * ds, target[j] * ts
+        mismatch = f"t={Fraction(j, l)}: {Fraction(got_j, den)} != {Fraction(want_j, den)}"
         rep.add(*check, j + 1, False, mismatch)
 
 

@@ -123,6 +123,16 @@ class TestEval:
         assert code == 0
         assert abs(float(out) - 2 / 3) <= 1e-11
 
+    def test_takagi_non_dyadic_digits(self, capsys):
+        # the certified series value is a float, so --digits formats a float
+        argv = ["eval", "takagi", "--a", "2/3", "--x", "1/3", "--digits", "6"]
+        assert run(capsys, argv) == (0, "1.000000\n", "")
+
+    def test_takagi_at_a_zero(self, capsys):
+        # T_0(x) is the distance from x to the nearest integer: one term
+        argv = ["eval", "takagi", "--a", "0", "--x", "1/3"]
+        assert run(capsys, argv) == (0, "0.3333333333333333\n", "")
+
     def test_td_classical(self, capsys):
         code, out, _ = run(capsys, ["eval", "td", "--classical", "--n", "3"])
         assert (code, out) == (0, "2/3\n")
@@ -243,6 +253,20 @@ class TestVerify:
         assert code == 1
         assert "SOME CHECKS FAILED" in out
         assert "n=2:" in out
+
+    def test_printed_forms_fail_at_q_one(self, capsys):
+        # at q = 1 the variant closed form of S(2^k) is (k - 1) 2^(k-1)
+        code, out, _ = run(
+            capsys,
+            [
+                "verify", "--suite", "recurrences", "--q", "1",
+                "--nmax", "8", "--use-printed-forms",
+            ],
+        )
+        assert code == 1
+        (line,) = [line for line in out.splitlines() if "S-pow2" in line]
+        assert line.startswith("[FAIL] S-pow2:")
+        assert line.endswith("first counterexample: k=2: 4 != 2")
 
     def test_json_report(self, capsys):
         code, out, _ = run(
@@ -443,6 +467,12 @@ class TestCurve:
         first = fh[1].split(",")
         assert float(first[0]) == 0.0
         assert abs(float(first[1])) <= 1e-12
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, ["curve", "--q", "3/4", "--l", "4", "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qdigits: cannot write {path}: ")
 
     def test_deterministic_output(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
@@ -922,9 +952,58 @@ def test_oracle_charges_the_bits_of_q(capsys, monkeypatch):
         main(["eval", "S", "--q", "3/4", "--method", "oracle", "--n", str(2**20)])
 
 
+def exponent_message(flag):
+    return f"qdigits: {flag}'s decimal exponent must be between -524288 and 524288\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval", "S", "--n", "5"], "--q"),
+        (["eval", "takagi", "--q", "3/4"], "--x"),
+        (["eval", "takagi", "--x", "1/3"], "--a"),
+    ],
+    ids=["q", "x", "a"],
+)
+@pytest.mark.parametrize(
+    # each within a second of Fraction's reach, so that a lost check fails fast
+    "text", ["1e600000", "-1e-600000", " 2.5E+1_000_000 ", ".5e-524289"]
+)
+def test_decimal_exponent_bound(capsys, monkeypatch, argv, flag, text):
+    # refused before Fraction expands 10^|E|
+    parsed = []
+
+    def fraction(*args):
+        parsed.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
+    assert run(capsys, [*argv, f"{flag}={text}"]) == (2, "", exponent_message(flag))
+    assert (text,) not in parsed
+
+
+def test_decimal_exponent_at_the_bound(capsys):
+    # 10^524288 has 1741648 bits: parsed, then refused by the size row
+    for text in ["1e-524288", "1E524_288"]:
+        assert run(capsys, ["eval", "S", "--q", text, "--n", "5"]) == (
+            2,
+            "",
+            "qdigits: --n has 3 bits; bits(--n) * 1741648 (the bits of q's larger"
+            " term) must be <= 524288\n",
+        )
+    # only a decimal exponent is priced: other spellings reach Fraction
+    assert run(capsys, ["eval", "S", "--q", "75e-2", "--n", "4"]) == (0, "21/8\n", "")
+    code, out, err = run(capsys, ["eval", "S", "--q", "1/2e9999999", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("qdigits: invalid q: '1/2e9999999' (")
+
+
 # every cli._Budget row: sample fields and the message they give; a row with
 # no entry here fails test_budget_rows
 BUDGET_MESSAGES = {
+    "_EXPONENT": (
+        {"flag": "--q"}, "--q's decimal exponent must be between -524288 and 524288"
+    ),
     "_DIGITS": ({}, "--digits must be <= 100000"),
     "_LEVEL": ({"flag": "--lmax"}, "--lmax must be <= 1048576"),
     "_GRID_EXPONENT": ({}, "--grid-exponent must be <= 20"),

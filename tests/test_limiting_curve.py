@@ -68,10 +68,17 @@ LEVEL_FIELDS = {
 }
 
 
+def join(alpha, beta, b, h):
+    """The deviations (alpha[t] << h) + b beta[t] of _orbit_deviations' split form."""
+    if beta is None:
+        return [a << h for a in alpha]
+    return [(a << h) + b * be for a, be in zip(alpha, beta, strict=True)]
+
+
 def joined_walk(x, n, g, p):
     """_orbit_deviations with its split form joined: (devs, factor)."""
     alpha, beta, b, factor = limiting_curve._orbit_deviations(x, n, g, p)
-    return limiting_curve._join(alpha, beta, b, n - g), factor
+    return join(alpha, beta, b, n - g), factor
 
 
 def level_polygon(lvl, x, p):
@@ -491,7 +498,7 @@ class TestTableWalk:
         devs, want_factor = carry_walk(x, h + g, g, p)
         assert b == x % (1 << h)
         assert (beta is None) == (b == 0)
-        assert limiting_curve._join(alpha, beta, b, h) == devs
+        assert join(alpha, beta, b, h) == devs
         assert (factor.numerator, factor.denominator) == (
             want_factor.numerator,
             want_factor.denominator,
@@ -559,7 +566,7 @@ class TestSplitSup:
     def test_matches_full_gaps(self, q, r, prefix, prefix_len, high, grid_exponent):
         # register: a prefix with no run of r zeros (a one at every r-th
         # bit and at its top), the run of r zeros that makes level n, and
-        # random bits above; h = n - g runs from 0 past _SPLIT_MIN_H
+        # random bits above; h = n - g runs from 0 past 2 _TOP_BITS
         n = prefix_len + r
         if prefix_len:
             prefix |= sum(1 << i for i in range(r - 1, prefix_len, r)) | 1 << (prefix_len - 1)
@@ -573,7 +580,8 @@ class TestSplitSup:
     @pytest.mark.parametrize("q", [F(3, 4), F(-2, 3), F(9, 10)])
     def test_short_and_deep_levels(self, q):
         # seed 9 at r = 2, 4, 8, 12 gives levels n = 9, 23, 289 and 4369:
-        # h <= 128 at the first two, far past it at the last two
+        # h <= _TOP_BITS at the first two, so that b's top bits are all of
+        # it, and far past it at the last two
         state = OdometerState.random_state(9, 8192)
         bridge = self.check(state, QParam(q), [2, 4, 8, 12], 8)
         assert [lvl.position for lvl in bridge.levels] == [9, 23, 289, 4369]
@@ -586,7 +594,7 @@ class TestSplitSup:
         clear_low=st.booleans(),
         q=st.sampled_from(SPLIT_WEIGHTS),
     )
-    # b = 0 past _SPLIT_MIN_H, with c mod 2^g = 0x5A: no beta, nonzero gaps
+    # b = 0 past _TOP_BITS, with c mod 2^g = 0x5A: no beta, nonzero gaps
     @example(x=0xDEADBE5A << 192, h=192, g=8, clear_low=True, q=F(3, 4))
     def test_sup_gap_matches_full_max(self, x, h, g, clear_low, q):
         # the sup of any orbit segment, not only those at a stabilising level
@@ -602,7 +610,9 @@ class TestSplitSup:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        h=st.integers(limiting_curve._SPLIT_MIN_H + 1, 400),
+        # from the smallest h at which b's share below its top bits,
+        # rest_share units of 2^(h-64) / 16 and a half, is exact
+        h=st.integers(limiting_curve._TOP_BITS + 5, 400),
         top=st.integers(1, (1 << 64) - 1),
         rest_share=st.integers(8, 15),
         spread_bits=st.integers(80, 200),
@@ -653,7 +663,8 @@ class TestSplitSup:
         assert got == (max(map(abs, gaps)), den)
 
     def test_grid_exponent_zero(self):
-        # one grid step: the scale's twos do not cover h, so every gap is built
+        # one grid step: the scale's twos do not cover h, but the grid is
+        # [0, 0], so gamma is exact all the same
         state = OdometerState.random_state(9, 8192)
         bridge = self.check(state, QParam(F(2, 3)), [4, 8, 12], 0)
         assert {lvl.grid_exponent for lvl in bridge.levels} == {0}
