@@ -94,9 +94,10 @@ _DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _DIGITS = _Budget(100_000, "--digits must be <= {limit}")
-# the largest --l and --lmax: at 2^20 curve --svg took 3.4-4.7 s and
-# 490-556 MB (q = 3/4, 9/10), verify prop1 0.9-1.1 s and 161-188 MB
-# (q = 3/4, 9/10, -2/3; same machine)
+# the largest --l and --lmax: at 2^20 curve --svg took 2.58-3.88 s and
+# 491-556 MB (q = 3/4, 9/10), verify prop1 1.01-1.14 s and 182-184 MB
+# (two runs of tools/probe_budgets.py: a fresh process each, ru_maxrss;
+# same machine)
 _LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
 # a bridge level's grid has at most as many points as the largest --l
 _GRID_EXPONENT = _Budget(_LEVEL.limit.bit_length() - 1,
@@ -187,6 +188,24 @@ _ORACLE_WORK = _Budget(2**27, "{flag} {terms} x ({q_bits} + 64), {q_bits} the"
 # 7.1 s at 16000, and recurrences 65 s and 341 MB at 349524, the largest
 # --nmax that --budget alone admits
 _SCAN_WORK = _Budget(2**18, _ORACLE_WORK.text)
+# curve and verify --suite prop1 build each of a level's l + 1 points from
+# integers of about W = log2(l) bits(q) bits, whose products, gcds and
+# decimal strings grow about as (W + 256)^2, and both are charged
+# (l + 1) (W + 256)^2.  At the widest q the bound admits, two probe runs
+# timed curve --svg at 0.24-1.36 s and 17-312 MB from --l 2 (a 213783-bit
+# q) to --l 2^16 (74 bits), and 2.92-3.60 s and 590-595 MB at --l 2^20 (5
+# bits); prop1 at 0.12-1.16 s and 16-185 MB; and curve --l 8 --digits
+# 100000 at 2.48-3.12 s (41106 bits; 1.84-2.14 s at q = 3/4).  The bound
+# admits --l 2^20 at q = 9/10 and refuses --l 4096 at a 513-bit q, so a
+# wide q stops well short of the time a narrow one takes at --l 2^20
+_LEVEL_WORK = _Budget(2**37, "{flag} {l}: {points} points x ({g} x {q_bits} + 256)^2,"
+                      " {q_bits} the bits of q's larger term, must be <= {limit}")
+# verify --suite derham evaluates 65 points in Fractions a few times
+# bits(q) wide, each step a gcd quadratic in them.  At the bound two probe
+# runs timed 0.66-0.94 s and 16-17 MB, against 0.07-0.13 s at q = 3/4 and
+# 9/10
+_DERHAM_Q_BITS = _Budget(2**12, "--suite derham takes a q of at most {limit} bits"
+                         " in its larger term, got {q_bits}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +358,21 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_level(flag: str, l: int):
-    """Exit 2 unless l, given by flag, is a power of two >= 2 within _LEVEL."""
+def _check_level(flag: str, l: int, p: QParam):
+    """Exit 2 unless l, given by flag, is a power of two >= 2 within _LEVEL
+    whose points at q are within _LEVEL_WORK."""
     if not is_power_of_two(l) or l < 2:
         raise _CliError(f"{flag} must be a power of two >= 2, got {l}")
     _LEVEL.charge(l, flag=flag)
+    g, q_bits = l.bit_length() - 1, _term_bits(*p.q.as_integer_ratio())
+    _LEVEL_WORK.charge((l + 1) * (g * q_bits + 256) ** 2, flag=flag, l=l, points=l + 1,
+                       g=g, q_bits=q_bits)
 
 
 def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
     """Identity (8) at l = 2, 4, ..., lmax, from one walk and one grid at lmax."""
     p.require_curve_regime()
-    _check_level("--lmax", lmax)
+    _check_level("--lmax", lmax, p)
     params = {"q": str(p.q), "lmax": str(lmax)}
     rep = VerificationReport("zero-orbit bridge identities", params)
     _scan_identity_8(rep, p, lmax, 2, "bridge-l-{l}")
@@ -358,6 +381,8 @@ def _suite_prop1(p: QParam, lmax: int) -> VerificationReport:
 
 def _suite_derham(p: QParam) -> VerificationReport:
     p.require_curve_regime()
+    q_bits = _term_bits(*p.q.as_integer_ratio())
+    _DERHAM_Q_BITS.charge(q_bits, q_bits=q_bits)
     rep = VerificationReport(
         "two-branch affine systems", params={"q": str(p.q), "a": str(p.a)}
     )
@@ -601,7 +626,7 @@ def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
 def _cmd_curve(args) -> int:
     p = _parse_qparam(args.q)
     l = args.l
-    _check_level("--l", l)
+    _check_level("--l", l, p)
     if not p.is_curve_regime and not args.explore:
         print(
             f"qdigits curve: no limiting curve for q = {p.q}; the regime"

@@ -20,13 +20,13 @@ recursing on both halves down to spans of at most _LEAF_BITS bits, each
 handed to its leaf by its parent.  S_q(n) needs s_q(A) but not s_q(B),
 so partial_sum_fast builds s_q only at each high half A and below it,
 none at the root or down its chain of low halves; _digit_sum_fast reads
-s_q(n) off a root that builds it at every node.  A leaf walks its bits
-from the top, k = _TABLE_BITS of them per step: each step is the same
-identity at h = k, with S_q(c), s_q(c) and S_q(2^k) for the k-bit chunk
-c read from a table of 2^k entries built once per weight per process
-(per call when q's terms are wide).  Every split point is a multiple of
-k bits from the bottom, so only the top leaf reads a partial chunk.  At
-k = 1 the step is the halving step
+s_q(n) off a root that builds it at every node.  A leaf walks its span
+from the top, a byte of it per step from n.to_bytes: each step is the
+same identity at h = 8, with S_q(c), s_q(c) and S_q(2^8) for the byte c
+read from a table of 256 entries built once per weight per process (per
+call when q's terms are wide).  Every split point is a whole number of
+bytes from the bottom, so only the top leaf pads a partial byte.  One
+bit per step is the halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
@@ -262,28 +262,24 @@ def _lowest_terms(num: int, den: int, base: int) -> Fraction:
 
 
 # Spans of at most this many bits are leaves, and an n below 2^_LEAF_BITS
-# is one bit-serial leaf with no table to read.  Timing 65- to 65536-bit
-# n on a 2-vCPU Xeon (Python 3.11) put table leaves of 48 to 128 bits
-# within the noise of each other at 16384 bits or more.  At 65 bits, 64
-# ran 1.13x as fast as the old bit-serial split, 48 1.00x, and 80 (one
-# whole-n serial leaf) 0.85x.
+# is one bit-serial leaf with no table to read.  With the byte leaf,
+# timing _summatory_root at q = 3/4, 2/3 and 9/10 with the table cached
+# (best of 15 interleaved rounds, 2-vCPU Xeon, Python 3.11), leaves of 48
+# bits ran 0.82-0.98x as fast as 64 from 129 to 16384 bits, and leaves of
+# 80 or 128 bits 1.17-1.20x at 129 bits and 0.98-1.11x from 256 bits up;
+# but this bound also sends every n of up to its bits down the bit-serial
+# leaf, which at 80 or 128 made 65- and 96-bit n run 0.25-0.38x as fast.
 _LEAF_BITS = 64
-# Each leaf of a longer n reads _TABLE_BITS bits per step from a table of
-# 2^_TABLE_BITS entries, built once per weight per process (_weight_table).
-# Building it takes 20 us at 8 bits against 7 at 6 (q = 3/4, 2/3 and
-# 9/10), which a call that builds its table (each CLI command evaluates
-# once per process) wins back from about 512 bits of n.  Against 6 bits
-# with the split at d // 2, the median ratio over 201 interleaved pairs of
-# cache-cleared calls at q = 3/4, 2/3 and 9/10 (2-vCPU Xeon, Python 3.11)
-# was 1.42-1.51 at 65 to 96 bits (15-19 us more), 0.99-1.01 at 513 and
-# 1153, 0.92-0.93 at 1024, 0.82-0.87 at 2113, 0.96 at 2304 and 0.89-0.95
-# at 16384; with the table cached, 0.88-0.95 at 16384.  A fresh `qdigits
-# eval S` process at 65 and 96 bits took 0.98-1.01x its 6-bit time (41
-# pairs, 101-127 ms, nearly all of it imports).  Rounding the split
-# points to whole chunks took 0.97x at 1153 bits and 0.85-0.89x at 2113
-# against halving at d // 2.  A wider table does not pay: at 16384 bits a
-# call that builds it took 0.996-1.014x the 8-bit time at 10 bits and
-# 1.002-1.016x at 12.
+# A leaf of a longer n reads its span a byte per step, from n.to_bytes, so
+# its table has 2^_TABLE_BITS = 256 entries: the width is the unit of the
+# walk, not a setting.  The table is built once per weight per process
+# (_weight_table), in 20 us at q = 3/4, 2/3 and 9/10, which a call that
+# builds it wins back from about 512 bits of n.  Reading the bytes, where
+# each step used to shift n and mask a chunk out of it, took a 57- or
+# 64-bit leaf from 3.6-3.9 to 3.0-3.5 us (best of 30 rounds of 200 n, same
+# machine).  With the shift-and-mask walk, 8-bit chunks took 0.82-0.95x
+# the time of 6-bit ones from 1024 bits up, and 10- or 12-bit ones
+# 0.996-1.016x the time of 8 at 16384 bits.
 _TABLE_BITS = 8
 # A table's integers grow with q's larger term, so the cache keeps a table
 # only while that term has at most this many bits: the largest table kept
@@ -297,10 +293,11 @@ def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
     """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d, d >= 1.
 
     Bit-serial: walks the d bits of n from the top (leading zeros
-    included), one halving step per bit.  This is _table_leaf's k = 1
-    step with its two-entry table written into the code, which runs it
-    about 1.6x as fast at 20 to 64 bits.  Its operands grow with every
-    bit, so the cost is quadratic in d.
+    included), one halving step per bit: the split identity at h = 1,
+    which _table_leaf takes at h = 8, with its two-entry table written
+    into the code, about 1.6x as fast as a walk over that table at 20 to
+    64 bits.  Its operands grow with every bit, so the cost is quadratic
+    in d.
     """
     S = s = m = 0
     vt = 1  # v^t for the current prefix length t; m is the prefix itself
@@ -354,30 +351,28 @@ def _weight_table(u: int, v: int) -> tuple:
 
 
 def _table_leaf(n: int, d: int, v: int, table: tuple) -> tuple[int, int]:
-    """(S, s) as _summatory_leaf(n, d, u, v) gives them, k bits per step
-    from table, the leaf table of q = u/v.
+    """(S, s) as _summatory_leaf(n, d, u, v) gives them, for n < 2^d, a
+    byte per step from table, the _TABLE_BITS leaf table of q = u/v.
 
-    With m the prefix read so far, t its length and c the next k bits,
-    each step is the split identity at h = k,
+    With m the prefix read so far, t its length and c the next byte of
+    n.to_bytes, each step is the split identity at h = k = 8,
 
         S_q(m 2^k + c) = m S_q(2^k) + q^k 2^k S_q(m) + S_q(c) + c q^k s_q(m),
         s_q(m 2^k + c) = s_q(c) + q^k s_q(m),
 
     over v^(t+k), with S_q(c), s_q(c) and S_q(2^k) read from the table.
-    The walk pads n with leading zeros to a multiple of k bits and
-    divides the pad's power of v out at the end, exactly.
+    The walk pads n with leading zeros to whole bytes, which to_bytes
+    writes, and divides the pad's power of v out at the end, exactly.
     """
-    k, u_k, v_k, S_c, s_c = table
+    _k, u_k, v_k, S_c, s_c = table
     pow2 = S_c[-1]
-    pad = -d % k
-    mask = (1 << k) - 1
+    pad = -d % 8
     S = s = m = 0
     vt = 1  # v^t for the current prefix length t
-    for i in range(d + pad - k, -1, -k):
-        c = n >> i & mask
-        S = (m * pow2 + S_c[c]) * vt + u_k * ((S << k) + c * s)
+    for c in n.to_bytes((d + pad) // 8, "big"):
+        S = (m * pow2 + S_c[c]) * vt + u_k * ((S << 8) + c * s)
         s = s_c[c] * vt + u_k * s
-        m = (m << k) | c
+        m = (m << 8) | c
         vt *= v_k
     if pad:
         v_pad = v**pad

@@ -580,6 +580,60 @@ def test_level_bound(capsys, monkeypatch, tmp_path, command, evaluators):
         main([*command, str(2**20), *files])
 
 
+def wide_q(bits):
+    """A weight just below 1 whose larger term, 2^(bits - 1), has bits bits."""
+    return F((1 << bits - 1) - 1, 1 << bits - 1)
+
+
+@pytest.mark.parametrize(
+    "command, evaluators",
+    [
+        (["curve", "--l"], ["f_hat_float", "_zero_orbit_scaled", "_target_scaled"]),
+        (["verify", "--suite", "prop1", "--lmax"], ["_scan_identity_8"]),
+    ],
+    ids=["curve", "prop1"],
+)
+def test_level_work_bound(capsys, monkeypatch, tmp_path, command, evaluators):
+    # at --l 4096, (12 x bits(q) + 256)^2 x 4097 <= 2^37 up to a 461-bit q
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    for name in evaluators:
+        monkeypatch.setattr(cli, name, refuse)
+    paths = [tmp_path / "c.csv", tmp_path / "c.svg", tmp_path / "f.csv"]
+    files = []
+    if command[0] == "curve":
+        for flag, path in zip(["--out", "--svg", "--fhat-out"], paths):
+            files += [flag, str(path)]
+    code, out, err = run(capsys, [*command, "4096", f"--q={wide_q(462)}", *files])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"qdigits: {command[-1]} 4096: 4097 points x (12 x 462 + 256)^2, 462 the bits"
+        " of q's larger term, must be <= 137438953472\n"
+    )
+    assert not any(path.exists() for path in paths)
+    with pytest.raises(Reached):
+        main([*command, "4096", f"--q={wide_q(461)}", *files])
+
+
+def test_derham_charges_the_bits_of_q(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "DeRhamSystem", type("Refused", (), {"takagi": refuse}))
+    for name in ["derham_consistency", "derham_eval", "fluctuation_system"]:
+        monkeypatch.setattr(cli, name, refuse)
+    command = ["verify", "--suite", "derham"]
+    code, out, err = run(capsys, [*command, f"--q={wide_q(4097)}"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "qdigits: --suite derham takes a q of at most 4096 bits in its larger term,"
+        " got 4097\n"
+    )
+    with pytest.raises(Reached):
+        main([*command, f"--q={wide_q(4096)}"])
+
+
 @pytest.mark.parametrize(
     "argv, over, at, message",
     [
@@ -1041,6 +1095,15 @@ BUDGET_MESSAGES = {
     "_SCAN_WORK": (
         {"flag": "--nmax", "terms": 3913, "q_bits": 3},
         "--nmax 3913 x (3 + 64), 3 the bits of q's larger term, must be <= 262144",
+    ),
+    "_LEVEL_WORK": (
+        {"flag": "--l", "l": 4096, "points": 4097, "g": 12, "q_bits": 513},
+        "--l 4096: 4097 points x (12 x 513 + 256)^2, 513 the bits of q's larger"
+        " term, must be <= 137438953472",
+    ),
+    "_DERHAM_Q_BITS": (
+        {"q_bits": 4097},
+        "--suite derham takes a q of at most 4096 bits in its larger term, got 4097",
     ),
 }
 

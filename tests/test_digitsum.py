@@ -334,13 +334,13 @@ def split(n, d, u, v):
 
 
 def _check_split_kernel(n, q):
-    """The split over table leaves, and the table walk at k = 1, equal the
-    whole-n serial leaf."""
+    """The split over table leaves, and one byte walk over the whole of n,
+    equal the whole-n serial leaf."""
     u, v = q.numerator, q.denominator
     d = n.bit_length()
     serial = _summatory_leaf(n, d, u, v)
     assert split(n, d, u, v) == serial, (q, n)
-    assert _table_leaf(n, d, v, _leaf_table(1, u, v)) == serial
+    assert _table_leaf(n, d, v, _leaf_table(_TABLE_BITS, u, v)) == serial
     _value, steps = leaf_bits(partial_sum_fast, n, QParam(q))
     assert steps == d
 
@@ -392,7 +392,9 @@ class TestSplitKernel:
     def test_table_walk_at_chunk_edges(self, data, q):
         """Bit lengths next to a multiple of the table width and to
         _LEAF_BITS, chunks of all ones, all zeros or random bits; the head
-        chunk is partial whenever the length is not a multiple of the width."""
+        chunk is partial whenever the length is not a multiple of the width.
+        A span below the top of a split starts with zero bytes, so the
+        leaf also reads an n below 2^(d - 8), down to 0, over d bits."""
         k = _TABLE_BITS
         edges = [k * j + e for j in range(1, 2 * _LEAF_BITS // k + 3) for e in (-1, 0, 1)]
         edges += [_LEAF_BITS - 1, _LEAF_BITS + 1, 2 * _LEAF_BITS - 1, 2 * _LEAF_BITS + 1]
@@ -407,6 +409,10 @@ class TestSplitKernel:
             elif kind == "random":
                 n |= data.draw(st.integers(0, (1 << width) - 1)) << low
         _check_split_kernel(n | (1 << (d - 1)), q)
+        u, v = q.numerator, q.denominator
+        table = _leaf_table(k, u, v)
+        for low in (0, n >> data.draw(st.integers(min(k, d), d))):
+            assert _table_leaf(low, d, v, table) == _summatory_leaf(low, d, u, v), (d, low)
 
     def test_65536_bits_against_split_identity(self):
         # An independent split point (the kernel halves at bit 32768),
