@@ -20,7 +20,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .digitsum import (
@@ -94,8 +94,8 @@ _DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _DIGITS = _Budget(100_000, "--digits must be <= {limit}")
-# the largest --l and --lmax: at 2^20 curve --svg took 2.58-3.88 s and
-# 491-556 MB (q = 3/4, 9/10), verify prop1 1.01-1.14 s and 182-184 MB
+# the largest --l and --lmax: at 2^20 curve --svg took 2.32-3.70 s and
+# 314-315 MB (q = 3/4, 9/10), verify prop1 1.04-1.61 s and 182-185 MB
 # (two runs of tools/probe_budgets.py: a fresh process each, ru_maxrss;
 # same machine)
 _LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
@@ -192,10 +192,10 @@ _SCAN_WORK = _Budget(2**18, _ORACLE_WORK.text)
 # integers of about W = log2(l) bits(q) bits, whose products, gcds and
 # decimal strings grow about as (W + 256)^2, and both are charged
 # (l + 1) (W + 256)^2.  At the widest q the bound admits, two probe runs
-# timed curve --svg at 0.24-1.36 s and 17-312 MB from --l 2 (a 213783-bit
-# q) to --l 2^16 (74 bits), and 2.92-3.60 s and 590-595 MB at --l 2^20 (5
-# bits); prop1 at 0.12-1.16 s and 16-185 MB; and curve --l 8 --digits
-# 100000 at 2.48-3.12 s (41106 bits; 1.84-2.14 s at q = 3/4).  The bound
+# timed curve --svg at 0.27-1.18 s and 17-131 MB from --l 2 (a 213783-bit
+# q) to --l 2^16 (74 bits), and 2.65-3.93 s and 315-316 MB at --l 2^20 (5
+# bits); prop1 at 0.12-1.55 s and 16-185 MB; and curve --l 8 --digits
+# 100000 at 2.67-3.03 s (41106 bits; 1.94-2.07 s at q = 3/4).  The bound
 # admits --l 2^20 at q = 9/10 and refuses --l 4096 at a 513-bit q, so a
 # wide q stops well short of the time a narrow one takes at --l 2^20
 _LEVEL_WORK = _Budget(2**37, "{flag} {l}: {points} points x ({g} x {q_bits} + 256)^2,"
@@ -288,13 +288,14 @@ def _charge_walk(what: str, e: int, a: Fraction):
     _DYADIC_WORK.charge(e**3 * (bits + 1) ** 2, what=what, e=e, a=a)
 
 
-def _write_text(path, text: str):
+def _write_text(path, parts):
+    """Write the strings of parts, in order, to path or, when it is None, to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
@@ -537,9 +538,14 @@ def _cmd_verify(args) -> int:
 # curve
 # ---------------------------------------------------------------------------
 
+# curve writes its CSV this many rows a part, so that it never holds more
+# of the text than one part; the default --l 4096 is one part
+_CSV_ROWS = 1 << 14
 
-def _svg_document(xs, phi, target=None) -> str:
-    """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target.
+
+def _svg_document(xs, phi, target=None):
+    """A fixed-size SVG plot over xs in [0, 1]: axes, phi and a dashed target,
+    in parts, each polyline's points one part of their own.
 
     The x coordinates are written by one %-format over the whole column
     into a template with a %s slot for each y.  Each distinct polyline's
@@ -565,26 +571,25 @@ def _svg_document(xs, phi, target=None) -> str:
         ys = [bottom - height * ((v - lo) / span) for v in vals]
         return ("%.3f " * len(ys) % tuple(ys)).split()
 
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">']
-    parts.append(
-        f'<line x1="{left:.3f}" y1="{axis:.3f}" x2="{right:.3f}"'
-        f' y2="{axis:.3f}" stroke="#888888" stroke-width="1" />'
-    )
-    parts.append(
-        f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
-        f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />'
-    )
     # "x,%s x,%s ...", the xs written once for every polyline
     template = " ".join(["%.3f,%%s"] * len(xs)) % tuple(xs)
     points = [template % tuple(_mirrored(vals, y_strings)) for vals in columns]
     styles = ['stroke="#1f77b4" stroke-width="1.5"']
     if target is not None:
         styles.append('stroke="#d62728" stroke-width="1.5" stroke-dasharray="6 3"')
+    yield '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 400">\n'
+    yield (
+        f'<line x1="{left:.3f}" y1="{axis:.3f}" x2="{right:.3f}"'
+        f' y2="{axis:.3f}" stroke="#888888" stroke-width="1" />\n'
+    )
+    yield (
+        f'<line x1="{left:.3f}" y1="{top:.3f}" x2="{left:.3f}"'
+        f' y2="{bottom:.3f}" stroke="#888888" stroke-width="1" />\n'
+    )
     # phi's points first, the target's last: the same when they are equal
     for style, column_points in zip(styles, (points[0], points[-1])):
-        parts.append(f'<polyline fill="none" {style} points="{column_points}" />')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield from (f'<polyline fill="none" {style} points="', column_points, '" />\n')
+    yield "</svg>\n"
 
 
 def _grid_strings(g: int) -> list[str]:
@@ -621,6 +626,14 @@ def _ratio_strings(ints, factor: Fraction, digits) -> list[str]:
     nums = [i * num for i in ints]
     reduced = zip(nums, map(math.gcd, nums, repeat(den)))
     return [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in reduced]
+
+
+def _csv_parts(header: str, cells):
+    """The CSV text of the columns cells under header, _CSV_ROWS rows a part."""
+    yield header + "\n"
+    rows = map(",".join, zip(*cells))
+    for _start in range(0, len(cells[0]), _CSV_ROWS):
+        yield "\n".join([*islice(rows, _CSV_ROWS), ""])
 
 
 def _cmd_curve(args) -> int:
@@ -677,8 +690,8 @@ def _cmd_curve(args) -> int:
         cells = [_mirrored(ints, _ratio_strings, f, args.digits) for ints, f in columns]
     if same:
         cells.append(cells[1])
-    rows = map(",".join, zip(*cells))
-    _write_text(args.out, "\n".join([header, *rows]) + "\n")
+    _write_text(args.out, _csv_parts(header, cells))
+    del cells
 
     if args.svg is not None:
         # int / int is correctly rounded, so each float equals float(Fraction)
@@ -691,7 +704,7 @@ def _cmd_curve(args) -> int:
         _write_text(args.svg, _svg_document(*floats))
 
     if fhat_text is not None:
-        _write_text(args.fhat_out, fhat_text)
+        _write_text(args.fhat_out, (fhat_text,))
     return 0
 
 
@@ -736,7 +749,7 @@ def _cmd_bridge(args) -> int:
     }
     import json
 
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, (json.dumps(doc, indent=2) + "\n",))
     return 0 if bridge.decay_strictly_decreasing else 1
 
 

@@ -539,7 +539,9 @@ def partial_sum_progression(
 
 
 def _split_scale(n: int) -> tuple[int, int]:
-    """(k, p) with p = 2^k the largest power of two <= n."""
+    """(k, p) with p = 2^k the largest power of two <= n, for n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     k = n.bit_length() - 1
     return k, 1 << k
 
@@ -673,9 +675,7 @@ def check_bit_recurrences(
         stmt16 = "S(2^k) = q (1 - q^(k-1))/(1 - q) 2^(k-1)"
 
         def closed(k):
-            if q == 1:
-                return Fraction((k - 1) * (1 << (k - 1)))
-            return q * (1 - q ** (k - 1)) / (1 - q) * (1 << (k - 1))
+            return 2 * partial_sum_pow2(k - 1, p)
 
     else:
         stmt16 = "S(2^k) = q (1 - q^k)/(1 - q) 2^(k-1)"

@@ -29,50 +29,17 @@ rational quantities q^k and n/p, so all arithmetic stays in Fractions.
 
 from fractions import Fraction
 
-from ._record import hex_repr, record
-from .digitsum import QParam, partial_sum_fast, partial_sum_pow2
+from .digitsum import QParam, _split_scale, partial_sum_fast, partial_sum_pow2
 from .report import VerificationReport
 from .takagi import AffineMap, DeRhamSystem, takagi_dyadic_exact, takagi_series
-
-
-@record
-class ScaleDecomposition:
-    """n split against its leading binary scale.
-
-    k is the exponent of the largest power of two p = 2^k <= n,
-    x = (n - p)/p in [0, 1) locates n within its octave, and r = q^k is
-    the scale weight.
-    """
-
-    n: int
-    k: int
-    p: int
-    r: Fraction
-    x: Fraction
-
-    __repr__ = hex_repr("n", "p")
-
-    @classmethod
-    def of(cls, n: int, param: QParam) -> "ScaleDecomposition":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        k = n.bit_length() - 1
-        p = 1 << k
-        return cls(
-            n=n,
-            k=k,
-            p=p,
-            r=param.q**k,
-            x=Fraction(n - p, p),
-        )
 
 
 def g_profile(n: int, p: QParam) -> Fraction:
     """G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k), exactly."""
     p.require_curve_regime()
-    d = ScaleDecomposition.of(n, p)
-    deviation = partial_sum_fast(n, p) - Fraction(n, d.p) * partial_sum_pow2(d.k, p)
-    return deviation / (d.p * d.r)
+    k, pn = _split_scale(n)
+    deviation = partial_sum_fast(n, p) - Fraction(n, pn) * partial_sum_pow2(k, p)
+    return deviation / (pn * p.q**k)
 
 
 def f_closed(x, p: QParam) -> Fraction:
@@ -113,9 +80,9 @@ def f_hat_periodic(n: int, p: QParam) -> Fraction:
     if p.q == 1:
         raise ValueError("q = 1 has no geometric main term; use td_classical")
     q = p.q
-    d = ScaleDecomposition.of(n, p)
-    curve = takagi_dyadic_exact(Fraction(n, 2 * d.p), p.a)
-    return (1 - q ** (d.k + 1)) / (1 - q) - 2 * d.r * Fraction(d.p, n) * curve
+    k, pn = _split_scale(n)
+    curve = takagi_dyadic_exact(Fraction(n, 2 * pn), p.a)
+    return (1 - q ** (k + 1)) / (1 - q) - 2 * q**k * Fraction(pn, n) * curve
 
 
 def f_hat_float(u: float, p: QParam) -> float:
@@ -154,11 +121,10 @@ def td_generalized(n: int, p: QParam) -> Fraction:
     if p.q == 1:
         raise ValueError("q = 1 is the classical case; use td_classical")
     q = p.q
-    d = ScaleDecomposition.of(n, p)
+    k, pn = _split_scale(n)
+    r, x = q**k, Fraction(n - pn, pn)
     route_main = (q / 2) * f_hat_periodic(n, p)
-    route_profile = d.r * f_closed(d.x, p) * Fraction(d.p, n) + (q / 2) * (
-        1 - d.r
-    ) / (1 - q)
+    route_profile = r * f_closed(x, p) * Fraction(pn, n) + (q / 2) * (1 - r) / (1 - q)
     if route_main != route_profile:
         raise ArithmeticError(
             f"reduced closed forms disagree at n={n}, q={q}: "
@@ -174,12 +140,9 @@ def td_classical(n: int) -> Fraction:
 
     with p = 2^k <= n < 2p and T the curve at parameter 1/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = n.bit_length() - 1
-    p = 1 << k
-    curve = takagi_dyadic_exact(Fraction(n, 2 * p), Fraction(1, 2))
-    return Fraction(k + 1, 2) - Fraction(p, n) * curve
+    k, pn = _split_scale(n)
+    curve = takagi_dyadic_exact(Fraction(n, 2 * pn), Fraction(1, 2))
+    return Fraction(k + 1, 2) - Fraction(pn, n) * curve
 
 
 def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
@@ -212,81 +175,61 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
         ((f"n={n}", g(2 * n), g(n)) for n in range(1, n_max + 1)),
     )
 
-    def split_p():
-        for n in range(1, n_max + 1):
-            d = ScaleDecomposition.of(n, p)
-            rhs = g(n) / (2 * q) + Fraction(d.p - n, 4 * d.p) * (3 - 2 * q)
-            yield f"n={n}", g(n + d.p), rhs
+    def x(n):
+        """n's place in its octave, (n - p)/p."""
+        pn = _split_scale(n)[1]
+        return Fraction(n - pn, pn)
 
+    # each n with the p = 2^k <= n < 2p of its octave
+    octaves = [(n, _split_scale(n)[1]) for n in range(1, n_max + 1)]
     rep.scan(
         "G-split-p",
         "G(n+p) = G(n)/(2q) + (p-n)(3-2q)/(4p)",
         f"1 <= n <= {n_max}",
-        split_p(),
+        (
+            (f"n={n}", g(n + pn), g(n) / (2 * q) + Fraction(pn - n, 4 * pn) * (3 - 2 * q))
+            for n, pn in octaves
+        ),
     )
-
-    def split_2p():
-        for n in range(1, n_max + 1):
-            d = ScaleDecomposition.of(n, p)
-            rhs = g(n) / (2 * q) + Fraction(n, 4 * d.p) * (2 * q - 1)
-            yield f"n={n}", g(n + 2 * d.p), rhs
-
     rep.scan(
         "G-split-2p",
         "G(n+2p) = G(n)/(2q) + n(2q-1)/(4p)",
         f"1 <= n <= {n_max}",
-        split_2p(),
+        (
+            (f"n={n}", g(n + 2 * pn), g(n) / (2 * q) + Fraction(n, 4 * pn) * (2 * q - 1))
+            for n, pn in octaves
+        ),
     )
-
-    def index_half():
-        for n in range(1, n_max + 1):
-            d = ScaleDecomposition.of(n, p)
-            d2 = ScaleDecomposition.of(n + d.p, p)
-            yield f"n={n}", d.x / 2, d2.x
-
     rep.scan(
         "x-half",
         "x(n)/2 = x(n+p)",
         f"1 <= n <= {n_max}",
-        index_half(),
+        ((f"n={n}", x(n) / 2, x(n + pn)) for n, pn in octaves),
     )
-
-    def index_shift():
-        for n in range(1, n_max + 1):
-            d = ScaleDecomposition.of(n, p)
-            d2 = ScaleDecomposition.of(n + 2 * d.p, p)
-            yield f"n={n}", (d.x + 1) / 2, d2.x
-
     rep.scan(
         "x-shift",
         "(x(n)+1)/2 = x(n+2p)",
         f"1 <= n <= {n_max}",
-        index_shift(),
+        ((f"n={n}", (x(n) + 1) / 2, x(n + 2 * pn)) for n, pn in octaves),
     )
-
-    def closed_form():
-        for n in range(1, n_max + 1):
-            d = ScaleDecomposition.of(n, p)
-            yield f"n={n}", f_closed(d.x, p), g(n)
-
     rep.scan(
         "F-matches-G",
         "F(x(n)) = G(n) with F(x) = q x - T_a(x)/2",
         f"1 <= n <= {n_max}",
-        closed_form(),
+        ((f"n={n}", f_closed(x(n), p), g(n)) for n in range(1, n_max + 1)),
     )
 
     sys = fluctuation_system(p)
-    grid = sorted({ScaleDecomposition.of(n, p).x for n in range(1, n_max + 1)})
+    grid = sorted({x(n) for n in range(1, n_max + 1)})
 
     def system_branches():
-        for x in grid:
-            lhs0 = f_closed(x / 2, p)
-            rhs0 = p.a * f_closed(x, p) + sys.g0(x)
-            yield f"x={x} (left)", lhs0, rhs0
-            lhs1 = f_closed((x + 1) / 2, p)
-            rhs1 = p.a * f_closed(x, p) + sys.g1(x)
-            yield f"x={x} (right)", lhs1, rhs1
+        for t in grid:
+            lhs0 = f_closed(t / 2, p)
+            rhs0 = p.a * f_closed(t, p) + sys.g0(t)
+            yield f"x={t} (left)", lhs0, rhs0
+            lhs1 = f_closed((t + 1) / 2, p)
+            rhs1 = p.a * f_closed(t, p) + sys.g1(t)
+            yield f"x={t} (right)", lhs1, rhs1
 
     rep.scan(
         "F-system",

@@ -44,42 +44,11 @@ from qdigits.trollope_delange import (
     td_classical,
     td_generalized,
 )
+from golden import DECAY_FIXTURES
 from test_digitsum import leaf_bits
 
 FIVE_Q = [F(3, 4), F(2, 3), F(9, 10), F(-3, 4), F(-2, 3)]
 Q34 = QParam(F(3, 4))
-
-# First-run record of the seeded register experiment at q = 3/4,
-# register length 8192, grid exponent 8: per seed and run length r,
-# the stabilising level n, the sup distance as a float, and the first
-# 16 hex digits of sha256 over the exact Fraction's string form.
-DECAY_FIXTURES = {
-    1: [
-        (4, 43, 0.6015500114383122, "97d55a0e31bc8e26"),
-        (8, 539, 0.14651195049378662, "c5e7fb34cddacd69"),
-        (12, 8038, 0.009265922331018604, "6ae58de42c10aea9"),
-    ],
-    2: [
-        (4, 160, 0.7180040510359164, "116c9c93f1ec68ff"),
-        (8, 644, 0.09096514249047762, "b496bdc1497ef5dd"),
-        (12, 6663, 0.007459427710446699, "60d549bf491425b0"),
-    ],
-    5: [
-        (4, 42, 0.5949974730392518, "dd3d70c275ea10d9"),
-        (8, 807, 0.14412380872575212, "b44af05995967089"),
-        (12, 6409, 0.006218705230768383, "8b51251b95f1d0dd"),
-    ],
-    9: [
-        (4, 23, 0.6691473944355629, "266a4a9fc7a3297a"),
-        (8, 289, 0.13442819410271967, "cd279d4c37ff0dca"),
-        (12, 4369, 0.005324498042146268, "1dd86965aa35e8b2"),
-    ],
-    42: [
-        (4, 50, 0.5767472422614376, "eac3fc0d1d4f4286"),
-        (8, 54, 0.11881788877314146, "770193ec2009b401"),
-        (12, 7970, 0.005823243138357618, "c2e9f1b37ac083b4"),
-    ],
-}
 
 
 def _report(number, description, ok, detail=None):

@@ -25,6 +25,7 @@ from qdigits.limiting_curve import (
     theorem1_experiment,
 )
 from qdigits.odometer import OdometerState
+from golden import COMMANDS, GOLDEN
 from test_limiting_curve import level_polygon
 
 FROZEN_CURVE_CSV = (
@@ -1282,55 +1283,25 @@ class TestBridge:
         assert any(lvl.grid_exponent < 8 for lvl in bridge.levels)
 
 
-# sha256 of frozen CLI outputs: the determinism tests above only
-# compare runs with each other, so they miss a change that alters every run
-GOLDEN = {
-    "curve-3/4-4096.csv": "d377ba8505ae1240bcd0bada0f1dd7e489e3862eeb641a461065974b11749d19",
-    "curve-3/4-4096.svg": "4ac4235686dc7ec647c74038be3c9bd0f0e5cfe815584281f9dc19a66521e367",
-    "curve--3/4-64-canonical.csv": "9ae292962bce0439118fd9503bb79052937539692e34e2322c283916298f12e9",
-    "bridge-3/4-seed-42.json": "bfb398dda2e598b019f10a259422d533c8fa23a61b8e6a20da31cd7cee7f72c4",
-    "bridge-2/3-seed-9.json": "52bbdd157c28d1eccaa7ab2d5edf5316dcbd0d8ab849256bda7f3545c61a386b",
-    "verify-theorem1--2/3.json": "9afc049b1ad4eb899d51d038a3cda615ddf5404d1363043b9624c6ec7dadc9a6",
-    "verify-prop1-3/4.json": "00f58d73d55093f730b8324e5f698462312c98db0953d0f650922fa03b1dd985",
-    # phi differs from the target, and there is no target: the SVGs of the
-    # cases whose polylines are not one column drawn twice
-    "curve--3/4-64-canonical.svg": "29fc3a047f55ce8ef0b27b0996e2148d2b42a551460411e196cc8e0f39ece9a4",
-    "curve-1/2-64-explore.svg": "fb0e205f625162999642a2809c87a8ab696c23f3f743902acc45e98097a7f984",
-    "verify-prop1--2/3.json": "3a16ffd893df444c333ae7b32210862329d77c6f3ecdd0fe8f38532fad752eca",
-    # levels whose factor comes from its exponents, +-1 / (|u|^(g-1) ...)
-    # at both signs of u^(g-1), and at grid exponent 0 (two points, so
-    # every sup distance is 0); and S_q in lowest terms at a 16607-bit n
-    "bridge--3/4-seed-5-grid-7.json": "954d528e1ca53cfc86c6e1ffae68c30bb841c33788ba40b2d4b5397b6b4cd18e",
-    "bridge--3/4-seed-5-grid-8.json": "c41c05fbcc23b4ce3098cd9d9411f57ea74a4e84e763510aea5f0c0b1972144d",
-    "bridge-9/10-seed-1.json": "875219f1d85238e7cf2557ea50b576539e0386d6c255f0541d2d394db2f374fe",
-    "bridge-3/4-seed-1-grid-0.json": "ff7b9e180e4a53b1a2e6d6e8fec513b219f8c9841bcbb08bef6e10c588627230",
-    "eval-S-9/10-5000-digits": "01cf7ecbeaef10288224a6f783dc94772a701f0bcddc574b3b9d4410169e5e4f",
-    # curves whose factor denominators carry odd primes, up to 65 bits, and
-    # prop1's text report
-    "curve-2/3-4096.csv": "d7e774b894f27ff56994f2a347441c20c123ce9c3f06b99072cb582e1449e13f",
-    "curve-2/3-4096.svg": "793a6286fde547d3902617d85a527076efbf15a5b5f5be74a91992345adba0f1",
-    "curve-9/10-4096.csv": "373a9d9e7a6c520eee8d7a30e185ef8065d5bc33ce5cd0058f3b0d7d3f102373",
-    "curve-9/10-4096.svg": "fd3023ad3dc8ef5ddd7d0751d0641d8bc5b698b1b88e207d85ea187dbdd0bf84",
-    "curve--2/3-4096.csv": "2d9d1dd6adf4489d62bd2380ead5ebf6fa4e7897b09eac0be787c589d7287145",
-    "curve--2/3-4096.svg": "9bed8f7a4339482ec611911b0a986ba29f6d870dd0f756a1db3f02b13e9bd8c9",
-    "verify-prop1-3/4.txt": "c359719869c8a739b17f7d2367d3e0491d41c125ab3b6d403fb327cfbaf8d16c",
-}
-
-
 def sha256(data: str | bytes) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
+def golden_run(capsys, key, tmp_path=None):
+    """run() of the golden command behind key, writing its "{out}" and
+    "{svg}" files to tmp_path / "c.csv" and tmp_path / "c.svg"."""
+    names = {"{out}": "c.csv", "{svg}": "c.svg"}
+    argv = [str(tmp_path / names[a]) if a in names else a for a in COMMANDS[key][0]]
+    return run(capsys, argv)
+
+
 class TestGoldenOutputs:
     def test_curve_csv_and_svg(self, capsys, tmp_path):
         csv = tmp_path / "c.csv"
         svg = tmp_path / "c.svg"
-        code, out, _ = run(
-            capsys,
-            ["curve", "--q", "3/4", "--l", "4096", "--out", str(csv), "--svg", str(svg)],
-        )
+        code, out, _ = golden_run(capsys, "curve-3/4-4096.csv", tmp_path)
         assert (code, out) == (0, "")
         assert sha256(csv.read_bytes()) == GOLDEN["curve-3/4-4096.csv"]
         assert sha256(svg.read_bytes()) == GOLDEN["curve-3/4-4096.svg"]
@@ -1339,85 +1310,79 @@ class TestGoldenOutputs:
     def test_curve_factors_with_odd_primes(self, capsys, tmp_path, q):
         csv = tmp_path / "c.csv"
         svg = tmp_path / "c.svg"
-        code, out, _ = run(
-            capsys,
-            ["curve", f"--q={q}", "--l", "4096", "--out", str(csv), "--svg", str(svg)],
-        )
+        code, out, _ = golden_run(capsys, f"curve-{q}-4096.csv", tmp_path)
         assert (code, out) == (0, "")
         assert sha256(csv.read_bytes()) == GOLDEN[f"curve-{q}-4096.csv"]
         assert sha256(svg.read_bytes()) == GOLDEN[f"curve-{q}-4096.svg"]
 
     def test_canonical_curve_negative_weight(self, capsys):
-        code, out, _ = run(capsys, ["curve", "--q=-3/4", "--l", "64", "--norm", "canonical"])
+        code, out, _ = golden_run(capsys, "curve--3/4-64-canonical.csv")
         assert code == 0
         assert sha256(out) == GOLDEN["curve--3/4-64-canonical.csv"]
 
+    # each case carries its argv as well, for the test's id
     @pytest.mark.parametrize(
         "argv, key",
         [
-            (["--q=-3/4", "--norm", "canonical"], "curve--3/4-64-canonical.svg"),
-            (["--q", "1/2", "--explore"], "curve-1/2-64-explore.svg"),
+            (COMMANDS[key][0], key)
+            for key in ("curve--3/4-64-canonical.svg", "curve-1/2-64-explore.svg")
         ],
     )
     def test_curve_svg_off_the_bridge_identity(self, capsys, tmp_path, argv, key):
         svg = tmp_path / "c.svg"
-        code, _, _ = run(capsys, ["curve", "--l", "64", *argv, "--svg", str(svg)])
+        code, _, _ = golden_run(capsys, key, tmp_path)
         assert code == 0
         assert sha256(svg.read_bytes()) == GOLDEN[key]
 
     def test_bridge(self, capsys):
-        code, out, _ = run(capsys, ["bridge", "--q", "3/4", "--seed", "42"])
+        code, out, _ = golden_run(capsys, "bridge-3/4-seed-42.json")
         assert code == 0
         assert sha256(out) == GOLDEN["bridge-3/4-seed-42.json"]
 
     def test_bridge_weight_off_the_dyadic_denominators(self, capsys):
-        code, out, _ = run(capsys, ["bridge", "--q", "2/3", "--seed", "9"])
+        code, out, _ = golden_run(capsys, "bridge-2/3-seed-9.json")
         assert code == 0
         assert sha256(out) == GOLDEN["bridge-2/3-seed-9.json"]
 
     @pytest.mark.parametrize(
         "argv, exit_code, key",
         [
-            (["--q=-3/4", "--seed", "5", "--grid-exponent", "7"], 0,
-             "bridge--3/4-seed-5-grid-7.json"),
-            (["--q=-3/4", "--seed", "5", "--grid-exponent", "8"], 0,
-             "bridge--3/4-seed-5-grid-8.json"),
-            (["--q", "9/10", "--seed", "1"], 0, "bridge-9/10-seed-1.json"),
-            # exit 1: sup distances 0, 0, 0 do not decrease
-            (["--q", "3/4", "--seed", "1", "--grid-exponent", "0"], 1,
-             "bridge-3/4-seed-1-grid-0.json"),
+            (*COMMANDS[key][:2], key)
+            for key in (
+                "bridge--3/4-seed-5-grid-7.json",
+                "bridge--3/4-seed-5-grid-8.json",
+                "bridge-9/10-seed-1.json",
+                "bridge-3/4-seed-1-grid-0.json",
+            )
         ],
     )
     def test_bridge_factor_from_exponents(self, capsys, argv, exit_code, key):
-        code, out, _ = run(capsys, ["bridge", *argv])
+        code, out, _ = run(capsys, argv)
         assert code == exit_code
         assert sha256(out) == GOLDEN[key]
 
     def test_summatory_in_lowest_terms(self, capsys):
-        n_text = "1" + "0" * 4994 + "12345"  # 10^4999 + 12345
-        code, out, _ = run(capsys, ["eval", "S", "--q", "9/10", "--n", n_text])
+        code, out, _ = golden_run(capsys, "eval-S-9/10-5000-digits")
         assert code == 0
         assert sha256(out) == GOLDEN["eval-S-9/10-5000-digits"]
 
     def test_verify_theorem1_negative_weight_json(self, capsys):
-        code, out, _ = run(
-            capsys, ["verify", "--suite", "theorem1", "--q=-2/3", "--json"]
-        )
+        code, out, _ = golden_run(capsys, "verify-theorem1--2/3.json")
         assert code == 0
         assert sha256(out) == GOLDEN["verify-theorem1--2/3.json"]
 
     def test_verify_prop1_json(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4", "--json"])
+        code, out, _ = golden_run(capsys, "verify-prop1-3/4.json")
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1-3/4.json"]
 
     def test_verify_prop1_text(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q", "3/4"])
+        code, out, _ = golden_run(capsys, "verify-prop1-3/4.txt")
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1-3/4.txt"]
 
     def test_verify_prop1_negative_weight_json(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "prop1", "--q=-2/3", "--json"])
+        code, out, _ = golden_run(capsys, "verify-prop1--2/3.json")
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1--2/3.json"]
 

@@ -333,6 +333,37 @@ def split(n, d, u, v):
     return _summatory_split(n, d, u, v >> e, e, table, {})
 
 
+def digit_form(n, d, u, v):
+    """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d and
+    q = u/v, from the blocks of [0, n) at the set bits j of n:
+
+        S_q(n) = sum over set bits j of [S_q(2^j) + q^(j+1) (n mod 2^j)],
+        S_q(2^j) = 2^(j-1) sum_{i<j} q^(i+1),
+
+    since below the top set bit j lie [0, 2^j), whose j bits are each set
+    in half of it, and 2^j + [0, n mod 2^j), each carrying q^(j+1) on top.
+    It shares no identity with the kernel: no halving or split step, and
+    no _geometric.  In integers, with w_j = q^(j+1) v^d, a set bit j adds
+    2^(j-1) (w_0 + ... + w_(j-1)) for S_q(2^j), and the terms
+    w_j (n mod 2^j) over the set bits j sum to n s - sum over set bits k
+    of 2^k s_k, s being the sum of w_j over the set bits and s_k over
+    those at or below k.  So each step up the bits is one exact division
+    by v, one product by u, shifts and adds.
+    """
+    S = s = below = shifted = 0
+    w = u * v ** (d - 1)  # w_j, from j = 0
+    for j, bit in enumerate(reversed(format(n, f"0{d}b"))):
+        if bit == "1":
+            if j:
+                S += below << (j - 1)  # S_q(2^j) v^d
+            s += w
+            shifted += s << j
+        below += w
+        if j + 1 < d:
+            w = w // v * u
+    return S + n * s - shifted, s
+
+
 def _check_split_kernel(n, q):
     """The split over table leaves, and one byte walk over the whole of n,
     equal the whole-n serial leaf."""
@@ -468,11 +499,33 @@ class TestSplitKernel:
 
     @pytest.mark.parametrize("q", LONG_N_WEIGHTS)
     def test_16385_bits_equals_serial_leaf(self, q):
+        """The whole kernel at 16385 bits against the digit form."""
         u, v = q.numerator, q.denominator
         n = random.Random(16385).getrandbits(16385) | (1 << 16384)
         (S, s, den), steps = leaf_bits(_summatory_root, n, u, v)
-        assert (S, s) == _summatory_leaf(n, 16385, u, v)
+        assert (S, s) == digit_form(n, 16385, u, v)
         assert (den, steps) == (v**16385, 16385)
+
+    def test_digit_form_equals_oracle(self):
+        # the reference itself against the definitional sum, over n's own
+        # bits and past them; its s_q(n) is the gap from S_q(n) to S_q(n + 1)
+        for q in TEST_WEIGHTS:
+            p, u, v = QParam(q), q.numerator, q.denominator
+            oracle = partial_sum_bruteforce_at(range(1, 301), p)
+            for n in range(1, 300):
+                d = n.bit_length() + n % 3
+                S, s = digit_form(n, d, u, v)
+                want = (oracle[n], oracle[n + 1] - oracle[n])
+                assert (F(S, v**d), F(s, v**d)) == want, (q, n, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=shaped_ints(1200), q=weights)
+    @example(n=(1 << 700) - 1, q=F(1))
+    @example(n=random.Random(5).getrandbits(129) | 1 << 128, q=F(1))
+    def test_equals_digit_form(self, n, q):
+        u, v = q.numerator, q.denominator
+        d = n.bit_length()
+        assert _summatory_root(n, u, v) == (*digit_form(n, d, u, v), v**d)
 
     @pytest.mark.parametrize("q", KERNEL_WEIGHTS)
     def test_equals_oracle(self, q):

@@ -37,7 +37,7 @@ from qdigits.odometer import (
 )
 from qdigits.report import IdentityCheck, VerificationReport
 from qdigits.takagi import takagi_dyadic_exact, takagi_dyadic_grid
-from test_acceptance import DECAY_FIXTURES
+from golden import DECAY_FIXTURES
 
 Q34 = QParam(F(3, 4))
 

@@ -1,8 +1,8 @@
-"""The package's eleven record classes: reprs, equality, hashing, freezing
+"""The package's ten record classes: reprs, equality, hashing, freezing
 and cached properties.  Every record is frozen, and hashable unless a field
 holds a dict or a list, as VerificationReport's do.  The reprs write every
-Fraction, alone or in a tuple, in hex (and ScaleDecomposition its n and p,
-as OdometerState its value), and each evals back to an equal record."""
+Fraction, alone or in a tuple, in hex (as OdometerState its value), and
+each evals back to an equal record."""
 
 import sys
 from fractions import Fraction as F
@@ -14,10 +14,6 @@ from qdigits.limiting_curve import BridgeLevel, CurveSamples, LimitingBridge, th
 from qdigits.odometer import OdometerState, StabilizingLevel, find_stabilizing_levels
 from qdigits.report import IdentityCheck, VerificationReport
 from qdigits.takagi import AffineMap, DeRhamSystem
-from qdigits.trollope_delange import ScaleDecomposition
-
-P = QParam(F(3, 4))
-
 
 def check(name="id"):
     return IdentityCheck(name, "a = b", "n <= 4", 4, False, "n=3: 1 != 2")
@@ -62,11 +58,6 @@ RECORDS = [
         lambda: StabilizingLevel(4, 0, 4, F(1, 32)),
         lambda: StabilizingLevel(5, 1, 4, F(1, 32)),
         "StabilizingLevel(position=4, prefix_end=0, run_length=4, ratio=Fraction(0x1, 0x20))",
-    ),
-    (
-        lambda: ScaleDecomposition.of(5, P),
-        lambda: ScaleDecomposition.of(6, P),
-        "ScaleDecomposition(n=0x5, k=2, p=0x4, r=Fraction(0x9, 0x10), x=Fraction(0x1, 0x4))",
     ),
     (
         lambda: CurveSamples((F(0), F(1, 2), F(0))),
@@ -244,7 +235,6 @@ NAMESPACE = {
     "LimitingBridge": LimitingBridge,
     "OdometerState": OdometerState,
     "QParam": QParam,
-    "ScaleDecomposition": ScaleDecomposition,
     "StabilizingLevel": StabilizingLevel,
     "VerificationReport": VerificationReport,
 }
@@ -272,13 +262,6 @@ def test_stabilizing_level_repr_past_the_digit_limit(default_int_digits):
     assert eval(repr(lvl), NAMESPACE) == lvl
 
 
-def test_scale_decomposition_repr_past_the_digit_limit(default_int_digits):
-    # n and p have 4933 decimal digits, the Fraction x's terms as many
-    d = ScaleDecomposition.of((1 << 16384) + 12345, P)
-    assert d.n >= 10**DEFAULT_INT_DIGITS and past_the_limit(d.x)
-    assert eval(repr(d), NAMESPACE) == d
-
-
 def test_qparam_repr_past_the_digit_limit(default_int_digits):
     # q's terms have 4294 and 5419 digits
     q = F(3**9000 + 1, 3 * 4**9000)
@@ -303,7 +286,6 @@ def wide_records():
         VerificationReport("wide", {"q": "wide"}, [check()], ["a note"]),
         OdometerState(WIDE.q.denominator, WIDE.q.denominator.bit_length()),
         StabilizingLevel(4, 0, 4, q),
-        ScaleDecomposition.of(5, WIDE),
         CurveSamples((F(0), q, a)),
         lvl,
         LimitingBridge("wide", None, q, 64, (lvl,), ("n",)),
@@ -316,6 +298,8 @@ def test_every_record_repr_at_a_wide_weight(default_int_digits):
     records = wide_records()
     assert [type(r) for r in records] == [type(make()) for make, *_ in RECORDS]
     assert past_the_limit(WIDE.q)
+    # and OdometerState's int value, which its repr writes in hex
+    assert records[3].value >= 10**DEFAULT_INT_DIGITS
     for record in records:
         assert eval(repr(record), NAMESPACE) == record
 

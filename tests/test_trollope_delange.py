@@ -8,7 +8,6 @@ import pytest
 from qdigits.digitsum import QParam, partial_sum_bruteforce_at, partial_sum_fast
 from qdigits.takagi import derham_consistency, derham_eval, takagi_dyadic_exact
 from qdigits.trollope_delange import (
-    ScaleDecomposition,
     check_g_identities,
     f_closed,
     f_hat_float,
@@ -23,22 +22,6 @@ Q34 = QParam(F(3, 4))
 CURVE_WEIGHTS = [F(3, 4), F(2, 3), F(9, 10), F(-3, 4), F(-2, 3)]
 
 
-class TestScaleDecomposition:
-    def test_fields(self):
-        d = ScaleDecomposition.of(5, Q34)
-        assert (d.n, d.k, d.p) == (5, 2, 4)
-        assert d.r == F(9, 16)
-        assert d.x == F(1, 4)
-
-    def test_power_of_two(self):
-        d = ScaleDecomposition.of(8, Q34)
-        assert (d.k, d.p, d.x) == (3, 8, 0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ScaleDecomposition.of(0, Q34)
-
-
 class TestGProfile:
     def test_frozen_values(self):
         # G(3) = (S(3) - (3/2) S(2)) / (2 q) = (3/16)/(3/2)
@@ -51,6 +34,9 @@ class TestGProfile:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             g_profile(3, QParam(F(1, 2)))
+        # and the octave split's domain
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            g_profile(0, Q34)
 
 
 class TestFClosed:
@@ -68,8 +54,8 @@ class TestFClosed:
         for q in CURVE_WEIGHTS:
             p = QParam(q)
             for n in range(1, 65):
-                d = ScaleDecomposition.of(n, p)
-                assert f_closed(d.x, p) == g_profile(n, p), (q, n)
+                pn = 1 << n.bit_length() - 1
+                assert f_closed(F(n - pn, pn), p) == g_profile(n, p), (q, n)
 
 
 class TestFluctuationSystem:
@@ -107,6 +93,8 @@ class TestFHatPeriodic:
             f_hat_periodic(3, QParam(1))
         with pytest.raises(ValueError):
             f_hat_periodic(3, QParam(F(1, 4)))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            f_hat_periodic(0, Q34)
 
 
 class TestFHatFloat:
@@ -119,9 +107,9 @@ class TestFHatFloat:
         # the periodic factor must reproduce it at u = log2(n/p)
         q = 0.75
         for n in [3, 5, 6, 7, 11, 21]:
-            d = ScaleDecomposition.of(n, Q34)
-            u = math.log2(n / d.p)
-            q_ku = q**d.k * q**u
+            k = n.bit_length() - 1
+            u = math.log2(n / (1 << k))
+            q_ku = q**k * q**u
             recombined = q_ku * f_hat_float(u, Q34) + (1 - q_ku) / (1 - q)
             assert abs(recombined - float(f_hat_periodic(n, Q34))) <= 1e-9, n
 
@@ -151,6 +139,8 @@ class TestTdGeneralized:
             td_generalized(3, QParam(1))
         with pytest.raises(ValueError):
             td_generalized(3, QParam(F(1, 2)))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            td_generalized(0, Q34)
 
 
 class TestTdClassical:
