@@ -387,44 +387,25 @@ def _suite_derham(p: QParam) -> VerificationReport:
     rep = VerificationReport(
         "two-branch affine systems", params={"q": str(p.q), "a": str(p.a)}
     )
-    curve_sys = DeRhamSystem.takagi(p.a)
-    ok, residual = derham_consistency(curve_sys)
-    rep.add(
-        "curve-system-consistent",
-        "a0 g1(1)/(1-a1) + g0(1) = a1 g0(0)/(1-a0) + g1(0)",
-        "curve system at a",
-        1,
-        ok,
-        None if ok else f"residual {residual}",
+    # (name, seam statement, scope, system, its solution, that solution at t)
+    systems = (
+        ("curve", "a0 g1(1)/(1-a1) + g0(1) = a1 g0(0)/(1-a0) + g1(0)", "curve system at a",
+         DeRhamSystem.takagi(p.a), "T_a", lambda t: takagi_dyadic_exact(t, p.a)),
+        ("profile", "seam condition, reducing to 2 a q = 1", "fluctuation system at q",
+         fluctuation_system(p), "q x - T_a(x)/2", lambda t: f_closed(t, p)),
     )
-    profile_sys = fluctuation_system(p)
-    ok, residual = derham_consistency(profile_sys)
-    rep.add(
-        "profile-system-consistent",
-        "seam condition, reducing to 2 a q = 1",
-        "fluctuation system at q",
-        1,
-        ok,
-        None if ok else f"residual {residual}",
-    )
-
-    def solver_points(sys_, reference):
-        for j in range(65):
-            t = Fraction(j, 64)
-            yield f"t={t}", derham_eval(sys_, t), reference(t)
-
-    rep.scan(
-        "solver-matches-curve",
-        "branch unwinding reproduces T_a",
-        "t = j/64, exact",
-        solver_points(curve_sys, lambda t: takagi_dyadic_exact(t, p.a)),
-    )
-    rep.scan(
-        "solver-matches-profile",
-        "branch unwinding reproduces q x - T_a(x)/2",
-        "t = j/64, exact",
-        solver_points(profile_sys, lambda t: f_closed(t, p)),
-    )
+    for name, statement, scope, sys_, _, _ in systems:
+        ok, residual = derham_consistency(sys_)
+        rep.add(f"{name}-system-consistent", statement, scope, 1, ok,
+                None if ok else f"residual {residual}")
+    grid = [Fraction(j, 64) for j in range(65)]
+    for name, _, _, sys_, solution, reference in systems:
+        rep.scan(
+            f"solver-matches-{name}",
+            f"branch unwinding reproduces {solution}",
+            "t = j/64, exact",
+            ((f"t={t}", derham_eval(sys_, t), reference(t)) for t in grid),
+        )
     return rep
 
 

@@ -40,7 +40,6 @@ the solution of f(x/2) = f(x)/4 + x/4, f((x+1)/2) = f(x)/4 + (1-x)/4.
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from ._record import record
@@ -184,7 +183,8 @@ def takagi_dyadic_grid(g: int, a) -> tuple[list[int], int]:
 
 @record
 class AffineMap:
-    """x -> slope * x + intercept over the rationals."""
+    """x -> slope * x + intercept over the rationals: a DeRhamSystem's
+    branch term, not a callable."""
 
     slope: Fraction
     intercept: Fraction = Fraction(0)
@@ -192,9 +192,6 @@ class AffineMap:
     def __post_init__(self):
         object.__setattr__(self, "slope", Fraction(self.slope))
         object.__setattr__(self, "intercept", Fraction(self.intercept))
-
-    def __call__(self, x) -> Fraction:
-        return self.slope * Fraction(x) + self.intercept
 
 
 @record
@@ -204,7 +201,10 @@ class DeRhamSystem:
     f(x/2) = a0 f(x) + g0(x) on the left half, f((x+1)/2) = a1 f(x) + g1(x)
     on the right.  Construction enforces contraction only; consistency at
     the seam is a separate check so that deliberately broken systems can
-    be built and reported on.
+    be built and reported on.  Construction also stores _integer_form =
+    (D, ((A0, P0, Q0), (A1, P1, Q1))), every coefficient over one
+    denominator (a_i = A_i / D, g_i(t) = (P_i t + Q_i) / D), and from it
+    _seam_residual, the left branch's f(1/2) minus the right's.
     """
 
     a0: Fraction
@@ -213,13 +213,23 @@ class DeRhamSystem:
     g1: AffineMap
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", Fraction(self.a0))
-        object.__setattr__(self, "a1", Fraction(self.a1))
-        if max(abs(self.a0), abs(self.a1)) >= 1:
+        a0, a1 = Fraction(self.a0), Fraction(self.a1)
+        if max(abs(a0), abs(a1)) >= 1:
             raise ValueError(
-                "contraction requires max(|a0|, |a1|) < 1, got "
-                f"a0 = {self.a0}, a1 = {self.a1}"
+                f"contraction requires max(|a0|, |a1|) < 1, got a0 = {a0}, a1 = {a1}"
             )
+        coeffs = (a0, self.g0.slope, self.g0.intercept, a1, self.g1.slope, self.g1.intercept)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        A0, P0, Q0, A1, P1, Q1 = (c.numerator * (den // c.denominator) for c in coeffs)
+        # a0 f(1) + g0(1) - a1 f(0) - g1(0) over D (D - A0)(D - A1)
+        d0, d1 = den - A0, den - A1
+        residual = A0 * (P1 + Q1) * d0 + (P0 + Q0 - Q1) * d0 * d1 - A1 * Q0 * d1
+        self.__dict__.update(
+            a0=a0,
+            a1=a1,
+            _integer_form=(den, ((A0, P0, Q0), (A1, P1, Q1))),
+            _seam_residual=Fraction(residual, den * d0 * d1),
+        )
 
     @classmethod
     def takagi(cls, a) -> "DeRhamSystem":
@@ -228,30 +238,15 @@ class DeRhamSystem:
 
     @property
     def left_value(self) -> Fraction:
-        """f(0), forced by the left branch fixed point."""
-        return self.g0(0) / (1 - self.a0)
+        """f(0) = g0(0) / (1 - a0) = Q0 / (D - A0), the left fixed point."""
+        den, ((A0, _, Q0), _) = self._integer_form
+        return Fraction(Q0, den - A0)
 
     @property
     def right_value(self) -> Fraction:
-        """f(1), forced by the right branch fixed point."""
-        return self.g1(1) / (1 - self.a1)
-
-    @cached_property
-    def _seam_residual(self) -> Fraction:
-        """The left branch's f(1/2) minus the right's; zero when consistent."""
-        left = self.a0 * self.g1(1) / (1 - self.a1) + self.g0(1)
-        right = self.a1 * self.g0(0) / (1 - self.a0) + self.g1(0)
-        return left - right
-
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple]:
-        """(D, ((A0, P0, Q0), (A1, P1, Q1))) with a_i = A_i / D and
-        g_i(t) = (P_i t + Q_i) / D: every coefficient over one denominator."""
-        coeffs = [self.a0, self.g0.slope, self.g0.intercept]
-        coeffs += [self.a1, self.g1.slope, self.g1.intercept]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
-        return den, (tuple(ints[:3]), tuple(ints[3:]))
+        """f(1) = g1(1) / (1 - a1) = (P1 + Q1) / (D - A1), the right fixed point."""
+        den, (_, (A1, P1, Q1)) = self._integer_form
+        return Fraction(P1 + Q1, den - A1)
 
 
 class ConsistencyResult(NamedTuple):

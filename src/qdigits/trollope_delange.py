@@ -225,10 +225,10 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
     def system_branches():
         for t in grid:
             lhs0 = f_closed(t / 2, p)
-            rhs0 = p.a * f_closed(t, p) + sys.g0(t)
+            rhs0 = p.a * f_closed(t, p) + sys.g0.slope * t + sys.g0.intercept
             yield f"x={t} (left)", lhs0, rhs0
             lhs1 = f_closed((t + 1) / 2, p)
-            rhs1 = p.a * f_closed(t, p) + sys.g1(t)
+            rhs1 = p.a * f_closed(t, p) + sys.g1.slope * t + sys.g1.intercept
             yield f"x={t} (right)", lhs1, rhs1
 
     rep.scan(

@@ -175,16 +175,6 @@ class TestSeries:
         assert tail <= F(tol) and got.bound == float(tail)
 
 
-class TestAffineMap:
-    def test_call(self):
-        m = AffineMap(F(-1, 2), F(1, 2))
-        assert m(1) == 0
-        assert m(F(1, 3)) == F(1, 3)
-
-    def test_default_intercept(self):
-        assert AffineMap(F(1, 2))(F(1, 4)) == F(1, 8)
-
-
 class TestDeRhamSystem:
     def test_contraction_guard(self):
         with pytest.raises(ValueError):
@@ -195,8 +185,8 @@ class TestDeRhamSystem:
     def test_takagi_system(self):
         sys = DeRhamSystem.takagi(F(2, 3))
         assert sys.a0 == sys.a1 == F(2, 3)
-        assert sys.g0(1) == F(1, 2)
-        assert sys.g1(0) == F(1, 2)
+        assert (sys.g0.slope, sys.g0.intercept) == (F(1, 2), 0)
+        assert (sys.g1.slope, sys.g1.intercept) == (F(-1, 2), F(1, 2))
         assert sys.left_value == 0
         assert sys.right_value == 0
 
@@ -272,6 +262,23 @@ systems = st.one_of(
 )
 
 
+def affine(m, x):
+    return m.slope * x + m.intercept
+
+
+def end_values(sys):
+    """Reference: f(0) and f(1), the fixed points of the left and right
+    branches, in Fractions."""
+    return affine(sys.g0, 0) / (1 - sys.a0), affine(sys.g1, 1) / (1 - sys.a1)
+
+
+def seam_residual(sys):
+    """Reference: f(1/2) by the left branch, a0 f(1) + g0(1), minus f(1/2)
+    by the right, a1 f(0) + g1(0), in Fractions."""
+    f0, f1 = end_values(sys)
+    return sys.a0 * f1 + affine(sys.g0, 1) - (sys.a1 * f0 + affine(sys.g1, 0))
+
+
 def derham_unwind(sys, x):
     """Reference: the branch walk f(t) = add + mult f(t') unwound in
     Fractions, one step per bit of x, ending at f(0) or f(1)."""
@@ -279,13 +286,14 @@ def derham_unwind(sys, x):
     while t != 0 and t != 1:
         if t <= F(1, 2):
             t = 2 * t
-            add += mult * sys.g0(t)
+            add += mult * affine(sys.g0, t)
             mult *= sys.a0
         else:
             t = 2 * t - 1
-            add += mult * sys.g1(t)
+            add += mult * affine(sys.g1, t)
             mult *= sys.a1
-    return add + mult * (sys.left_value if t == 0 else sys.right_value)
+    f0, f1 = end_values(sys)
+    return add + mult * (f0 if t == 0 else f1)
 
 
 @st.composite
@@ -298,6 +306,34 @@ def consistent_systems(draw):
     m0, c0, m1 = draw(ratios), draw(ratios), draw(ratios)
     c1 = (a1 * c0 / (1 - a0) - m0 - c0 - a0 * m1 / (1 - a1)) * (1 - a1) / (a0 + a1 - 1)
     return DeRhamSystem(a0, a1, AffineMap(m0, c0), AffineMap(m1, c1))
+
+
+@st.composite
+def any_systems(draw):
+    """Two slopes of either sign and four random branch coefficients, g1's
+    intercept among them: almost never consistent."""
+    ratios = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+    g0, g1 = (AffineMap(draw(ratios), draw(ratios)) for _ in range(2))
+    return DeRhamSystem(draw(contractions()), draw(contractions()), g0, g1)
+
+
+class TestIntegerForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sys=st.one_of(
+            consistent_systems(), systems.map(lambda pair: pair[0]), any_systems()
+        )
+    )
+    @example(sys=DeRhamSystem(F(1, 2), F(1, 2), AffineMap(1), AffineMap(F(-1, 2), F(1, 2))))
+    @example(
+        sys=DeRhamSystem(
+            F(-999, 1000), F(998, 999), AffineMap(F(-50, 49)), AffineMap(F(1, 47), 50)
+        )
+    )
+    def test_end_values_and_residual_equal_fractions(self, sys):
+        residual = seam_residual(sys)
+        assert (sys.left_value, sys.right_value) == end_values(sys)
+        assert derham_consistency(sys) == (residual == 0, residual)
 
 
 class TestDeRhamUnwinding:
@@ -316,10 +352,13 @@ class TestDeRhamUnwinding:
 
     def test_seam_residual_is_computed_once(self):
         sys = DeRhamSystem.takagi(F(2, 3))
-        assert "_seam_residual" not in vars(sys)
-        derham_eval(sys, F(1, 4))
-        assert vars(sys)["_seam_residual"] == 0
-        assert derham_consistency(sys) == (True, 0)
+        residual = vars(sys)["_seam_residual"]
+        assert residual == 0
+        assert derham_consistency(sys).residual is residual
+        # derham_eval reads the stored residual, not a fresh one
+        sys.__dict__["_seam_residual"] = F(7, 3)
+        with pytest.raises(InconsistentSystemError, match="residual 7/3"):
+            derham_eval(sys, F(1, 4))
 
 
 class TestDifferential:
@@ -345,7 +384,7 @@ def trapezoid_sum(sys, g):
     r = (sys.a0 + sys.a1) / 2
     s0, c0, s1, c1 = sys.g0.slope, sys.g0.intercept, sys.g1.slope, sys.g1.intercept
     integral = (s0 / 2 + c0 + s1 / 2 + c1) / (2 * (1 - r))
-    return integral - r**g * (integral - (sys.left_value + sys.right_value) / 2)
+    return integral - r**g * (integral - sum(end_values(sys)) / 2)
 
 
 class TestAreaIdentity:
