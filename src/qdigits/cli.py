@@ -49,6 +49,7 @@ from .report import VerificationReport
 from .takagi import (
     DEFAULT_SERIES_TOL,
     DeRhamSystem,
+    _series_terms,
     derham_consistency,
     derham_eval,
     is_power_of_two,
@@ -144,12 +145,11 @@ _RUN_LENGTHS = _Budget(8, "--r takes at most {limit} run lengths")
 # takagi_series builds one integer of terms * bits(a) bits, a term at a
 # time, so an evaluation is charged terms * (terms * bits(a) + bits(x) +
 # 8192), bits(x) those of x's denominator and 8192 a term's fixed cost.
-# Below the bound a = 255/256 took 0.35 s (8300 terms) and an f-hat point
-# 0.3 ms at q = 3/4 (70 terms) and 14 ms at q = 51/100 (1559 terms).  At
-# it, eval takagi --a 1023/1024 took 4.1 s (27574 terms), and curve
-# --fhat-points, charged once per point, 4.3 s at q = 3/4 (14634 points)
-# and 5.0 s at q = 51/100 (313 points); a = 2047/2048 (70767 terms, 8x
-# the bound) took 31 s
+# At the bound (tools/probe_budgets.py, 2-vCPU Xeon, Python 3.11), eval
+# takagi --a 1023/1024 --x 1/3 took 0.60-0.96 s at the smallest --tol the
+# row admits (27574 terms), and curve --fhat-points, charged once per
+# point, 0.77-1.37 s at q = 3/4 (14634 points) and 0.45-0.73 s at
+# q = 51/100 (313 points), all in 16-19 MB (two probe runs)
 _SERIES_WORK = _Budget(2**33, "a = {a} at --tol {tol} needs about {terms} series"
                        " terms; terms x (terms x bits(a) + bits(x) + 8192)"
                        " must be <= {limit}")
@@ -263,23 +263,13 @@ def _parse_run_lengths(text: str) -> list[int]:
 def _series_work(a: Fraction, tol: float, x_bits: int) -> tuple[float, float]:
     """(terms, charge) of takagi_series(x, a, tol) against _SERIES_WORK.
 
-    terms, the smallest N with |a|^N / (2 (1 - |a|)) <= tol, comes from
-    logarithms, without summing; x_bits is the bit length of x's
+    terms is _series_terms' estimate, made without summing and within one
+    of the count takagi_series settles; x_bits is the bit length of x's
     denominator.  An a or tol that takagi_series refuses is charged
     nothing, so that its own message reaches the user.
     """
-    u, v = abs(a.numerator), a.denominator
-    gap = Fraction(v - u, v)  # 1 - |a|
-    if not (u < v and 0 < tol < math.inf and tol < 1 / (2 * gap)):
-        return 0, 0
-    if u == 0:
-        terms = 1
-    else:
-        # log|a|, or -0.0 when |a| is within float rounding of 1
-        rate = math.log1p(-float(gap)) if gap < 0.5 else math.log(u) - math.log(v)
-        log_tail = math.log(2 * tol) + math.log(v - u) - math.log(v)
-        terms = max(math.ceil(log_tail / rate), 1) if rate else math.inf
-    return terms, terms * (terms * v.bit_length() + x_bits + 8192)
+    terms = _series_terms(a, tol)
+    return terms, terms * (terms * a.denominator.bit_length() + x_bits + 8192)
 
 
 def _charge_walk(what: str, e: int, a: Fraction):

@@ -595,36 +595,27 @@ def check_bit_recurrences(
         ((f"j={j}", s[2 * j + 1], q * s[j] + q) for j in range(n_max + 1)),
     )
 
-    def shift_low():
-        k = 1
-        while (1 << k) <= n_max:
+    def shift(high):
+        """s(j+p) against s(j) and its step, p = 2^(k-1), for 2^k <= n_max:
+        over p <= j < 2p when high, 0 <= j < p otherwise."""
+        for k in range(1, n_max.bit_length()):
             half = 1 << (k - 1)
-            qk = q**k
-            for j in range(half):
-                yield f"k={k},j={j}", s[j + half], s[j] + qk
-            k += 1
+            low = half if high else 0
+            step = -(q**k) * (1 - q) if high else q**k
+            for j in range(low, low + half):
+                yield f"k={k},j={j}", s[j + half], s[j] + step
 
     rep.scan(
         "s-shift-low",
         "s(j+p) = s(j) + q^k for 0 <= j < p, p = 2^(k-1)",
         f"1 <= k, 2^k <= {n_max}",
-        shift_low(),
+        shift(False),
     )
-
-    def shift_high():
-        k = 1
-        while (1 << k) <= n_max:
-            half = 1 << (k - 1)
-            qk = q**k
-            for j in range(half, 2 * half):
-                yield f"k={k},j={j}", s[j + half], s[j] - qk * (1 - q)
-            k += 1
-
     rep.scan(
         "s-shift-high",
         "s(j+p) = s(j) - q^k (1-q) for p <= j < 2p, p = 2^(k-1)",
         f"1 <= k, 2^k <= {n_max}",
-        shift_high(),
+        shift(True),
     )
 
     rep.scan(

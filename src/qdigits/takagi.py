@@ -84,14 +84,31 @@ def _require_contraction(a: Fraction):
         )
 
 
+def _series_terms(a: Fraction, tol) -> float:
+    """The smallest N with |a|^N / (2 (1 - |a|)) <= tol from logarithms, or
+    one off it; 0 for an a or tol that takagi_series refuses, and inf when
+    |a| is within float rounding of 1."""
+    u, v = abs(a.numerator), a.denominator
+    gap = Fraction(v - u, v)  # 1 - |a|
+    if not (u < v and 0 < tol < math.inf and tol < 1 / (2 * gap)):
+        return 0
+    if u == 0:
+        return 1
+    # log|a|, or -0.0 when |a| is within float rounding of 1
+    rate = math.log1p(-float(gap)) if gap < 0.5 else math.log(u) - math.log(v)
+    log_tail = math.log(2 * tol) + math.log(v - u) - math.log(v)
+    return max(math.ceil(log_tail / rate), 1) if rate else math.inf
+
+
 def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> CertifiedValue:
     """Partial sum of sum_n a^n tau(2^n x) with a certified tail bound.
 
     Works for any rational x and |a| < 1.  The tail after N terms is at
     most |a|^N / (2 (1 - |a|)) since tau <= 1/2; N is the smallest count
-    that pushes this below tol.  tol must lie below the zero-term bound
-    1/(2 (1 - |a|)), which the empty sum already meets.  With x = c/e and
-    a = u/v the partial sum is the one integer ratio
+    that pushes this below tol, estimated by _series_terms and settled in
+    integers.  tol must lie below the zero-term bound 1/(2 (1 - |a|)),
+    which the empty sum already meets.  With x = c/e and a = u/v the
+    partial sum is the one integer ratio
     sum_{n<N} u^n v^(N-1-n) min(r_n, e - r_n) / (v^(N-1) e),
     r_n = 2^n c mod e, rounded once at the end.
     """
@@ -100,26 +117,34 @@ def takagi_series(x, a, tol: float = DEFAULT_SERIES_TOL) -> CertifiedValue:
     _require_contraction(a)
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    tol_exact = Fraction(tol)
-
-    abs_a = abs(a)
-    tail = Fraction(1, 2) / (1 - abs_a)  # tail bound before any terms
-    if tol_exact >= tail:
+    terms = _series_terms(a, tol)
+    if not terms:
         raise ValueError(
-            f"tol must be below the zero-term bound 1/(2(1-|a|)) = {tail}, got {tol}"
+            f"tol must be below the zero-term bound 1/(2(1-|a|)) = {1 / (2 - 2 * abs(a))},"
+            f" got {tol}"
         )
-    terms = 0
-    while tail > tol_exact:
-        tail *= abs_a
+    if terms == math.inf:
+        raise ValueError("|a| is within float rounding of 1: too close to count series terms")
+    u, v, e = a.numerator, a.denominator, x.denominator
+    w = 2 * (v - abs(u))
+    t_num, t_den = Fraction(tol).as_integer_ratio()
+
+    def within(n):
+        """The tail after n >= 1 terms, |u|^n / (w v^(n-1)), is at most tol."""
+        return abs(u) ** n * t_den <= w * v ** (n - 1) * t_num
+
+    while terms > 1 and within(terms - 1):
+        terms -= 1
+    while not within(terms):
         terms += 1
 
-    u, v, e = a.numerator, a.denominator, x.denominator
     num, u_n, r = 0, 1, x.numerator % e
     for _ in range(terms):
         num = num * v + u_n * min(r, e - r)
         u_n *= u
         r = 2 * r % e
-    return CertifiedValue(num / (v ** max(terms - 1, 0) * e), float(tail), terms)
+    scale = v ** (terms - 1)
+    return CertifiedValue(num / (scale * e), abs(u_n) / (w * scale), terms)
 
 
 def takagi_dyadic_exact(t, a) -> Fraction:

@@ -27,6 +27,7 @@ are only ever evaluated where powers like q^(log2 n) pair up into the
 rational quantities q^k and n/p, so all arithmetic stays in Fractions.
 """
 
+import functools
 from fractions import Fraction
 
 from .digitsum import QParam, _split_scale, partial_sum_fast, partial_sum_pow2
@@ -161,12 +162,8 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
     rep = VerificationReport(
         "fluctuation-profile identities", params={"q": str(q), "n_max": str(n_max)}
     )
-    g_cache: dict[int, Fraction] = {}
-
-    def g(n):
-        if n not in g_cache:
-            g_cache[n] = g_profile(n, p)
-        return g_cache[n]
+    g = functools.cache(lambda n: g_profile(n, p))
+    f = functools.cache(lambda t: f_closed(t, p))
 
     rep.scan(
         "G-double",
@@ -216,7 +213,7 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
         "F-matches-G",
         "F(x(n)) = G(n) with F(x) = q x - T_a(x)/2",
         f"1 <= n <= {n_max}",
-        ((f"n={n}", f_closed(x(n), p), g(n)) for n in range(1, n_max + 1)),
+        ((f"n={n}", f(x(n)), g(n)) for n in range(1, n_max + 1)),
     )
 
     sys = fluctuation_system(p)
@@ -224,12 +221,9 @@ def check_g_identities(n_max: int, p: QParam) -> VerificationReport:
 
     def system_branches():
         for t in grid:
-            lhs0 = f_closed(t / 2, p)
-            rhs0 = p.a * f_closed(t, p) + sys.g0.slope * t + sys.g0.intercept
-            yield f"x={t} (left)", lhs0, rhs0
-            lhs1 = f_closed((t + 1) / 2, p)
-            rhs1 = p.a * f_closed(t, p) + sys.g1.slope * t + sys.g1.intercept
-            yield f"x={t} (right)", lhs1, rhs1
+            scaled = p.a * f(t)
+            yield f"x={t} (left)", f(t / 2), scaled + sys.g0.slope * t + sys.g0.intercept
+            yield f"x={t} (right)", f((t + 1) / 2), scaled + sys.g1.slope * t + sys.g1.intercept
 
     rep.scan(
         "F-system",

@@ -13,6 +13,7 @@ from qdigits.takagi import (
     CertifiedValue,
     DeRhamSystem,
     InconsistentSystemError,
+    _series_terms,
     as_dyadic,
     derham_consistency,
     derham_eval,
@@ -173,6 +174,50 @@ class TestSeries:
         assert got.value == float(total)
         tail = abs(a) ** got.terms / 2 / (1 - abs(a))
         assert tail <= F(tol) and got.bound == float(tail)
+
+
+def series_tail(a, n):
+    """The tail bound after n terms, |a|^n / (2 (1 - |a|)), in Fractions:
+    the rule by which takagi_series once counted its terms, one factor
+    |a| at a time."""
+    return abs(a) ** n / 2 / (1 - abs(a))
+
+
+def assert_terms_minimal(a, tol) -> int:
+    terms = takagi_series(F(1, 3), a, tol).terms
+    assert series_tail(a, terms - 1) > F(tol)
+    assert series_tail(a, terms) <= F(tol)
+    assert abs(_series_terms(a, tol) - terms) <= 1
+    return terms
+
+
+class TestSeriesTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(v=st.integers(2, 256), data=st.data())
+    def test_terms_are_minimal(self, v, data):
+        a = F(data.draw(st.integers(-(v - 1), v - 1)), v)
+        if data.draw(st.booleans()):
+            tol = 10 ** data.draw(st.floats(-15, math.log10(0.4)))
+        else:
+            # the float nearest a tail bound, and the floats either side
+            tail = float(series_tail(a, data.draw(st.integers(1, 2000))))
+            tol = data.draw(
+                st.sampled_from([math.nextafter(tail, 0), tail, math.nextafter(tail, math.inf)])
+            )
+            assume(0 < tol < series_tail(a, 0))
+        assert_terms_minimal(a, tol)
+
+    # the two tols on either side of _SERIES_WORK's limit in the CLI tests
+    @pytest.mark.parametrize("tol, terms", [(1.020416311944234e-09, 27575),
+                                            (1.0214137863449637e-09, 27574)])
+    def test_terms_at_the_cli_limit(self, tol, terms):
+        assert assert_terms_minimal(F(1023, 1024), tol) == terms
+
+    def test_too_close_to_one_to_count(self):
+        a = F(10**400 - 1, 10**400)
+        assert _series_terms(a, 1e-12) == math.inf
+        with pytest.raises(ValueError, match="within float rounding of 1"):
+            takagi_series(F(1, 3), a)
 
 
 class TestDeRhamSystem:

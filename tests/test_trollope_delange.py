@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qdigits import trollope_delange
 from qdigits.digitsum import QParam, partial_sum_bruteforce_at, partial_sum_fast
 from qdigits.takagi import derham_consistency, derham_eval, takagi_dyadic_exact
 from qdigits.trollope_delange import (
@@ -187,6 +188,17 @@ class TestGIdentities:
             "F-matches-G",
             "F-system",
         ]
+
+    def test_walks_each_point_once(self, monkeypatch):
+        seen = []
+
+        def counted(x, p):
+            seen.append(x)
+            return f_closed(x, p)
+
+        monkeypatch.setattr(trollope_delange, "f_closed", counted)
+        assert check_g_identities(64, QParam(F(9, 10))).passed
+        assert len(seen) == len(set(seen))
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
-"""Time the CLI's q-width budget rows at their costliest accepted inputs.
+"""Time the CLI's budget rows at their costliest accepted inputs.
 
 Run from the root of a source checkout:
 
     python3 tools/probe_budgets.py [--timeout 60] [--cap-mb 3072]
 
-For `curve --svg`, `verify --suite prop1` and `verify --suite derham`, it
-runs each input in a fresh `python -c` child that imports this checkout's
-`src/qdigits`: a narrow q (3/4 and 9/10), and at each level the widest q
-the budget rows admit, with a power-of-two denominator, (2^b - 1)/2^b, and
-with an odd one, 2^b/(2^b + 1).  One input per row lies just past its
-limit and should exit 2 at once.  Each child gets a wall-clock timeout and an
+It runs each input in a fresh `python -c` child that imports this
+checkout's `src/qdigits`.  For `curve --svg`, `verify --suite prop1` and
+`verify --suite derham`: a narrow q (3/4 and 9/10), and at each level the
+widest q the budget rows admit, with a power-of-two denominator,
+(2^b - 1)/2^b, and with an odd one, 2^b/(2^b + 1).  For the series rows:
+`eval takagi --a 1023/1024 --x 1/3` at the smallest --tol that
+`_SERIES_WORK` admits, and `curve --fhat-points` at the most points that
+`_FHAT_WORK` admits at q = 3/4 and 51/100.  One input per row lies just
+past its limit and should exit 2 at once.  Each child gets a wall-clock timeout and an
 address-space cap (RLIMIT_AS) set on the child alone; the probe changes no
 other setting.  It prints one line per input: the command, the bits of
 q's larger term, the exit code, the wall time and the child's peak RSS
@@ -19,6 +22,7 @@ q's larger term, the exit code, the wall time and the child's peak RSS
 
 import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from qdigits import QParam, cli  # noqa: E402
+from qdigits.takagi import DEFAULT_SERIES_TOL  # noqa: E402
 
 LEVELS = (2**20, 2**16, 2**12, 2**8, 2**4, 2)
 NARROW = ("3/4", "9/10")
@@ -69,6 +74,21 @@ def derham_admits(q: Fraction) -> bool:
     return cli._term_bits(q.numerator, q.denominator) <= cli._DERHAM_Q_BITS.limit
 
 
+def smallest_tol(a: Fraction, x_bits: int) -> float:
+    """The smallest float --tol at which _SERIES_WORK admits a, by bisection."""
+    lo, hi = 1e-300, 0.4  # refused, admitted
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        admitted = cli._series_work(a, mid, x_bits)[1] <= cli._SERIES_WORK.limit
+        lo, hi = (lo, mid) if admitted else (mid, hi)
+    return hi
+
+
+def most_points(q: Fraction) -> int:
+    """The largest --fhat-points that _FHAT_WORK admits at q."""
+    work = cli._series_work(QParam(q).a, DEFAULT_SERIES_TOL, 53)[1]
+    return cli._FHAT_WORK.limit // work - 1
+
+
 # the child reads argv from stdin: a wide q is longer than one command-line
 # argument may be
 CHILD = "import json, sys; from qdigits.cli import main; sys.exit(main(json.load(sys.stdin)))"
@@ -102,7 +122,9 @@ def run_child(argv, timeout: float, cap: int):
 
 
 def cases(out: Path):
-    """(row, q, argv): narrow and widest admitted q per level, then past each limit."""
+    """(row, q, argv): narrow and widest admitted q per level, then past each
+    limit; then the series rows at and past their limits, q there being the
+    weight or a."""
     curve = ["curve", "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")]
     commands = [
         ("curve", "--l", LEVELS, curve),
@@ -124,6 +146,16 @@ def cases(out: Path):
         yield "derham", q, [*derham, f"--q={q}"]
     past = wide_q(widths[0] + 1, False)
     yield "derham past", past, [*derham, f"--q={past}"]
+    # x = 1/3, whose denominator has 2 bits
+    a = Fraction(1023, 1024)
+    tol = smallest_tol(a, 2)
+    series = ["eval", "takagi", f"--a={a}", "--x=1/3", "--tol"]
+    yield "series", a, [*series, repr(tol)]
+    yield "series past", a, [*series, repr(math.nextafter(tol, 0))]
+    fhat = ["curve", "--l", "2", "--fhat-out", str(out / "f.csv"), "--fhat-points"]
+    for q in map(Fraction, ("3/4", "51/100")):
+        yield "fhat", q, [*fhat, str(most_points(q)), f"--q={q}"]
+    yield "fhat past", q, [*fhat, str(most_points(q) + 1), f"--q={q}"]
 
 
 def main():
@@ -135,13 +167,15 @@ def main():
         sys.set_int_max_str_digits(0)  # to write a wide q into argv
     print(f"python {sys.version.split()[0]}, {os.cpu_count()} CPUs,"
           f" timeout {args.timeout:g} s, RLIMIT_AS {args.cap_mb} MB per child")
-    print(f"{'row':<12} {'command':<34} {'bits(q)':>8} {'exit':>6} {'s':>7} {'MB':>7}")
+    print(f"{'row':<12} {'command':<46} {'bits(q)':>8} {'exit':>6} {'s':>7} {'MB':>7}")
     with tempfile.TemporaryDirectory() as tmp:
         for row, q, argv in cases(Path(tmp)):
             q_bits = cli._term_bits(q.numerator, q.denominator)
-            shown = " ".join(a for a in argv if "/" not in a and a not in ("--out", "--svg"))
+            shown = " ".join(
+                a for a in argv if "/" not in a and a not in ("--out", "--svg", "--fhat-out")
+            )
             code, seconds, mb = run_child(argv, args.timeout, args.cap_mb << 20)
-            print(f"{row:<12} {shown:<34} {q_bits:>8} {code!s:>6} {seconds:>7.2f} {mb:>7.0f}",
+            print(f"{row:<12} {shown:<46} {q_bits:>8} {code!s:>6} {seconds:>7.2f} {mb:>7.0f}",
                   flush=True)
 
 
