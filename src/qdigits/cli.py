@@ -61,7 +61,6 @@ from .trollope_delange import (
     f_closed,
     f_hat_float,
     fluctuation_system,
-    td_classical,
     td_generalized,
 )
 
@@ -158,12 +157,12 @@ _FHAT_WORK = _Budget(_SERIES_WORK.limit, "--fhat-points {n}: {points} points x"
 # takagi_dyadic_exact takes one step per bit of e, the exponent of x's
 # power-of-two denominator, on Fractions of up to e (bits(a) + 1) bits,
 # each step a gcd quadratic in them; eval takagi at a dyadic x is charged
-# e^3 (bits(a) + 1)^2, bits(a) those of a's larger term, and eval td the
-# same with e the bits of --n.  At the bound (2-vCPU Xeon, Python 3.11),
-# eval takagi took 1.8 s at a = 2/3 (e = 4961), 0.94 s at a = 1023/1024
-# (e = 1969) and 0.84 s at a 64-bit a (e = 631); eval td took 3.3 s at
-# q = 3/4 (a 4961-bit n), 2.8 s at q = 9/10 (3529 bits) and 0.72 s with
-# --classical (4961 bits); a 64-bit a at e = 2000, 32x the bound, took 24 s
+# e^3 (bits(a) + 1)^2, bits(a) those of a's larger term, and eval td, which
+# walks twice, once per route, the same with e the bits of --n.  At the
+# bound (tools/probe_budgets.py, four runs, 2-vCPU Xeon, Python 3.11), eval
+# takagi --a 2/3 took 1.16-1.44 s at a 4961-bit x, and eval td 2.22-2.75 s
+# at q = 3/4 and 0.88-1.30 s with --classical at a 4961-bit n, all in 16 MB;
+# a 4962-bit n exits 2 in 0.07-0.12 s
 _DYADIC_WORK = _Budget(2**40, "{what} walks {e} bits at a = {a}; bits^3 x"
                        " (bits(a) + 1)^2 must be <= {limit}")
 # the largest --budget, the default: the oracle sums one term per j below
@@ -331,15 +330,11 @@ def _cmd_eval(args) -> int:
             _SERIES_WORK.charge(work, a=a, tol=args.tol, terms=terms)
             value = takagi_series(x, a, tol=args.tol).value
     else:  # td
-        if args.classical:
-            _charge_walk("--n", args.n.bit_length(), Fraction(1, 2))
-            value = td_classical(args.n)
-        else:
-            if args.q is None:
-                raise _CliError("eval td needs --q or --classical")
-            p = _parse_qparam(args.q)
-            _charge_walk("--n", args.n.bit_length(), p.a)
-            value = td_generalized(args.n, p)
+        if args.q is None:
+            raise _CliError("eval td needs --q or --classical")
+        p = _parse_qparam(args.q)
+        _charge_walk("--n", args.n.bit_length(), p.a)
+        value = td_generalized(args.n, p)
     print(_format_value(value, args.digits))
     return 0
 
@@ -522,12 +517,12 @@ def _svg_document(xs, phi, target=None):
     into a template with a %s slot for each y.  Each distinct polyline's
     y strings are "%.3f" % y, the correctly rounded y, from one %-format
     over the column, or over its first half when it reads the same
-    reversed (_mirrored).  A target equal to phi is measured and written
-    once.
+    reversed (_mirrored).  A target that is phi, the same list, is
+    measured and written once.
     """
     left, right, top, bottom = 50.0, 790.0, 20.0, 380.0
     xs = [left + (right - left) * x for x in xs]
-    columns = [phi] if target is None or target == phi else [phi, target]
+    columns = [phi] if target is None or target is phi else [phi, target]
     lo = min(0.0, *map(min, columns))
     hi = max(0.0, *map(max, columns))
     if hi == lo:
@@ -778,11 +773,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev_td = ev_sub.add_parser("td", help="average digit sum S_q(n)/n")
     ev_td.add_argument("--n", type=int, required=True)
-    ev_td.add_argument("--q", help="weight; omit with --classical")
-    ev_td.add_argument(
+    weight = ev_td.add_mutually_exclusive_group()
+    weight.add_argument("--q", help='weight, e.g. "3/4"')
+    weight.add_argument(
         "--classical",
-        action="store_true",
-        help="plain popcount average (q = 1 closed form)",
+        action="store_const",
+        const="1",
+        dest="q",
+        help="plain popcount average, the same as --q 1",
     )
     ev_td.add_argument("--digits", type=int, help="decimal output precision")
 

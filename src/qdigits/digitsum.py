@@ -74,8 +74,9 @@ class QParam:
     """A digit-sum weight q with its derived curve parameter a = 1/(2q).
 
     q may be any nonzero rational, including q = 1 (the plain popcount
-    weight).  Operations that divide by 1 - q guard against q = 1
-    themselves; the parameter object does not forbid it.
+    weight).  f_hat_float, whose float formula divides by 1 - q, is the
+    only operation that refuses q = 1; the parameter object does not
+    forbid it.
 
     q is the only field: a and is_curve_regime are set from it, so repr,
     equality and hashing read q alone, and eval(repr(p)) == p.

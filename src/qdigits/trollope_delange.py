@@ -3,13 +3,17 @@
 The classical statement: the average of the binary digit-sum over
 0..n-1 is (k+1)/2 minus a continuous fluctuation expressed through the
 Takagi curve, where 2^k is the leading power of two in n.  This module
-carries both that statement and its weighted-q generalisation
+carries its weighted-q generalisation
 
     S_q(n)/n = (q/2) (1 - q^(k+1))/(1 - q)
              - (q/2) q^k (2p/n) T_a(n/(2p)),        a = 1/(2q),
 
-valid for |q| > 1/2, q != 1, with p = 2^k <= n < 2p.  A second route to
-the same value goes through the scale-relative fluctuation profile
+valid for |q| > 1/2, q = 1 included, with p = 2^k <= n < 2p.  The main
+term is written from S_q(p)/p = (q/2)(1 - q^k)/(1 - q), which
+partial_sum_pow2 gives at every q, so that at q = 1, where
+(1 - q^(k+1))/(1 - q) reads k + 1, it is the classical statement.  A
+second route to the same value goes through the scale-relative
+fluctuation profile
 
     G_q(n) = (S_q(n) - (n/p) S_q(p)) / (p q^k),
 
@@ -75,15 +79,13 @@ def f_hat_periodic(n: int, p: QParam) -> Fraction:
         (1 - q^(k+1))/(1 - q) - 2 q^k (p/n) T_a(n/(2p)),
 
     so that S_q(n)/n = (q/2) * f_hat_periodic(n, p).  Returning any
-    smaller piece would force irrational arithmetic.
+    smaller piece would force irrational arithmetic.  The geometric sum
+    (1 - q^(k+1))/(1 - q) is 1 + 2 S_q(p)/p, k + 1 at q = 1.
     """
     p.require_curve_regime()
-    if p.q == 1:
-        raise ValueError("q = 1 has no geometric main term; use td_classical")
-    q = p.q
     k, pn = _split_scale(n)
     curve = takagi_dyadic_exact(Fraction(n, 2 * pn), p.a)
-    return (1 - q ** (k + 1)) / (1 - q) - 2 * q**k * Fraction(pn, n) * curve
+    return 1 + 2 * partial_sum_pow2(k, p) / pn - 2 * p.q**k * Fraction(pn, n) * curve
 
 
 def f_hat_float(u: float, p: QParam) -> float:
@@ -99,7 +101,7 @@ def f_hat_float(u: float, p: QParam) -> float:
     if p.q <= 0:
         raise ValueError("float sampling needs q > 0 for real powers q^u")
     if p.q == 1:
-        raise ValueError("q = 1 has no geometric main term; use td_classical")
+        raise ValueError("float sampling needs q != 1: its main term divides by 1 - q")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     q = float(p.q)
@@ -113,37 +115,25 @@ def td_generalized(n: int, p: QParam) -> Fraction:
     Route one is the bracket of f_hat_periodic; route two goes through
     the fluctuation profile,
 
-        S_q(n)/n = q^k F_q(x) p/n + (q/2)(1 - q^k)/(1 - q),
+        S_q(n)/n = q^k F_q(x) p/n + S_q(p)/p,
 
-    with x = (n-p)/p.  Both are exact; a mismatch would mean a broken
-    evaluator, so it raises rather than returning either value.
+    with x = (n-p)/p and S_q(p)/p = (q/2)(1 - q^k)/(1 - q), k/2 at q = 1.
+    Both are exact; a mismatch would mean a broken evaluator, so it raises
+    rather than returning either value.  At q = 1 this is the classical
+    average of the binary digit-sum.
     """
     p.require_curve_regime()
-    if p.q == 1:
-        raise ValueError("q = 1 is the classical case; use td_classical")
     q = p.q
     k, pn = _split_scale(n)
-    r, x = q**k, Fraction(n - pn, pn)
+    x = Fraction(n - pn, pn)
     route_main = (q / 2) * f_hat_periodic(n, p)
-    route_profile = r * f_closed(x, p) * Fraction(pn, n) + (q / 2) * (1 - r) / (1 - q)
+    route_profile = q**k * f_closed(x, p) * Fraction(pn, n) + partial_sum_pow2(k, p) / pn
     if route_main != route_profile:
         raise ArithmeticError(
             f"reduced closed forms disagree at n={n}, q={q}: "
             f"{route_main} vs {route_profile}"
         )
     return route_main
-
-
-def td_classical(n: int) -> Fraction:
-    """Exact average of the binary digit-sum over 0..n-1:
-
-        S(n)/n = (k+1)/2 - (p/n) T(n/(2p)),
-
-    with p = 2^k <= n < 2p and T the curve at parameter 1/2.
-    """
-    k, pn = _split_scale(n)
-    curve = takagi_dyadic_exact(Fraction(n, 2 * pn), Fraction(1, 2))
-    return Fraction(k + 1, 2) - Fraction(pn, n) * curve
 
 
 def check_g_identities(n_max: int, p: QParam) -> VerificationReport:

@@ -38,6 +38,11 @@ GOLDEN = {
     "curve--2/3-4096.csv": "2d9d1dd6adf4489d62bd2380ead5ebf6fa4e7897b09eac0be787c589d7287145",
     "curve--2/3-4096.svg": "9bed8f7a4339482ec611911b0a986ba29f6d870dd0f756a1db3f02b13e9bd8c9",
     "verify-prop1-3/4.txt": "c359719869c8a739b17f7d2367d3e0491d41c125ab3b6d403fb327cfbaf8d16c",
+    # the classical average at the most bits of n that eval td admits at
+    # a = 1/2, as --classical and as --q 1, its other spelling; the digest
+    # is that of the separate classical evaluator td_generalized replaced
+    "eval-td-classical-4961-bits": "d379bb1e67c598e7bff483e7e38dba0481ffa2968362cb43cf452996c38306fa",
+    "eval-td-1-4961-bits": "d379bb1e67c598e7bff483e7e38dba0481ffa2968362cb43cf452996c38306fa",
 }
 
 
@@ -77,6 +82,9 @@ COMMANDS = {
     "verify-prop1-3/4.json": (["verify", "--suite", "prop1", "--q", "3/4", "--json"], 0, "stdout"),
     "verify-prop1-3/4.txt": (["verify", "--suite", "prop1", "--q", "3/4"], 0, "stdout"),
     "verify-prop1--2/3.json": (["verify", "--suite", "prop1", "--q=-2/3", "--json"], 0, "stdout"),
+    # n = 3^3130, 4961 bits
+    "eval-td-classical-4961-bits": (["eval", "td", "--classical", "--n", str(3**3130)], 0, "stdout"),
+    "eval-td-1-4961-bits": (["eval", "td", "--q", "1", "--n", str(3**3130)], 0, "stdout"),
 }
 
 # First-run record of the seeded register experiment at q = 3/4,

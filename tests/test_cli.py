@@ -153,6 +153,16 @@ class TestEval:
         assert code == 2
         assert "qdigits:" in err
 
+    def test_td_weight_and_classical_exclude_each_other(self, capsys, monkeypatch):
+        # --classical is --q 1, so the two together name two weights
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated with both --q and --classical")
+
+        monkeypatch.setattr(cli, "td_generalized", refuse)
+        code, out, err = run(capsys, ["eval", "td", "--classical", "--q", "3/4", "--n", "5"])
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
     def test_rejects_bad_weight(self, capsys):
         assert run(capsys, ["eval", "S", "--q", "abc", "--n", "4"])[0] == 2
         assert run(capsys, ["eval", "S", "--q", "0", "--n", "4"])[0] == 2
@@ -490,7 +500,7 @@ class TestCurve:
                 "--fhat-points must be >= 1, got 0",
             ),
             (["--q=-3/4"], "float sampling needs q > 0 for real powers q^u"),
-            (["--q", "1"], "q = 1 has no geometric main term; use td_classical"),
+            (["--q", "1"], "float sampling needs q != 1: its main term divides by 1 - q"),
         ],
     )
     def test_bad_fhat_input_exits_before_any_output(self, capsys, tmp_path, argv, message):
@@ -811,7 +821,7 @@ def test_series_budget_before_summing(capsys, monkeypatch):
         # a = 1/(2q) = 2/3, over the bits of --n
         (["eval", "td", "--q", "3/4", "--n"], "td_generalized",
          str(2**4961), str(2**4961 - 1), "--n walks 4962 bits at a = 2/3"),
-        (["eval", "td", "--classical", "--n"], "td_classical",
+        (["eval", "td", "--classical", "--n"], "td_generalized",
          str(2**4961), str(2**4961 - 1), "--n walks 4962 bits at a = 1/2"),
     ],
     ids=["takagi", "takagi-64-bit-a", "td", "td-classical"],
@@ -1385,6 +1395,12 @@ class TestGoldenOutputs:
         code, out, _ = golden_run(capsys, "verify-prop1--2/3.json")
         assert code == 0
         assert sha256(out) == GOLDEN["verify-prop1--2/3.json"]
+
+    @pytest.mark.parametrize("key", ["eval-td-classical-4961-bits", "eval-td-1-4961-bits"])
+    def test_classical_average_at_the_walk_bound(self, capsys, key):
+        code, out, _ = golden_run(capsys, key)
+        assert code == 0
+        assert sha256(out) == GOLDEN[key]
 
 
 def readme_examples():

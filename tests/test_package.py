@@ -47,7 +47,7 @@ def test_all_is_readme_api():
 
 def test_moved_names_import_from_their_submodule():
     moved = readme_moved()
-    assert len(moved) == len(set(moved)) == 35
+    assert len(moved) == len(set(moved)) == 34
     for name, module in moved:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
         assert not hasattr(qdigits, name), name
@@ -68,6 +68,7 @@ def test_removed_names_stay_gone():
         assert not hasattr(qdigits.limiting_curve.BridgeLevel, name), name
     assert not hasattr(qdigits.limiting_curve.CurveSamples, "grid")
     assert not hasattr(qdigits.trollope_delange, "ScaleDecomposition")
+    assert not hasattr(qdigits.trollope_delange, "td_classical")
 
 
 def test_readme_library_example():

@@ -4,10 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdigits import trollope_delange
 from qdigits.digitsum import QParam, partial_sum_bruteforce_at, partial_sum_fast
-from qdigits.takagi import derham_consistency, derham_eval, takagi_dyadic_exact
+from qdigits.takagi import derham_consistency, derham_eval
 from qdigits.trollope_delange import (
     check_g_identities,
     f_closed,
@@ -15,7 +17,6 @@ from qdigits.trollope_delange import (
     f_hat_periodic,
     fluctuation_system,
     g_profile,
-    td_classical,
     td_generalized,
 )
 
@@ -84,14 +85,14 @@ class TestFHatPeriodic:
         assert f_hat_periodic(3, Q34) == F(7, 6)
 
     def test_recovers_partial_sum(self):
-        for q in CURVE_WEIGHTS:
+        for q in CURVE_WEIGHTS + [F(1)]:
             p = QParam(q)
             for n in range(1, 65):
                 assert n * (q / 2) * f_hat_periodic(n, p) == partial_sum_fast(n, p), (q, n)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            f_hat_periodic(3, QParam(1))
+        # q = 1 is an ordinary weight: k + 1 - 2 (2/3) T_{1/2}(3/4) = 2 - 2/3
+        assert f_hat_periodic(3, QParam(1)) == F(4, 3)
         with pytest.raises(ValueError):
             f_hat_periodic(3, QParam(F(1, 4)))
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -129,15 +130,14 @@ class TestTdGeneralized:
         assert td_generalized(3, Q34) == F(7, 16)
 
     def test_matches_oracle(self):
-        for q in CURVE_WEIGHTS:
+        for q in CURVE_WEIGHTS + [F(1)]:
             p = QParam(q)
             oracle = partial_sum_bruteforce_at(range(1, 257), p)
             for n in range(1, 257):
                 assert n * td_generalized(n, p) == oracle[n], (q, n)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            td_generalized(3, QParam(1))
+        assert td_generalized(3, QParam(1)) == F(2, 3)
         with pytest.raises(ValueError):
             td_generalized(3, QParam(F(1, 2)))
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -145,30 +145,34 @@ class TestTdGeneralized:
 
 
 class TestTdClassical:
+    """The classical average of the binary digit-sum is td_generalized at q = 1.
+
+    There the two routes share S_q(p)/p and differ by (q - 1) times the
+    error in it, so an error in S_q(p)/p passes their cross-check; the
+    popcount oracles here, criterion 3 and check_bit_recurrences' S-pow2
+    scan are what see it.
+    """
+
     def test_frozen_values(self):
-        assert td_classical(3) == F(2, 3)
-        assert td_classical(5) == 1
+        assert td_generalized(3, QParam(1)) == F(2, 3)
+        assert td_generalized(5, QParam(1)) == 1
         for k in range(1, 13):
-            assert td_classical(1 << k) == F(k, 2)
+            assert td_generalized(1 << k, QParam(1)) == F(k, 2)
 
     def test_matches_popcount(self):
         running = 0
         for n in range(1, 513):
             running += bin(n - 1).count("1")
-            assert n * td_classical(n) == running
+            assert n * td_generalized(n, QParam(1)) == running
 
-    def test_agrees_with_weighted_evaluator_shape(self):
-        # td_generalized refuses q = 1, but its ingredients specialise:
-        # (k+1)/2 is the q -> 1 limit of the geometric main term
-        n = 21
-        k = n.bit_length() - 1
-        p = 1 << k
-        curve = takagi_dyadic_exact(F(n, 2 * p), F(1, 2))
-        assert td_classical(n) == F(k + 1, 2) - F(p, n) * curve
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=1 << 256))
+    def test_matches_summatory_kernel(self, n):
+        assert n * td_generalized(n, QParam(1)) == partial_sum_fast(n, QParam(1))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            td_classical(0)
+            td_generalized(0, QParam(1))
 
 
 class TestGIdentities:

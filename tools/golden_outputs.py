@@ -7,7 +7,7 @@ Run from anywhere, naming the interpreters to check:
 With no arguments it checks the interpreter that runs it.  Each interpreter
 runs in a child of its own that imports this checkout's src/qdigits and
 tests/golden.py, both without pytest, and runs every golden command
-in-process through qdigits.cli.main: the 22 sha256 digests of GOLDEN, and
+in-process through qdigits.cli.main: the 24 sha256 digests of GOLDEN, and
 the `bridge` run behind each seed of acceptance criterion 7's
 DECAY_FIXTURES.  It prints one line per interpreter and exits 1 if any
 output differs or any child fails.

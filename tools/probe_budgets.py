@@ -11,8 +11,12 @@ widest q the budget rows admit, with a power-of-two denominator,
 (2^b - 1)/2^b, and with an odd one, 2^b/(2^b + 1).  For the series rows:
 `eval takagi --a 1023/1024 --x 1/3` at the smallest --tol that
 `_SERIES_WORK` admits, and `curve --fhat-points` at the most points that
-`_FHAT_WORK` admits at q = 3/4 and 51/100.  One input per row lies just
-past its limit and should exit 2 at once.  Each child gets a wall-clock timeout and an
+`_FHAT_WORK` admits at q = 3/4 and 51/100.  For the dyadic row
+`_DYADIC_WORK`: `eval takagi --a 2/3` at a 4961-bit dyadic x, and `eval td
+--q 3/4` and `eval td --classical` at a 4961-bit n, the most bits each
+admits; n and x's numerator are 3^3130, whose bits, unlike those of
+2^4961 - 1, make the costlier walk.  One input per row lies just past its
+limit and should exit 2 at once.  Each child gets a wall-clock timeout and an
 address-space cap (RLIMIT_AS) set on the child alone; the probe changes no
 other setting.  It prints one line per input: the command, the bits of
 q's larger term, the exit code, the wall time and the child's peak RSS
@@ -123,8 +127,8 @@ def run_child(argv, timeout: float, cap: int):
 
 def cases(out: Path):
     """(row, q, argv): narrow and widest admitted q per level, then past each
-    limit; then the series rows at and past their limits, q there being the
-    weight or a."""
+    limit; then the series and dyadic rows at and past their limits, q there
+    being the weight or a."""
     curve = ["curve", "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")]
     commands = [
         ("curve", "--l", LEVELS, curve),
@@ -156,6 +160,12 @@ def cases(out: Path):
     for q in map(Fraction, ("3/4", "51/100")):
         yield "fhat", q, [*fhat, str(most_points(q)), f"--q={q}"]
     yield "fhat past", q, [*fhat, str(most_points(q) + 1), f"--q={q}"]
+    # 4961 bits, the most that _DYADIC_WORK admits at a = 2/3 and at a = 1/2
+    n = 3**3130
+    yield "dyadic", Fraction(2, 3), ["eval", "takagi", "--a=2/3", f"--x={n}/{2**4961}"]
+    yield "dyadic", Fraction(3, 4), ["eval", "td", "--q=3/4", "--n", str(n)]
+    yield "dyadic", Fraction(1), ["eval", "td", "--classical", "--n", str(n)]
+    yield "dyadic past", Fraction(1), ["eval", "td", "--classical", "--n", str(2**4961)]
 
 
 def main():
@@ -171,8 +181,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for row, q, argv in cases(Path(tmp)):
             q_bits = cli._term_bits(q.numerator, q.denominator)
+            # neither paths nor wide values: a short --flag=u/v stays
             shown = " ".join(
-                a for a in argv if "/" not in a and a not in ("--out", "--svg", "--fhat-out")
+                f"<{int(a).bit_length()} bits>" if a.isdigit() and len(a) > 16 else a
+                for a in argv
+                if ("/" not in a or a.startswith("--") and len(a) <= 16)
+                and a not in ("--out", "--svg", "--fhat-out")
             )
             code, seconds, mb = run_child(argv, args.timeout, args.cap_mb << 20)
             print(f"{row:<12} {shown:<46} {q_bits:>8} {code!s:>6} {seconds:>7.2f} {mb:>7.0f}",
