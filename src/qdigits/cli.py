@@ -94,10 +94,9 @@ _DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?
 # eval td took 0.20 s at 1e5 digits, 1.69 s at 3e5 and 21.5 s at 1e6
 # (2-vCPU Xeon, Python 3.11)
 _DIGITS = _Budget(100_000, "--digits must be <= {limit}")
-# the largest --l and --lmax: at 2^20 curve --svg took 2.32-3.70 s and
-# 314-315 MB (q = 3/4, 9/10), verify prop1 1.04-1.61 s and 182-185 MB
-# (two runs of tools/probe_budgets.py: a fresh process each, ru_maxrss;
-# same machine)
+# the largest --l and --lmax: at 2^20 curve --svg took 1.94-2.17 s and
+# 314-315 MB (q = 3/4, 9/10), verify prop1 0.77-0.84 s and 160 MB (two
+# tools/probe_budgets.py runs, same machine: fresh processes, ru_maxrss)
 _LEVEL = _Budget(2**20, "{flag} must be <= {limit}")
 # a bridge level's grid has at most as many points as the largest --l
 _GRID_EXPONENT = _Budget(_LEVEL.limit.bit_length() - 1,
@@ -191,10 +190,10 @@ _SCAN_WORK = _Budget(2**18, _ORACLE_WORK.text)
 # integers of about W = log2(l) bits(q) bits, whose products, gcds and
 # decimal strings grow about as (W + 256)^2, and both are charged
 # (l + 1) (W + 256)^2.  At the widest q the bound admits, two probe runs
-# timed curve --svg at 0.27-1.18 s and 17-131 MB from --l 2 (a 213783-bit
-# q) to --l 2^16 (74 bits), and 2.65-3.93 s and 315-316 MB at --l 2^20 (5
-# bits); prop1 at 0.12-1.55 s and 16-185 MB; and curve --l 8 --digits
-# 100000 at 2.67-3.03 s (41106 bits; 1.94-2.07 s at q = 3/4).  The bound
+# timed curve --svg at 0.24-0.92 s and 17-131 MB from --l 2 (a 213783-bit
+# q) to --l 2^16 (74 bits), and 2.24-2.33 s and 314-315 MB at --l 2^20 (5
+# bits); prop1 at 0.11-0.89 s and 16-160 MB; and curve --l 8 --digits
+# 100000 at 2.44-2.62 s (41106 bits; 1.82-1.87 s at q = 3/4).  The bound
 # admits --l 2^20 at q = 9/10 and refuses --l 4096 at a 513-bit q, so a
 # wide q stops well short of the time a narrow one takes at --l 2^20
 _LEVEL_WORK = _Budget(2**37, "{flag} {l}: {points} points x ({g} x {q_bits} + 256)^2,"
@@ -559,14 +558,14 @@ def _svg_document(xs, phi, target=None):
 
 
 def _grid_strings(g: int) -> list[str]:
-    """str(Fraction(j, 2^g)) for j = 0..2^g, with no gcd: the odd multiples
-    of 2^(g-i) are the points whose lowest terms have denominator 2^i."""
+    """str(Fraction(j, 2^g)) for j = 0..2^g, one %-format a level, no gcd:
+    the odd multiples of 2^(g-i) have lowest terms of denominator 2^i."""
     l = 1 << g
     cells = ["0"] * (l + 1)
     cells[l] = "1"
     for i in range(1, g + 1):
-        step, den = l >> i, f"/{1 << i}"
-        cells[step :: 2 * step] = [f"{k}{den}" for k in range(1, 1 << i, 2)]
+        step, odd = l >> i, range(1, 1 << i, 2)
+        cells[step :: 2 * step] = (f"%d/{1 << i} " * len(odd) % tuple(odd)).split()
     return cells
 
 

@@ -14,16 +14,16 @@ measures those sup distances exactly, at astronomically large l, without
 stepping the orbit: partial sums along it are differences
 S_q(X + i) - S_q(X) of the summatory function, and their chord
 deviations need only the digit sums of the few register bits that the
-orbit's carries reach, read from a table built by doubling
-(_orbit_deviations).  A level's deviations come in split form,
-(alpha[t] << h) + b beta[t], with alpha and beta small and b the
+orbit's carries reach, read from a table built by doubling and centred
+from its start (_orbit_deviations).  A level's deviations come in split
+form, (alpha[t] << h) + b beta[t], with alpha and beta small and b the
 register's bits below the grid step; each sup distance is found from
 that form, building in full only the gaps that can be the largest
 (_sup_gap), and the polygon is dropped once its sup is known.  The zero
 orbit is the case X = 0 of the same walk (b = 0), and one walk to length
 L serves every l = 2^j <= L: the chord deviations of a prefix are those
-of the prefix of the chord deviations
-(_scan_identity_8).
+of the prefix of the chord deviations, so each level meets the target a
+point at a time, its chord term a running sum (_scan_identity_8).
 
 All of it runs on one exact representation: integer deviations times
 one rational factor per grid, against takagi_dyadic_grid's integers over
@@ -40,7 +40,7 @@ that fail); at or above |q| = 1 the state sums themselves diverge.
 import math
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import ge, mul, ne, sub
+from operator import add, ge, mul, ne, sub
 
 from ._record import record
 from .digitsum import QParam, _geometric, _lowest_terms, _Reduced
@@ -95,8 +95,9 @@ def _orbit_deviations(
     carries of A + 2^g flip bits g..m-1 of A, so c has ones at bits
     g..m-2 and a zero at bit m-1.  With c_lo = c mod 2^g, c + t keeps
     those bits while c_lo + t < 2^g and has bit m-1 alone above bit g
-    after, so d[t] is an entry of a table of s_q(j) v^m, j < 2^g (built
-    by doubling), plus one of two constants.  alpha and beta are the
+    after, so d[t] less its mean is an entry of a table of s_q(j) v^m,
+    j < 2^g, built by doubling from the first constant less that mean,
+    plus the two constants' difference after.  alpha and beta are the
     chord deviations of the running sums of d and of d itself, from one
     pass of additions and one of itertools.accumulate: integers of about
     m log2(v) + 2g bits, however long b is.
@@ -119,11 +120,6 @@ def _orbit_deviations(
     c_lo = a & (points - 1)
     # weights[i] = q^(i+1) v^m 2^g, the weight of bit i < g
     weights = [u ** (i + 1) * v ** (m - 1 - i) << g for i in range(g)]
-    # table[j] = s_q(j) v^m 2^g, j < 2^g: the j below 2^(i+1) with bit i
-    # set are those below 2^i plus weights[i]
-    table = [0]
-    for w in weights:
-        table += [s + w for s in table]
     # above bit g, c + t has ones at bits g..m-2 until c_lo + t reaches
     # 2^g, and bit m-1 alone after: weights below, a geometric sum
     # u^(g+1) v sum_{j<k} u^j v^(k-1-j) 2^g = u^g v _geometric(k) 2^g with
@@ -132,9 +128,14 @@ def _orbit_deviations(
     below, above = u**g * v * _geometric(k, u, v, u**k, v**k) << g, u**m << g
     # total = sum_{t<2^g} d[t]; each bit below g is set in half the j < 2^g
     total = (sum(weights) >> 1) + ((points - c_lo) * below + c_lo * above >> g)
+    # table[j] = s_q(j) v^m 2^g + below - total, j < 2^g: the j below
+    # 2^(i+1) with bit i set are those below 2^i plus weights[i]
+    table = [below - total]
+    for w in weights:
+        table += [s + w for s in table]
     # centred[t] = d[t] 2^g - total, whose running sums are alpha
-    centred = [s + (below - total) for s in table[c_lo:]]
-    centred += [s + (above - total) for s in table[: c_lo + 1]]
+    centred = table[c_lo:]
+    centred += map(add, table[: c_lo + 1], repeat(above - below))
     alpha = list(accumulate(centred, initial=0))
     alpha.pop()
     beta = None
@@ -310,10 +311,10 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
     over its normalizer (2q)^(g-1), top_factor being the walk's own at
     lmax = 2^top, against every (lmax/l)-th grid value.  With that factor's
     and the grid's cross scales ds and ts (_cross_scales), a level holds
-    when the integer sequences y (l ds) - t (y[l] ds) and target ts are
-    equal, compared a pair at a time and never held whole.  A level that
-    fails is reported at its first mismatch, with the label, values and
-    checked count of a point-by-point rep.scan.
+    when the integer sequences y (l ds) - t (y[l] ds), t (y[l] ds) a running
+    sum, and target ts are equal, compared a pair at a time and never held
+    whole.  A level that fails is scanned again for its first mismatch,
+    reported with the label, values and checked count of rep.scan.
     """
     p.require_curve_regime()
     _require_level(lmax)
@@ -325,14 +326,14 @@ def _scan_identity_8(rep, p: QParam, lmax: int, lmin: int, name: str):
         l, y, target = 1 << g, devs[: (1 << g) + 1], tak[:: 1 << (top - g)]
         factor = top_factor * (2 * p.q) ** (top - g) / l
         ds, ts, den = _cross_scales(factor, tak_factor)
-        ticks = count()  # got's j, drawn as got draws its pairs
-        got = map(sub, map(mul, y, repeat(l * ds)), map(mul, ticks, repeat(y[l] * ds)))
+        chord = accumulate(repeat(y[l] * ds, l), initial=0)
+        got = map(sub, map(mul, y, repeat(l * ds)), chord)
         want = map(mul, target, repeat(ts))
         check = name.format(l=l), statement, f"all {l + 1} breakpoints j/l"
         if not any(map(ne, got, want)):
             rep.add(*check, l + 1, True)
             continue
-        j = next(ticks) - 1  # any stops at the first mismatch
+        j = next(j for j in count() if y[j] * l * ds - j * y[l] * ds != target[j] * ts)
         got_j, want_j = y[j] * l * ds - j * y[l] * ds, target[j] * ts
         mismatch = f"t={Fraction(j, l)}: {Fraction(got_j, den)} != {Fraction(want_j, den)}"
         rep.add(*check, j + 1, False, mismatch)

@@ -561,6 +561,12 @@ def test_mirrored_matches_fn_on_the_whole_list(xs):
         assert seen == [(len(xs) + 1) // 2 if xs == xs[::-1] else len(xs)]
 
 
+@pytest.mark.parametrize("g", range(1, 13))
+def test_grid_strings_are_the_lowest_terms_of_the_grid(g):
+    # curve's t column, written from the dyadic levels with no gcd
+    assert cli._grid_strings(g) == [str(F(j, 2**g)) for j in range(2**g + 1)]
+
+
 class Reached(Exception):
     """Raised by a stubbed evaluator: the CLI got past its input checks."""
 

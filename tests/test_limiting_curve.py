@@ -319,11 +319,12 @@ class TestVerifyIdentity8:
         assert check.first_counterexample == f"t=3/8: {got} != {want}"
 
     @pytest.mark.parametrize("q", [F(3, 4), F(-2, 3), F(51, 100)])
-    @pytest.mark.parametrize("index", [3, 96, 128])
+    @pytest.mark.parametrize("index", [0, 3, 96, 128, 256])
     def test_shared_levels_report_a_perturbed_target(self, monkeypatch, q, index):
         # one off-by-one in the top grid fails exactly the levels whose
         # breakpoints include it, at the j, checked count and counterexample
-        # text of the per-point scan
+        # text of the per-point scan; the endpoints 0 and 256 lie on every
+        # level, so each level checks its first and its last breakpoint
         real_grid = takagi_dyadic_grid
         lmax, p = 256, QParam(q)
         _, den = real_grid(8, p.a)
