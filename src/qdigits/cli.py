@@ -129,12 +129,13 @@ _GRID_BITS = _Budget(2**29, "2^(--grid-exponent) * --register-length"
 # n = 130026), 1.5 s at a 32-bit q and 2^14 digits (seed 272, r = 14,
 # n = 16377) and 1.7 s at a 128-bit q and 2^12 digits (seed 136, r = 14);
 # at twice the bound, 5.2 s, and q = 500001/1000000 at 2^17 digits 35.8 s.
-# eval s and eval S charge bits(--n) the same way: at the bound (same
-# machine, parsing and printing included, two batches) eval S took
-# 0.55-1.56 s at q = 1, 2/3, 1/3, +-3/4, 5/2, 9/10, 51/100 and 64- to
-# 1585-bit q, and 1.14 s with --digits 100000, eval s 0.16-1.23 s; at
-# 8192-bit q (odd and power-of-two v) and a 64-bit n, one bit-serial leaf,
-# both took 0.90-1.13 s; at twice the bound, eval S at q = 2/3 took 4.9 s
+# eval s and eval S charge bits(--n) the same way.  At the bound
+# (tools/probe_budgets.py, four runs, parsing and printing included) eval S
+# took 0.78-0.90 s at q = 3/4 (a 174762-bit n), 1.24-1.37 s at 2/3 (2^18
+# bits), 1.08-1.17 s at 9/10 (2^17 bits), 1.10-1.16 s at the 86-bit q
+# 2^85/(2^85 + 1) (6096 bits) and 1.33-1.60 s at a 4096-bit q (128 bits),
+# and eval s 0.65-1.18 s, all in 17-18 MB; a 174763-bit n at q = 3/4 exits
+# 2 in 0.13-0.15 s
 _REGISTER_Q_BITS = _Budget(2**19, "{what} * {q_bits} (the bits of q's larger"
                            " term) must be <= {limit}")
 # each --r entry walks a level of its own, even a repeated one: eight

@@ -12,29 +12,36 @@ never enter.
 
 partial_sum_bruteforce is the oracle of record: it sums the definition
 term by term.  partial_sum_fast must agree with it bit for bit.  It
-evaluates S_q(n) by binary splitting on the bits of n,
+evaluates S_q(n) by binary splitting on the bits of n.  At q != 1,
+S_q(2^h) = kappa (2^h - (2q)^h) with kappa = q/(2(1 - q)), so the
+centred sum T(n) = S_q(n) - kappa n splits as
 
-    S_q(A 2^h + B) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
+    T(A 2^h + B) = (2q)^h T(A) + T(B) + B q^h s_q(A),
 
-recursing on both halves down to spans of at most _LEAF_BITS bits, each
-handed to its leaf by its parent.  S_q(n) needs s_q(A) but not s_q(B),
-so partial_sum_fast builds s_q only at each high half A and below it,
-none at the root or down its chain of low halves; _digit_sum_fast reads
-s_q(n) off a root that builds it at every node.  A leaf walks its span
-from the top, a byte of it per step from n.to_bytes: each step is the
-same identity at h = 8, with S_q(c), s_q(c) and S_q(2^8) for the byte c
-read from a table of 256 entries built once per weight per process (per
-call when q's terms are wide).  Every split point is a whole number of
-bytes from the bottom, so only the top leaf pads a partial byte.  One
-bit per step is the halving step
+the discrete form of the functional equation of the Takagi-Landsberg
+curve, with no A S_q(2^h) term; at q = 1, where kappa has no value, T is
+S_q itself and the term A h 2^(h-1) stays.  With q = u/v the kernel
+carries the integers c T(n) v^d and c s_q(n) v^d, where c = 2(v - u), so
+that c kappa = u, or c = 1 at q = 1, and recurses on both halves down to
+spans of at most _LEAF_BITS bits, each handed to its leaf by its parent.
+T needs s_q(A) but not s_q(B), so partial_sum_fast builds s_q only at
+each high half A and below it, none at the root or down its chain of low
+halves; _digit_sum_fast reads s_q(n) off a root that builds it at every
+node.  The root adds c kappa n v^d back and divides by c once, exactly.
+A leaf walks its span from the top, a byte of it per step from
+n.to_bytes: each step is the same identity at h = 8, with T(b) and
+s_q(b) for the byte b read from a table of 256 entries built once per
+weight per process (per call when q's terms are wide).  Every split
+point is a whole number of bytes from the bottom, so only the top leaf
+pads a partial byte.  One bit per step is the uncentred halving step
 
     S_q(2n)   = 2q S_q(n) + n q
     S_q(2n+1) = 2q S_q(n) + n q + q s_q(n),
 
 and an n below 2^_LEAF_BITS takes it once per bit, with no table to
-build.  Each bit of n goes through exactly one leaf, and the halves
-recombine with a few big-integer products per level instead of one
-growing product per bit.  With q = u/v and v = w 2^e, w odd, every
+build and nothing to centre.  Each bit of n goes through exactly one
+leaf, and the halves recombine with a few big-integer products per level
+instead of one growing product per bit.  With v = w 2^e, w odd, every
 power of v the recombination needs is a power of w shifted left, so at
 q = 3/4 none of them is a product.  Only primes of v can divide both S
 and v^d in the result S / v^d, so _lowest_terms reduces it by trailing
@@ -274,19 +281,23 @@ _LEAF_BITS = 64
 # A leaf of a longer n reads its span a byte per step, from n.to_bytes, so
 # its table has 2^_TABLE_BITS = 256 entries: the width is the unit of the
 # walk, not a setting.  The table is built once per weight per process
-# (_weight_table), in 20 us at q = 3/4, 2/3 and 9/10, which a call that
-# builds it wins back from about 512 bits of n.  Reading the bytes, where
-# each step used to shift n and mask a chunk out of it, took a 57- or
-# 64-bit leaf from 3.6-3.9 to 3.0-3.5 us (best of 30 rounds of 200 n, same
-# machine).  With the shift-and-mask walk, 8-bit chunks took 0.82-0.95x
-# the time of 6-bit ones from 1024 bits up, and 10- or 12-bit ones
-# 0.996-1.016x the time of 8 at 16384 bits.
+# (_weight_table), in 27-31 us at q = 3/4, 2/3 and 9/10 and 21-24 us at
+# q = 1 (best of 15 and of 30 interleaved rounds), 6-11 us more than the
+# uncentred table for its 256 subtractions of lam v^8.  At 20 us against a 6-bit table's
+# 7, a call that built it won it back from about 512 bits of n.  Reading
+# the bytes, where each step used to shift n and mask a chunk out of it,
+# took a 57- or 64-bit leaf from 3.6-3.9 to 3.0-3.5 us (best of 30 rounds
+# of 200 n, same machine).  With the shift-and-mask walk, 8-bit chunks
+# took 0.82-0.95x the time of 6-bit ones from 1024 bits up, and 10- or
+# 12-bit ones 0.996-1.016x the time of 8 at 16384 bits.
 _TABLE_BITS = 8
 # A table's integers grow with q's larger term, so the cache keeps a table
 # only while that term has at most this many bits: the largest table kept
-# holds 65 KB (18.7 KB at q = 3/4), so the cache's 16 tables stay within
-# 1 MiB (sys.getsizeof of the tuples and their integers, 64-bit Python
-# 3.11).  A wider term builds its table once per call and does not keep it.
+# holds 70 KB (18.7 KB at q = 3/4), so the cache's 16 tables stay within
+# 1.1 MiB (sys.getsizeof of the tuples and their integers, 64-bit Python
+# 3.11).  The largest held 65 KB before the entries were centred: near
+# q = 1 they carry kappa's bits too.  A wider term builds its table once
+# per call and does not keep it.
 _CACHED_TABLE_Q_BITS = 86
 
 
@@ -315,20 +326,36 @@ def _summatory_leaf(n: int, d: int, u: int, v: int) -> tuple[int, int]:
     return S, s
 
 
-def _leaf_table(k: int, u: int, v: int) -> tuple:
-    """(k, u^k, v^k, S, s) with S[c] = S_q(c) v^k and s[c] = s_q(c) v^k.
+def _centring(u: int, v: int) -> tuple[int, int]:
+    """(c, lam) for q = u/v in lowest terms: the kernel carries
+    c S_q(n) - lam n, which for q != 1 is c T(n), T(n) = S_q(n) - kappa n
+    and kappa = q/(2(1 - q)) = lam/c; at q = 1 it is S_q(n) itself."""
+    return (1, 0) if u == v else (2 * (v - u), u)
 
-    s covers c < 2^k and S covers c <= 2^k, so S[2^k] is S_q(2^k) v^k.
-    s comes by doubling: the c below 2^(i+1) with bit i set are the c
-    below 2^i plus the digit weight q^(i+1).  S is its running sum.
+
+def _leaf_table(k: int, u: int, v: int) -> tuple:
+    """(k, u^k, v^k, T, s) with T[b] = (c S_q(b) - lam b) v^k and
+    s[b] = c s_q(b) v^k for b < 2^k, (c, lam) = _centring(u, v), and
+    T[2^k] = G_k v^k, G_k = c S_q(2^k) - lam 2^k + lam (2q)^k.
+
+    G_k is 0 at every q != 1, since S_q(2^k) = kappa (2^k - (2q)^k), and
+    k 2^(k-1) at q = 1.  s comes by doubling: the b below 2^(i+1) with
+    bit i set are the b below 2^i plus the digit weight c q^(i+1).  T is
+    the running sum of s less lam v^k per step, not a product per entry,
+    and its last step, to T[2^k], takes lam (2q)^k v^k to reach G_k v^k.
     Both are tuples: _cached_leaf_table hands the same table to every
     caller.
     """
+    c, lam = _centring(u, v)
     s = [0]
     for i in range(k):
-        w = u ** (i + 1) * v ** (k - 1 - i)
+        w = c * u ** (i + 1) * v ** (k - 1 - i)
         s += [t + w for t in s]
-    return k, u**k, v**k, (0, *accumulate(s)), tuple(s)
+    u_k, v_k = u**k, v**k
+    lam_v_k = lam * v_k
+    T = [0, *accumulate(t - lam_v_k for t in s)]
+    T[-1] += lam * u_k << k
+    return k, u_k, v_k, tuple(T), tuple(s)
 
 
 # a table is read-only and depends only on its key, so one build serves
@@ -352,33 +379,36 @@ def _weight_table(u: int, v: int) -> tuple:
 
 
 def _table_leaf(n: int, d: int, v: int, table: tuple) -> tuple[int, int]:
-    """(S, s) as _summatory_leaf(n, d, u, v) gives them, for n < 2^d, a
-    byte per step from table, the _TABLE_BITS leaf table of q = u/v.
+    """(T, s) with T = (c S_q(n) - lam n) v^d and s = c s_q(n) v^d, for
+    n < 2^d, a byte per step from table, the _TABLE_BITS leaf table of
+    q = u/v with its centring (c, lam).
 
-    With m the prefix read so far, t its length and c the next byte of
-    n.to_bytes, each step is the split identity at h = k = 8,
+    With m the prefix read so far, t its length and b the next byte of
+    n.to_bytes, each step is the centred split identity at h = k = 8,
 
-        S_q(m 2^k + c) = m S_q(2^k) + q^k 2^k S_q(m) + S_q(c) + c q^k s_q(m),
-        s_q(m 2^k + c) = s_q(c) + q^k s_q(m),
+        T(m 2^k + b) = m G_k + (2q)^k T(m) + T(b) + b q^k s(m),
+        s(m 2^k + b) = s(b) + q^k s(m),
 
-    over v^(t+k), with S_q(c), s_q(c) and S_q(2^k) read from the table.
-    The walk pads n with leading zeros to whole bytes, which to_bytes
-    writes, and divides the pad's power of v out at the end, exactly.
+    over v^(t+k), T and s being the centred pair, with T(b), s(b) and G_k
+    read from the table.  G_k is 0 unless q = 1, and m G_k is then a
+    product by zero.  The walk pads n with leading zeros to whole bytes,
+    which to_bytes writes, and divides the pad's power of v out at the
+    end, exactly.
     """
-    _k, u_k, v_k, S_c, s_c = table
-    pow2 = S_c[-1]
+    _k, u_k, v_k, T_b, s_b = table
+    gain = T_b[-1]
     pad = -d % 8
-    S = s = m = 0
+    T = s = m = 0
     vt = 1  # v^t for the current prefix length t
-    for c in n.to_bytes((d + pad) // 8, "big"):
-        S = (m * pow2 + S_c[c]) * vt + u_k * ((S << 8) + c * s)
-        s = s_c[c] * vt + u_k * s
-        m = (m << 8) | c
+    for b in n.to_bytes((d + pad) // 8, "big"):
+        T = (m * gain + T_b[b]) * vt + u_k * ((T << 8) + b * s)
+        s = s_b[b] * vt + u_k * s
+        m = (m << 8) | b
         vt *= v_k
     if pad:
         v_pad = v**pad
-        return S // v_pad, s // v_pad
-    return S, s
+        return T // v_pad, s // v_pad
+    return T, s
 
 
 def _geometric(h: int, u: int, v: int, u_h: int, v_h: int) -> int:
@@ -392,40 +422,44 @@ def _geometric(h: int, u: int, v: int, u_h: int, v_h: int) -> int:
 
 
 def _powers(h: int, u: int, w: int, e: int, memo: dict) -> tuple[int, int, int]:
-    """(u^h, w^h, _geometric at h) for v = w 2^e, once per h for the lifetime
-    of memo.  v^h is w^h << e h, and S_q(2^h) v^h the last entry << (h - 1)."""
+    """(u^h, w^h, G_h v^h >> (h - 1)) for v = w 2^e, once per h for the
+    lifetime of memo.  v^h is w^h << e h.  G_h, a width-h table's last
+    entry over v^h, is h 2^(h-1) at q = 1 and 0 at every other q, so the
+    third is h or 0."""
     got = memo.get(h)
     if got is None:
-        u_h, w_h = u**h, w**h
-        got = memo[h] = (u_h, w_h, _geometric(h, u, w << e, u_h, w_h << e * h))
+        got = memo[h] = (u**h, w**h, h if u == w << e else 0)
     return got
 
 
 def _summatory_split(
     n: int, d: int, u: int, w: int, e: int, table: tuple, memo: dict, with_s: bool = True
 ) -> tuple[int, int | None]:
-    """(S, s) with S_q(n) = S / v^d and s_q(n) = s / v^d, for n < 2^d,
+    """(T, s) as _table_leaf(n, d, v, table) gives them, for n < 2^d,
     d > _LEAF_BITS, q = u/v and v = w 2^e with w odd; s is None unless
     with_s.
 
     Binary splitting on bit halves: with h = d // 2 rounded up to a
-    multiple of the table's width k and n = A 2^h + B,
+    multiple of the table's width k and n = A 2^h + B, the centred pair
+    splits as
 
-        S_q(n) = A S_q(2^h) + q^h 2^h S_q(A) + S_q(B) + B q^h s_q(A),
-        s_q(n) = s_q(B) + q^h s_q(A),
+        T(n) = A G_h + (2q)^h T(A) + T(B) + B q^h s(A),
+        s(n) = s(B) + q^h s(A),
 
     where A is evaluated at depth d - h and B at depth h, so both
     halves come back over known powers of v and combine in integers.
-    S_q(n) reads s_q(A) but not s_q(B), so a node asked for S alone asks
-    A for both and B for S alone, and builds no s itself: only the nodes
-    off the low spine of an S-only call build s.  Every power of v is a
-    power of w shifted by e bits per factor, so at a v that is a power of
-    two (w = 1) the combine multiplies by no power of v at all.  A half of
-    at most _LEAF_BITS bits goes straight to _table_leaf, which reads
-    table, the weight's leaf table, and returns s too; as every B spans
-    whole chunks, only the leaf at the top of n pads a partial one.  Each
-    bit of the span goes through exactly one leaf.  memo holds the
-    _powers of each depth met in this call.
+    G_h is 0 unless q = 1, so at every other q the term A S_q(2^h) of
+    the uncentred identity costs no product.  T(n) reads s(A) but not
+    s(B), so a node asked for T alone asks A for both and B for T alone,
+    and builds no s itself: only the nodes off the low spine of a T-only
+    call build s.  Every power of v is a power of w shifted by e bits per
+    factor, so at a v that is a power of two (w = 1) the combine
+    multiplies by no power of v at all.  A half of at most _LEAF_BITS bits
+    goes straight to _table_leaf, which reads table, the weight's leaf
+    table, and returns s too; as every B spans whole chunks, only the
+    leaf at the top of n pads a partial one.  Each bit of the span goes
+    through exactly one leaf.  memo holds the _powers of each depth met
+    in this call.
     """
     h = d // 2
     h += -h % table[0]
@@ -433,22 +467,22 @@ def _summatory_split(
     a = n >> h
     b = n & ((1 << h) - 1)
     if rest > _LEAF_BITS:
-        S_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
+        T_a, s_a = _summatory_split(a, rest, u, w, e, table, memo)
     else:
-        S_a, s_a = _table_leaf(a, rest, w << e, table)
+        T_a, s_a = _table_leaf(a, rest, w << e, table)
     if h > _LEAF_BITS:
-        S_b, s_b = _summatory_split(b, h, u, w, e, table, memo, with_s)
+        T_b, s_b = _summatory_split(b, h, u, w, e, table, memo, with_s)
     else:
-        S_b, s_b = _table_leaf(b, h, w << e, table)
-    u_h, _w_h, geom = _powers(h, u, w, e, memo)
-    _u_rest, w_rest, _geom_rest = _powers(rest, u, w, e, memo)
-    # S_q(2^h) v^h is geom << (h - 1), and v^rest is w_rest << e rest
-    S = (((a * geom << h - 1) + S_b) * w_rest << e * rest) + u_h * (
-        (S_a << h) + b * s_a
+        T_b, s_b = _table_leaf(b, h, w << e, table)
+    u_h, _w_h, gain = _powers(h, u, w, e, memo)
+    _u_rest, w_rest, _gain_rest = _powers(rest, u, w, e, memo)
+    # G_h v^h is gain << (h - 1), and v^rest is w_rest << e rest
+    T = (((a * gain << h - 1) + T_b) * w_rest << e * rest) + u_h * (
+        (T_a << h) + b * s_a
     )
     if not with_s:
-        return S, None
-    return S, (s_b * w_rest << e * rest) + u_h * s_a
+        return T, None
+    return T, (s_b * w_rest << e * rest) + u_h * s_a
 
 
 def _summatory_root(
@@ -459,8 +493,10 @@ def _summatory_root(
     is None unless with_s.
 
     An n below 2^_LEAF_BITS is one bit-serial leaf, which builds s
-    anyway; a longer n goes to _summatory_split, asked for s only when
-    with_s.  Either way every bit of n goes through exactly one leaf, so
+    anyway.  A longer n goes to _summatory_split, asked for s only when
+    with_s, which returns the centred pair c S_q(n) v^d - lam n v^d and
+    c s_q(n) v^d; adding lam n v^d back and one exact division by c give
+    S and s.  Either way every bit of n goes through exactly one leaf, so
     the halving steps number d.
     """
     d = n.bit_length()
@@ -469,8 +505,10 @@ def _summatory_root(
         return S, s, v**d
     e = _twos(v)
     w = v >> e
-    S, s = _summatory_split(n, d, u, w, e, _weight_table(u, v), {}, with_s)
-    return S, s, w**d << e * d
+    v_d = w**d << e * d
+    c, lam = _centring(u, v)
+    T, s = _summatory_split(n, d, u, w, e, _weight_table(u, v), {}, with_s)
+    return (T + lam * n * v_d) // c, s if s is None else s // c, v_d
 
 
 def _digit_sum_fast(j: int, p: QParam) -> Fraction:
@@ -509,7 +547,7 @@ def partial_sum_pow2(k: int, p: QParam) -> Fraction:
         S_q(2^k) = q (1 - q^k) / (1 - q) * 2^(k-1),    k >= 1,
 
     with S_q(1) = 0 and the q = 1 limit k * 2^(k-1); evaluated in
-    integers by _geometric, the same helper the split steps use.
+    integers by _geometric.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

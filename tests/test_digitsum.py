@@ -206,6 +206,40 @@ class TestPowerOfTwoClosedForm:
             partial_sum_pow2(-1, Q34)
 
 
+# q != 1 of either sign, |q| below and above 1
+centred_weights = st.builds(
+    F, st.integers(-12, 12).filter(bool), st.integers(1, 12)
+).filter(lambda q: q != 1)
+
+
+class TestCentredSum:
+    """The split the kernel runs on, from the oracle alone: with
+    kappa = q/(2(1 - q)), S_q(2^h) = kappa (2^h - (2q)^h), so the centred
+    sum T(n) = S_q(n) - kappa n splits with no S_q(2^h) term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=centred_weights, h=st.integers(0, 7), a=st.integers(1, 31), b=st.integers(0, 127)
+    )
+    @example(q=F(3, 4), h=7, a=31, b=127)
+    @example(q=F(-5, 2), h=1, a=1, b=0)
+    @example(q=F(12, 5), h=6, a=17, b=0b101010)
+    def test_split_has_no_power_of_two_term(self, q, h, a, b):
+        b &= (1 << h) - 1  # B < 2^h
+        p = QParam(q)
+        kappa = q / (2 * (1 - q))
+        n = (a << h) + b
+        oracle = partial_sum_bruteforce_at({a, n, 1 << h} | ({b} if b else set()), p)
+        oracle[0] = F(0)
+
+        def T(m):
+            return oracle[m] - kappa * m
+
+        assert oracle[1 << h] == kappa * (2**h - (2 * q) ** h)
+        want = (2 * q) ** h * T(a) + T(b) + b * q**h * weighted_digit_sum(a, p)
+        assert T(n) == want, (q, a, h, b)
+
+
 class TestProgression:
     @pytest.mark.parametrize(
         "base,step_exponent,count",
@@ -322,10 +356,26 @@ def shaped_ints(draw, max_bits):
     return draw(st.integers(top, 2 * top - 1))
 
 
+def centring(q):
+    """(c, lam) of the kernel's centred pair: c S_q(n) - lam n is
+    c (S_q(n) - kappa n), kappa = q/(2(1 - q)) = lam/c, at q != 1, and
+    S_q(n) itself at q = 1."""
+    u, v = q.numerator, q.denominator
+    return (1, 0) if q == 1 else (2 * (v - u), u)
+
+
+def centred(pair, n, d, q):
+    """The centred pair (c S - lam n v^d, c s) of (S, s), S_q(n) = S / v^d
+    and s_q(n) = s / v^d, as the kernel's nodes and leaves return it."""
+    S, s = pair
+    c, lam = centring(q)
+    return c * S - lam * n * q.denominator**d, c * s
+
+
 def split(n, d, u, v):
-    """The kernel on a span of d bits, as a parent node calls it:
-    _table_leaf up to _LEAF_BITS bits, _summatory_split on a fresh memo
-    past them, with v passed as its odd part and twos."""
+    """The kernel's centred pair on a span of d bits, as a parent node
+    calls it: _table_leaf up to _LEAF_BITS bits, _summatory_split on a
+    fresh memo past them, with v passed as its odd part and twos."""
     table = _leaf_table(_TABLE_BITS, u, v)
     if d <= _LEAF_BITS:
         return _table_leaf(n, d, v, table)
@@ -366,10 +416,10 @@ def digit_form(n, d, u, v):
 
 def _check_split_kernel(n, q):
     """The split over table leaves, and one byte walk over the whole of n,
-    equal the whole-n serial leaf."""
+    equal the whole-n serial leaf, centred."""
     u, v = q.numerator, q.denominator
     d = n.bit_length()
-    serial = _summatory_leaf(n, d, u, v)
+    serial = centred(_summatory_leaf(n, d, u, v), n, d, q)
     assert split(n, d, u, v) == serial, (q, n)
     assert _table_leaf(n, d, v, _leaf_table(_TABLE_BITS, u, v)) == serial
     _value, steps = leaf_bits(partial_sum_fast, n, QParam(q))
@@ -409,14 +459,20 @@ class TestSplitKernel:
     @pytest.mark.parametrize("q", SPLIT_WEIGHTS)
     def test_table_entries_equal_serial_leaf(self, q):
         u, v = q.numerator, q.denominator
+        c, lam = centring(q)
         for k in range(1, _TABLE_BITS + 1):
-            k_, u_k, v_k, S_c, s_c = _leaf_table(k, u, v)
-            assert (k_, u_k, v_k, len(S_c), len(s_c)) == (k, u**k, v**k, 2**k + 1, 2**k)
-            for c in range(2**k):
-                assert (S_c[c], s_c[c]) == _summatory_leaf(c, k, u, v), (k, c)
-            assert F(S_c[-1], v**k) == partial_sum_pow2(k, QParam(q))
-        # the bit-serial walk is the table walk's one-bit case
-        assert _leaf_table(1, u, v) == (1, u, v, (0, 0, u), (0, u))
+            k_, u_k, v_k, T_b, s_b = _leaf_table(k, u, v)
+            assert (k_, u_k, v_k, len(T_b), len(s_b)) == (k, u**k, v**k, 2**k + 1, 2**k)
+            for b in range(2**k):
+                want = centred(_summatory_leaf(b, k, u, v), b, k, q)
+                assert (T_b[b], s_b[b]) == want, (k, b)
+            # G_k = c S_q(2^k) - lam 2^k + lam (2q)^k: 0 unless q = 1
+            gain = c * partial_sum_pow2(k, QParam(q)) - lam * 2**k + lam * (2 * q) ** k
+            assert F(T_b[-1], v**k) == gain == (0 if q != 1 else k << k - 1)
+        # the bit-serial walk is the table walk's one-bit case: S_q(1) = 0,
+        # s_q(1) = q, and G_1 = c q - 2 lam + 2 lam q
+        gain = c * u - 2 * lam * (v - u)
+        assert _leaf_table(1, u, v) == (1, u, v, (0, -lam * v, gain), (0, c * u))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), q=weights)
@@ -443,7 +499,8 @@ class TestSplitKernel:
         u, v = q.numerator, q.denominator
         table = _leaf_table(k, u, v)
         for low in (0, n >> data.draw(st.integers(min(k, d), d))):
-            assert _table_leaf(low, d, v, table) == _summatory_leaf(low, d, u, v), (d, low)
+            want = centred(_summatory_leaf(low, d, u, v), low, d, q)
+            assert _table_leaf(low, d, v, table) == want, (d, low)
 
     def test_65536_bits_against_split_identity(self):
         # An independent split point (the kernel halves at bit 32768),
@@ -505,6 +562,23 @@ class TestSplitKernel:
         (S, s, den), steps = leaf_bits(_summatory_root, n, u, v)
         assert (S, s) == digit_form(n, 16385, u, v)
         assert (den, steps) == (v**16385, 16385)
+
+    @pytest.mark.parametrize("q", [F(-3, 4), F(-2, 3), F(2, 5), F(3, 2)])
+    def test_root_undoes_the_centring(self, q):
+        """Where c = 2(v - u) is not a power of two, or negative, the root's
+        division by c at 4097+ bits, for S alone, for S and s, and for
+        s_q(n) read off it, against the digit form."""
+        u, v = q.numerator, q.denominator
+        p = QParam(q)
+        assert centring(q)[0] in (14, 10, 6, -2)
+        rng = random.Random(str(q))
+        for bits in (4097, 4104, 4353):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            S, s = digit_form(n, bits, u, v)
+            (S_only, none, den), steps = leaf_bits(_summatory_root, n, u, v, False)
+            assert (S_only, none, den, steps) == (S, None, v**bits, bits)
+            assert _summatory_root(n, u, v) == (S, s, v**bits)
+            assert_same_fraction(_digit_sum_fast(n, p), F(s, v**bits))
 
     def test_digit_form_equals_oracle(self):
         # the reference itself against the definitional sum, over n's own
@@ -706,11 +780,13 @@ class TestLowestTerms:
     def test_fast_at_structured_n(self, q):
         # n = 2^k and 3 2^k share long runs of twos with v^d; 2^k - 1 none
         u, v = q.numerator, q.denominator
+        c, lam = centring(q)
         p = QParam(q)
         for k in [_LEAF_BITS, 100, 1000, 4096, 16384]:
             for n in [1 << k, 3 << k, (1 << k) - 1]:
                 d = n.bit_length()
                 if d <= _LEAF_BITS:
                     continue
-                S, _s = split(n, d, u, v)
-                assert_same_fraction(partial_sum_fast(n, p), F(S, v**d))
+                T, _s = split(n, d, u, v)
+                S = F(T + lam * n * v**d, c * v**d)
+                assert_same_fraction(partial_sum_fast(n, p), S)

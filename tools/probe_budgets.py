@@ -15,12 +15,16 @@ widest q the budget rows admit, with a power-of-two denominator,
 `_DYADIC_WORK`: `eval takagi --a 2/3` at a 4961-bit dyadic x, and `eval td
 --q 3/4` and `eval td --classical` at a 4961-bit n, the most bits each
 admits; n and x's numerator are 3^3130, whose bits, unlike those of
-2^4961 - 1, make the costlier walk.  One input per row lies just past its
-limit and should exit 2 at once.  Each child gets a wall-clock timeout and an
-address-space cap (RLIMIT_AS) set on the child alone; the probe changes no
-other setting.  It prints one line per input: the command, the bits of
-q's larger term, the exit code, the wall time and the child's peak RSS
-(ru_maxrss).  It checks nothing and exits 0; the `_Budget` row comments in
+2^4961 - 1, make the costlier walk.  For `_REGISTER_Q_BITS`: `eval S` and
+`eval s` at the longest n the row admits at q = 2/3, 3/4 and 9/10, at the
+86-bit q 2^85/(2^85 + 1), the widest whose leaf table the kernel caches,
+and at the 4096-bit q 2^4095/(2^4095 + 1), n being the top bits of a power
+of 3.  One input per row lies just past its limit and should exit 2 at
+once.  Each child gets a wall-clock timeout and an address-space cap
+(RLIMIT_AS) set on the child alone; the probe changes no other setting.
+It prints one line per input: the command, the bits of q's larger term,
+the exit code, the wall time and the child's peak RSS (ru_maxrss).  It
+checks nothing and exits 0; the `_Budget` row comments in
 `src/qdigits/cli.py` quote its output.
 """
 
@@ -125,10 +129,22 @@ def run_child(argv, timeout: float, cap: int):
     return ("killed" if exit_code < 0 else exit_code), seconds, usage.ru_maxrss / 1024
 
 
+def eval_bits(q: Fraction) -> int:
+    """The most bits of --n that _REGISTER_Q_BITS admits for eval S at q."""
+    return cli._REGISTER_Q_BITS.limit // cli._term_bits(q.numerator, q.denominator)
+
+
+def longest_n(bits: int) -> int:
+    """An n of exactly bits bits, mixed like random ones: the top bits of a
+    power of 3."""
+    n = 3 ** (2 * bits // 3 + 1)
+    return n >> n.bit_length() - bits
+
+
 def cases(out: Path):
     """(row, q, argv): narrow and widest admitted q per level, then past each
-    limit; then the series and dyadic rows at and past their limits, q there
-    being the weight or a."""
+    limit; then the series, dyadic and eval rows at and past their limits, q
+    there being the weight or a."""
     curve = ["curve", "--out", str(out / "c.csv"), "--svg", str(out / "c.svg")]
     commands = [
         ("curve", "--l", LEVELS, curve),
@@ -166,6 +182,13 @@ def cases(out: Path):
     yield "dyadic", Fraction(3, 4), ["eval", "td", "--q=3/4", "--n", str(n)]
     yield "dyadic", Fraction(1), ["eval", "td", "--classical", "--n", str(n)]
     yield "dyadic past", Fraction(1), ["eval", "td", "--classical", "--n", str(2**4961)]
+    # eval S and eval s are charged bits(--n) x bits(q)
+    for q in [*map(Fraction, ("2/3", "3/4", "9/10")), wide_q(85, True), wide_q(4095, True)]:
+        n = str(longest_n(eval_bits(q)))
+        for target in ("S", "s"):
+            yield "eval", q, ["eval", target, f"--q={q}", "--n", n]
+    q = Fraction(3, 4)
+    yield "eval past", q, ["eval", "S", f"--q={q}", "--n", str(longest_n(eval_bits(q) + 1))]
 
 
 def main():
